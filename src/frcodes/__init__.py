@@ -36,7 +36,6 @@ from .constructions import (
 )
 from .core import (
     CodeProfile,
-    DssParams,
     FrCode,
     IdentityReport,
     check_identities,
@@ -96,82 +95,3 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuditFinding",
-    "BUNDLED_TABLES",
-    "BudgetExceeded",
-    "CodeProfile",
-    "ConjectureFinding",
-    "CoverageProfile",
-    "DEFAULT_BUDGET",
-    "DedupAudit",
-    "DegenerateOffsets",
-    "DegreeRange",
-    "DssParams",
-    "EmptySystem",
-    "FAMILY_RING",
-    "FAMILY_T",
-    "FilterAudit",
-    "FrCode",
-    "FrcError",
-    "GoodnessReport",
-    "IdentityReport",
-    "IndexOutOfRange",
-    "InvariantViolation",
-    "KOutOfRange",
-    "KPrediction",
-    "MalformedRow",
-    "OrphanPacket",
-    "PROVENANCE_GENERATED",
-    "PROVENANCE_TRANSCRIBED",
-    "ParityError",
-    "ParseError",
-    "PrgMargin",
-    "PrgSpec",
-    "RepairPlan",
-    "RhoRange",
-    "RingSpec",
-    "TSpec",
-    "TableRow",
-    "Unreachable",
-    "Unrepairable",
-    "audit_dedup",
-    "audit_rhs_filter",
-    "audit_table",
-    "build_prg",
-    "build_ring",
-    "build_t_code",
-    "bundled_table_family",
-    "check_identities",
-    "code_from_matrix",
-    "conjecture_harness",
-    "coverage_profile",
-    "dedup_rows",
-    "default_theta_rule",
-    "export_code",
-    "filter_rhs",
-    "goodness_arithmetic",
-    "goodness_rhs",
-    "goodness_structural",
-    "import_code",
-    "incidence_matrix",
-    "load_bundled_table",
-    "make_code",
-    "min_coverage",
-    "plan_repair",
-    "plan_repair_greedy",
-    "predicted_k_ring",
-    "prg_margin",
-    "profile",
-    "read_rows_csv",
-    "reconstruction_degree",
-    "repair_degree_profile",
-    "restrict_rho",
-    "ring_margin_case1",
-    "ring_margin_case2",
-    "single_deficit_shape",
-    "sweep_ring",
-    "weak_form_applies",
-    "write_rows_csv",
-]

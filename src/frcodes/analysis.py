@@ -87,9 +87,6 @@ class CoverageProfile:
     values: tuple[int, ...]
     witnesses: tuple[tuple[int, ...], ...]
 
-    def value_at(self, k: int) -> int:
-        return self.values[k - 1]
-
 
 def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProfile:
     values = []
@@ -157,21 +154,6 @@ class GoodnessReport:
     structural_verdict: bool | None = None
     first_failing_k: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "k_evaluated": self.k_evaluated,
-            "file_size": self.file_size,
-            "weak": self.weak,
-            "rhs": self.rhs,
-            "rhs_positive": self.rhs_positive,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "structural_verdict": self.structural_verdict,
-            "first_failing_k": self.first_failing_k,
-        }
-
 
 def goodness_rhs(k: int, alpha: int, weak: bool = False) -> int:
     """Right side of the goodness bound: k*alpha - C(k, 2), one less in
@@ -237,20 +219,17 @@ def goodness_structural(
     if weak is None:
         weak = single_deficit_shape(prof)
     alpha = prof.alpha
-    binding_k = None
-    binding_margin = None
-    binding_value = None
-    first_fail = None
+    # alpha >= 1 and n >= 1, so at least k = 1 is scanned. Every margin
+    # before the first negative one is >= 0, so min() picks the first
+    # failing k, or else the earliest tightest k.
+    scanned = []
     for k in range(1, min(alpha, code.n) + 1):
         value, _ = min_coverage(code, k, budget=budget)
-        margin = value - goodness_rhs(k, alpha, weak)
-        if margin < 0 and first_fail is None:
-            first_fail = k
-            binding_k, binding_margin, binding_value = k, margin, value
+        scanned.append((value - goodness_rhs(k, alpha, weak), k, value))
+        if scanned[-1][0] < 0:
             break
-        if binding_margin is None or margin < binding_margin:
-            binding_k, binding_margin, binding_value = k, margin, value
-    assert binding_k is not None and binding_margin is not None
+    binding_margin, binding_k, binding_value = min(scanned)
+    passed = binding_margin >= 0
     rhs = goodness_rhs(binding_k, alpha, weak)
     return GoodnessReport(
         alpha=alpha,
@@ -261,9 +240,9 @@ def goodness_structural(
         rhs=rhs,
         rhs_positive=rhs > 0,
         margin=binding_margin,
-        verdict=binding_margin >= 0,
-        structural_verdict=first_fail is None,
-        first_failing_k=first_fail,
+        verdict=passed,
+        structural_verdict=passed,
+        first_failing_k=None if passed else binding_k,
     )
 
 
@@ -284,10 +263,8 @@ def prg_margin(n: int, d: int) -> PrgMargin:
     """
     spec = PrgSpec(n, d)  # reuse parity and degree-range validation
     p, q = spec.p, spec.q
-    theta = 2 * p * q + p + q
-    assert theta == spec.theta
     margin = 2 * p * p - 2 * p * q - 4 * p + 3 * q + 2
-    return PrgMargin(p=p, q=q, theta=theta, margin=margin)
+    return PrgMargin(p=p, q=q, theta=spec.theta, margin=margin)
 
 
 def ring_margin_case1(rho: int, theta: int) -> int:

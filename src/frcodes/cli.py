@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 on failing verdicts or domain errors (the
 error class name goes to stderr), 2 on usage errors. Human-facing
 output labels nodes U_1..U_n and packets P_1..P_theta (1-based); code
 files and --json output keep the 0-based indices used in memory. The
-FRC_BUDGET environment variable overrides the enumeration budget.
+FRC_BUDGET environment variable (a positive integer) overrides the
+enumeration budget.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ def _budget() -> int:
     if raw is None:
         return analysis.DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise FrcError(f"FRC_BUDGET must be an integer, got {raw!r}") from None
+        budget = 0
+    if budget < 1:
+        raise FrcError(f"FRC_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _parse_range(text: str) -> list[int]:
@@ -41,7 +45,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Dataclass results serialize as their fields, in declaration order."""
+    print(json.dumps(obj, indent=2, default=vars))
 
 
 def _node_label(i: int) -> str:
@@ -54,22 +59,12 @@ def _packet_labels(packets) -> str:
 
 def _show_code(code, as_json: bool) -> None:
     if as_json:
-        _print_json(
-            {
-                "n": code.n,
-                "theta": code.theta,
-                "nodes": [list(code.packets(i)) for i in range(code.n)],
-            }
-        )
+        _print_json(constructions.code_to_dict(code))
         return
     prof = profile(code)
     print(f"n={code.n} theta={code.theta} alpha={prof.alpha} rho={prof.rho}")
     for i in range(code.n):
         print(f"  {_node_label(i)}: {_packet_labels(code.packets(i))}")
-
-
-def _load_code(path: str):
-    return constructions.import_code(path)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -98,7 +93,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    code = _load_code(args.code)
+    code = constructions.import_code(args.code)
     budget = _budget()
     prof = profile(code)
     identities = check_identities(code)
@@ -136,7 +131,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_goodness(args) -> int:
-    code = _load_code(args.code)
+    code = constructions.import_code(args.code)
     budget = _budget()
     weak = True if args.weak else None
     if args.structural:
@@ -151,7 +146,7 @@ def _cmd_goodness(args) -> int:
             k, prof.alpha, code.theta, weak=weak, file_size=file_size
         )
     if args.json:
-        _print_json(report.to_dict())
+        _print_json(report)
     else:
         form = "weak" if report.weak else "strict"
         mode = "structural" if args.structural else "arithmetic"
@@ -169,14 +164,14 @@ def _cmd_goodness(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    code = _load_code(args.code)
+    code = constructions.import_code(args.code)
     failed = args.fail - 1  # 1-based on the command line, like the display
     if not 1 <= args.fail <= code.n:
         raise FrcError(f"--fail must be in [1, {code.n}] (1-based node label)")
     plan = repair.plan_repair(code, failed, budget=_budget())
     greedy = repair.plan_repair_greedy(code, failed)
     if args.json:
-        _print_json({"plan": plan.to_dict(), "greedy": greedy.to_dict()})
+        _print_json({"plan": plan, "greedy": greedy})
         return 0
     print(f"failed node: {_node_label(failed)}")
     print(f"lost packets: {_packet_labels(code.packets(failed))}")
@@ -253,7 +248,7 @@ def _cmd_conjecture(args) -> int:
     if args.json:
         _print_json(
             {
-                "instances": [f.to_dict() for f in findings],
+                "instances": findings,
                 "agree": agree,
                 "disagree": len(findings) - agree,
             }

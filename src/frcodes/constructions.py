@@ -82,7 +82,6 @@ def build_prg(spec: PrgSpec) -> FrCode:
             edges.append((v, (v + off) % n))
     for j in range(spec.p):
         edges.append((j, j + spec.p))
-    assert len(edges) == spec.theta
     storage: list[set[int]] = [set() for _ in range(n)]
     for packet, (u, v) in enumerate(edges):
         storage[u].add(packet)
@@ -104,11 +103,6 @@ class RingSpec:
             raise DegreeRange(f"need n >= 1 and theta >= 1, got {self.n}, {self.theta}")
         if not 2 <= self.rho <= self.n - 1:
             raise RhoRange(f"need 2 <= rho <= n - 1, got rho={self.rho}, n={self.n}")
-
-    @property
-    def blocks(self) -> int | None:
-        """theta / n when theta is a whole number of rounds, else None."""
-        return self.theta // self.n if self.theta % self.n == 0 else None
 
 
 def build_ring(spec: RingSpec) -> FrCode:
@@ -189,17 +183,21 @@ def _infer_format(path: str) -> str:
     raise ParseError(f"cannot infer code format from {path!r}; pass fmt explicitly")
 
 
+def code_to_dict(code: FrCode) -> dict:
+    """The canonical JSON document of a code (0-based indices)."""
+    return {
+        "n": code.n,
+        "theta": code.theta,
+        "nodes": [list(code.packets(i)) for i in range(code.n)],
+    }
+
+
 def export_code(code: FrCode, path: str, fmt: str | None = None) -> None:
     """Write a code to disk in canonical form (0-based indices)."""
     fmt = fmt or _infer_format(path)
     if fmt == FORMAT_JSON:
-        doc = {
-            "n": code.n,
-            "theta": code.theta,
-            "nodes": [list(code.packets(i)) for i in range(code.n)],
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(code_to_dict(code), fh, indent=2)
             fh.write("\n")
     elif fmt == FORMAT_CSV_MATRIX:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -223,17 +221,16 @@ def import_code(path: str, fmt: str | None = None) -> FrCode:
         if not isinstance(doc, dict):
             raise ParseError(f"{path}: expected a JSON object")
         try:
-            n = int(doc["n"])
-            theta = int(doc["theta"])
-            nodes = doc["nodes"]
-        except (KeyError, TypeError, ValueError) as exc:
+            n, theta, nodes = doc["n"], doc["theta"], doc["nodes"]
+        except KeyError as exc:
             raise ParseError(f"{path}: missing or non-numeric n/theta/nodes") from exc
+        # JSON integers load as int; bool is an int subclass, so test the type.
+        if type(n) is not int or type(theta) is not int:
+            raise ParseError(f"{path}: n and theta must be integers")
         if not isinstance(nodes, list) or not all(isinstance(s, list) for s in nodes):
             raise ParseError(f"{path}: nodes must be a list of lists")
-        for s in nodes:
-            for v in s:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ParseError(f"{path}: packet indices must be integers")
+        if any(type(v) is not int for s in nodes for v in s):
+            raise ParseError(f"{path}: packet indices must be integers")
         return make_code(n, theta, nodes)
     if fmt == FORMAT_CSV_MATRIX:
         rows: list[list[int]] = []

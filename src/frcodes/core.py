@@ -19,7 +19,6 @@ add one (nodes print as U_1..U_n, packets as P_1..P_theta).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -29,9 +28,6 @@ from .errors import (
     InvariantViolation,
     OrphanPacket,
 )
-
-NodeId = int
-PacketId = int
 
 #: Widest code the toolkit will build; guards the brute-force layers.
 DEFAULT_THETA_CAP = 4096
@@ -71,17 +67,9 @@ class FrCode:
     theta: int
     masks: tuple[int, ...]
 
-    @cached_property
-    def storage(self) -> tuple[frozenset[int], ...]:
-        """Per-node packet sets as frozensets (derived view)."""
-        return tuple(frozenset(packets_from_mask(m)) for m in self.masks)
-
     def packets(self, node: int) -> tuple[int, ...]:
         """Sorted packet indices held by one node."""
         return packets_from_mask(self.masks[node])
-
-    def node_size(self, node: int) -> int:
-        return self.masks[node].bit_count()
 
 
 def make_code(
@@ -138,8 +126,6 @@ def profile(code: FrCode) -> CodeProfile:
     rho_per_packet = tuple(
         sum(m >> j & 1 for m in code.masks) for j in range(code.theta)
     )
-    # Both sides count stored replicas, once by rows and once by columns.
-    assert sum(alpha_per_node) == sum(rho_per_packet)
     return CodeProfile(
         alpha_per_node=alpha_per_node,
         alpha=max(alpha_per_node),
@@ -222,41 +208,12 @@ def check_identities(code: FrCode) -> IdentityReport:
         classification = "single-deficient"
     else:
         classification = "general"
-    sum_alpha = sum(prof.alpha_per_node)
-    sum_rho = sum(prof.rho_per_packet)
-    assert sum_alpha == sum_rho
     return IdentityReport(
-        sum_alpha=sum_alpha,
-        sum_rho=sum_rho,
+        sum_alpha=sum(prof.alpha_per_node),
+        sum_rho=sum(prof.rho_per_packet),
         n_alpha=n_alpha,
         rho_theta=rho_theta,
         uniform_identity=uniform,
         deficient_identity=deficient,
         classification=classification,
     )
-
-
-@dataclass(frozen=True)
-class DssParams:
-    """Distributed storage system parameters at one download per helper.
-
-    file_size is the number of source packets an outer MDS layer encodes;
-    the toolkit defaults it to theta - 1 elsewhere. beta is fixed at 1:
-    repair moves whole packets, one per helper contact.
-    """
-
-    n: int
-    k: int
-    d: int
-    file_size: int
-    beta: int = 1
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
-            raise InvariantViolation(f"k={self.k} outside [1, {self.n}]")
-        if not 1 <= self.d <= self.n - 1:
-            raise InvariantViolation(f"d={self.d} outside [1, {self.n - 1}]")
-        if self.file_size < 1:
-            raise InvariantViolation("file size must be positive")
-        if self.beta != 1:
-            raise InvariantViolation("exact uncoded repair fixes beta = 1")

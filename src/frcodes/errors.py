@@ -17,7 +17,7 @@ class InvariantViolation(FrcError):
 
 
 class EmptySystem(InvariantViolation):
-    """Node count or packet count below one, or wrong number of node sets."""
+    """Node count or packet count below one, or an incidence matrix with no rows."""
 
 
 class IndexOutOfRange(InvariantViolation):

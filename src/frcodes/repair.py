@@ -17,10 +17,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .analysis import DEFAULT_BUDGET
 from .core import FrCode
 from .errors import BudgetExceeded, KOutOfRange, Unrepairable
-
-DEFAULT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -38,15 +37,6 @@ class RepairPlan:
     helpers: tuple[int, ...]
     repair_degree: int
     bandwidth: int
-
-    def to_dict(self) -> dict:
-        return {
-            "failed": self.failed,
-            "assignments": [list(pair) for pair in self.assignments],
-            "helpers": list(self.helpers),
-            "repair_degree": self.repair_degree,
-            "bandwidth": self.bandwidth,
-        }
 
 
 def _finish_plan(code: FrCode, failed: int, helpers: tuple[int, ...]) -> RepairPlan:

@@ -110,9 +110,7 @@ def sweep_ring(
                     continue
                 theta = m * n
                 code = build_ring(RingSpec(n=n, theta=theta, rho=rho))
-                prof = profile(code)
-                assert prof.is_uniform_storage and prof.is_regular_replication
-                d = prof.alpha
+                d = profile(code).alpha
                 k = reconstruction_degree(code, theta - 1, budget=budget)
                 report = goodness_arithmetic(k, d, theta, weak=False)
                 if report.verdict:
@@ -150,19 +148,7 @@ class AuditFinding:
         return self.identity_ok and self.margin_ok and self.predicted_k_ok is not False
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "row": self.row.to_dict(),
-            "identity_ok": self.identity_ok,
-            "rhs": self.rhs,
-            "rhs_positive": self.rhs_positive,
-            "margin": self.margin,
-            "margin_ok": self.margin_ok,
-            "predicted_k": self.predicted_k,
-            "predicted_k_ok": self.predicted_k_ok,
-            "duplicate_of": self.duplicate_of,
-            "passed": self.passed,
-        }
+        return {**vars(self), "row": self.row.to_dict(), "passed": self.passed}
 
 
 def audit_table(rows: Iterable[TableRow], family: str) -> list[AuditFinding]:
@@ -418,17 +404,6 @@ class ConjectureFinding:
     brute_k: int
     agree: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "theta": self.theta,
-            "rho": self.rho,
-            "branch": self.branch,
-            "predicted_k": self.predicted_k,
-            "brute_k": self.brute_k,
-            "agree": self.agree,
-        }
-
 
 def default_theta_rule(n: int) -> list[int]:
     """Heterogeneous theta values tried per n: every theta in [2, 3n]
@@ -456,7 +431,6 @@ def conjecture_harness(
                 if theta % n == 0:
                     continue  # homogeneous; covered by theorems, not conjecture
                 prediction = predicted_k_ring(n, theta, rho)
-                assert prediction.basis == "conjecture"
                 code = build_ring(RingSpec(n=n, theta=theta, rho=rho))
                 brute = reconstruction_degree(code, theta - 1, budget=budget)
                 findings.append(

@@ -118,6 +118,10 @@ def test_goodness_structural_pass_json(capsys, ring_file):
     rc, out, _ = run(capsys, "goodness", ring_file, "--structural", "--json")
     assert rc == 0
     doc = json.loads(out)
+    assert list(doc) == [
+        "alpha", "theta", "k_evaluated", "file_size", "weak", "rhs",
+        "rhs_positive", "margin", "verdict", "structural_verdict", "first_failing_k",
+    ]
     assert doc["structural_verdict"] is True
     assert doc["first_failing_k"] is None
 
@@ -153,6 +157,10 @@ def test_repair_json(capsys, ring_file):
     rc, out, _ = run(capsys, "repair", ring_file, "--fail", "1", "--json")
     assert rc == 0
     doc = json.loads(out)
+    assert list(doc) == ["plan", "greedy"]
+    for plan in doc.values():
+        assert list(plan) == ["failed", "assignments", "helpers", "repair_degree", "bandwidth"]
+    assert doc["plan"]["assignments"] == [[0, 1], [4, 4]]
     assert doc["plan"]["failed"] == 0
     assert doc["plan"]["helpers"] == [1, 4]
     assert doc["greedy"]["repair_degree"] == 2
@@ -207,6 +215,12 @@ def test_audit_bundled_json_lines(capsys):
     docs = [json.loads(line) for line in out.splitlines()]
     assert len(docs) == 7
     assert all(doc["passed"] for doc in docs)
+    for doc in docs:
+        assert list(doc) == [
+            "index", "row", "identity_ok", "rhs", "rhs_positive", "margin",
+            "margin_ok", "predicted_k", "predicted_k_ok", "duplicate_of", "passed",
+        ]
+        assert list(doc["row"]) == ["n", "k", "d", "rho", "theta", "provenance"]
 
 
 def test_audit_csv_path(capsys, tmp_path):
@@ -248,6 +262,14 @@ def test_conjecture_json(capsys):
     rc, out, _ = run(capsys, "conjecture", "--n", "7", "--rho", "2", "--json")
     assert rc == 0
     doc = json.loads(out)
+    assert list(doc) == ["instances", "agree", "disagree"]
+    assert doc["instances"][0] == {
+        "n": 7, "theta": 2, "rho": 2, "branch": "n_gt_theta",
+        "predicted_k": 5, "brute_k": 5, "agree": True,
+    }
+    assert list(doc["instances"][0]) == [
+        "n", "theta", "rho", "branch", "predicted_k", "brute_k", "agree",
+    ]
     assert doc["agree"] + doc["disagree"] == len(doc["instances"])
 
 
@@ -262,10 +284,12 @@ def test_budget_env_override(capsys, ring_file, monkeypatch):
 
 
 def test_budget_env_must_be_integer(capsys, ring_file, monkeypatch):
-    monkeypatch.setenv("FRC_BUDGET", "lots")
-    rc, _, err = run(capsys, "analyze", ring_file)
-    assert rc == 1
-    assert err.startswith("FrcError:")
+    for raw in ("lots", "0", "-5"):
+        monkeypatch.setenv("FRC_BUDGET", raw)
+        for argv in (("analyze", ring_file), ("repair", ring_file, "--fail", "1")):
+            rc, _, err = run(capsys, *argv)
+            assert rc == 1
+            assert err.startswith("FrcError: FRC_BUDGET")
 
 
 def test_unknown_command_exits_2(capsys):

@@ -146,11 +146,6 @@ def test_ring_empty_nodes_when_n_large():
     assert prof.alpha_per_node == (1, 2, 2, 1, 0, 0)
 
 
-def test_ring_blocks_property():
-    assert RingSpec(5, 10, 2).blocks == 2
-    assert RingSpec(5, 7, 2).blocks is None
-
-
 # --- shifted placement -----------------------------------------------------
 
 
@@ -161,7 +156,7 @@ def test_t_zero_is_the_ring_code():
 
 def test_t_one_example():
     code = build_t_code(TSpec(4, 2, 1))
-    assert [sorted(s) for s in code.storage] == [[0, 2], [1, 3], [0, 2], [1, 3]]
+    assert [list(code.packets(i)) for i in range(code.n)] == [[0, 2], [1, 3], [0, 2], [1, 3]]
 
 
 def test_t_degenerate_offsets():
@@ -186,8 +181,8 @@ def test_t_opposite_steps_relabel_nodes():
     for n, d, t_a, t_b in [(7, 3, 1, 4), (9, 2, 2, 5), (10, 3, 2, 6)]:
         a = build_t_code(TSpec(n, d, t_a))
         b = build_t_code(TSpec(n, d, t_b))
-        assert sorted(map(sorted, a.storage)) == sorted(map(sorted, b.storage))
-        assert a.storage != b.storage  # same code only after relabeling
+        assert sorted(map(a.packets, range(n))) == sorted(map(b.packets, range(n)))
+        assert a.masks != b.masks  # same code only after relabeling
 
 
 # --- code files ------------------------------------------------------------
@@ -230,6 +225,23 @@ def test_import_rejects_garbage(tmp_path):
     path3.write_text("1,0\n1,2\n")
     with pytest.raises(ParseError):
         import_code(str(path3))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        '"n": 2.9, "theta": "2"',
+        '"n": true, "theta": 2',
+        '"n": 2, "theta": false',
+        '"n": "two", "theta": 2',
+        '"n": 2, "theta": null',
+    ],
+)
+def test_import_rejects_non_integer_n_theta(tmp_path, fields):
+    path = tmp_path / "bad.json"
+    path.write_text('{%s, "nodes": [[0, 1], [0, 1]]}' % fields)
+    with pytest.raises(ParseError):
+        import_code(str(path))
 
 
 def test_import_unknown_extension(tmp_path):

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from frcodes import (
     BudgetExceeded,
-    DssParams,
     EmptySystem,
     IndexOutOfRange,
     InvariantViolation,
@@ -152,17 +151,6 @@ def test_check_identities_general():
     report = check_identities(make_code(3, 3, [{0, 1}, {0, 1}, {2}]))
     assert report.classification == "general"
     assert not report.uniform_identity and not report.deficient_identity
-
-
-def test_dss_params_validation():
-    params = DssParams(n=7, k=5, d=5, file_size=16)
-    assert params.beta == 1
-    with pytest.raises(InvariantViolation):
-        DssParams(n=7, k=8, d=5, file_size=16)
-    with pytest.raises(InvariantViolation):
-        DssParams(n=7, k=5, d=7, file_size=16)
-    with pytest.raises(InvariantViolation):
-        DssParams(n=7, k=5, d=5, file_size=16, beta=2)
 
 
 def test_code_is_immutable_and_hashable():

@@ -2,14 +2,15 @@
 
 min_coverage(code, k) is the smallest number of distinct packets any k
 nodes jointly hold; a code supports an outer [theta, M] MDS layer at
-reconstruction degree k exactly when min_coverage(code, k) >= M. The
-toolkit evaluates this by exhaustive subset enumeration: node subsets
-are walked in lexicographic order, and a branch is cut as soon as its
-partial union already matches the best value found, which cannot be
-improved because unions only grow along a branch. The cut never skips a
-lexicographically earlier witness, so results are bit-for-bit
-deterministic. Enumeration refuses to start when C(n, k) exceeds the
-budget.
+reconstruction degree k exactly when min_coverage(code, k) >= M. One
+search answers both questions. It walks the k-node subsets in
+lexicographic order and cuts a branch once its partial union reaches
+the current bound, since unions only grow along a branch; the cut never
+skips an earlier subset below the bound. Each subset found below the
+bound becomes the new bound, so the last one found is the minimum with
+its lexicographically least witness, and the first one found shows that
+some k nodes hold fewer packets than the starting bound. The search
+refuses to start when C(n, k) exceeds the budget.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .constructions import PrgSpec
 from .core import FrCode, profile, single_deficit_shape
@@ -33,6 +34,42 @@ from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable
 
 #: Default ceiling on C(n, k) per enumeration.
 DEFAULT_BUDGET = 10**8
+
+
+def _smaller_unions(
+    code: FrCode, k: int, bound: int, budget: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (union size, subset) for each k-subset, in lex order, whose
+    union is smaller than bound and than every earlier yield."""
+    n = code.n
+    if not 1 <= k <= n:
+        raise KOutOfRange(f"k={k} outside [1, {n}]")
+    if math.comb(n, k) > budget:
+        raise BudgetExceeded(
+            f"C({n}, {k}) = {math.comb(n, k)} exceeds budget {budget}"
+        )
+    masks = code.masks
+    chosen: list[int] = []
+    unions = [0]  # unions[d] is the union of chosen[:d]
+    i = 0  # next candidate for position len(chosen)
+    while True:
+        depth = len(chosen)
+        if i > n - k + depth:  # too few nodes left to complete the subset
+            if not chosen:
+                return
+            i = chosen.pop() + 1
+            unions.pop()
+            continue
+        union = unions[depth] | masks[i]
+        size = union.bit_count()
+        if size < bound:
+            if depth + 1 == k:
+                bound = size
+                yield size, (*chosen, i)
+            else:
+                chosen.append(i)
+                unions.append(union)
+        i += 1
 
 
 def min_coverage(
@@ -43,37 +80,9 @@ def min_coverage(
     Returns (value, witness) where witness is the lexicographically
     least subset achieving the value, as a sorted tuple of node indices.
     """
-    n = code.n
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside [1, {n}]")
-    if math.comb(n, k) > budget:
-        raise BudgetExceeded(
-            f"C({n}, {k}) = {math.comb(n, k)} exceeds budget {budget}"
-        )
-    masks = code.masks
-    best = code.theta + 1
-    best_witness: tuple[int, ...] = ()
-    chosen: list[int] = []
-
-    def extend(start: int, union: int) -> None:
-        nonlocal best, best_witness
-        # Unions only grow deeper in the tree, so nothing below this
-        # branch can strictly beat the incumbent. Equal-value subsets
-        # are all lexicographically later than the incumbent witness.
-        if union.bit_count() >= best:
-            return
-        if len(chosen) == k:
-            best = union.bit_count()
-            best_witness = tuple(chosen)
-            return
-        remaining = k - len(chosen)
-        for i in range(start, n - remaining + 1):
-            chosen.append(i)
-            extend(i + 1, union | masks[i])
-            chosen.pop()
-
-    extend(0, 0)
-    return best, best_witness
+    # Every union is at most theta, so the first subset always yields.
+    *_, best = _smaller_unions(code, k, code.theta + 1, budget)
+    return best
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,10 @@ def reconstruction_degree(
     """Least k such that min_coverage(code, k) >= file_size.
 
     file_size defaults to theta - 1, the outer-layer size used
-    throughout the bundled tables. min_coverage is nondecreasing in k,
-    so the least k is found by bisection.
+    throughout the bundled tables. k is scanned upward from 1, and each
+    step only asks whether some k nodes hold fewer than file_size
+    packets: the search stops at the first such subset instead of
+    minimising.
     """
     if file_size is None:
         file_size = code.theta - 1
@@ -115,18 +126,15 @@ def reconstruction_degree(
         raise Unreachable(
             f"file size {file_size} exceeds theta={code.theta}"
         )
-    lo, hi = 1, code.n
-    if min_coverage(code, hi, budget=budget)[0] < file_size:
+    if min_coverage(code, code.n, budget=budget)[0] < file_size:
         raise Unreachable(
             f"all {code.n} nodes jointly store fewer than {file_size} packets"
         )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if min_coverage(code, mid, budget=budget)[0] >= file_size:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return next(
+        k
+        for k in range(1, code.n + 1)
+        if next(_smaller_unions(code, k, file_size, budget), None) is None
+    )
 
 
 @dataclass(frozen=True)

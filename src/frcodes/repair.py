@@ -39,12 +39,18 @@ class RepairPlan:
     bandwidth: int
 
 
-def _finish_plan(code: FrCode, failed: int, helpers: tuple[int, ...]) -> RepairPlan:
+def _finish_plan(
+    code: FrCode, failed: int, survivors: tuple[int, ...]
+) -> RepairPlan:
+    """Fetch each lost packet from its first holder among survivors."""
     lost = code.packets(failed)
     assignments = []
     for packet in lost:
-        helper = next(h for h in helpers if code.masks[h] >> packet & 1)
+        helper = next((h for h in survivors if code.masks[h] >> packet & 1), None)
+        if helper is None:
+            raise Unrepairable(f"packet {packet} has no replica outside node {failed}")
         assignments.append((packet, helper))
+    helpers = tuple(sorted({h for _, h in assignments}))
     return RepairPlan(
         failed=failed,
         assignments=tuple(assignments),
@@ -101,24 +107,7 @@ def plan_repair_greedy(code: FrCode, failed: int) -> RepairPlan:
     surviving holder, with no attempt to share helpers."""
     if not 0 <= failed < code.n:
         raise KOutOfRange(f"failed node {failed} outside [0, {code.n})")
-    lost = code.packets(failed)
-    assignments = []
-    for packet in lost:
-        helper = next(
-            (i for i in range(code.n) if i != failed and code.masks[i] >> packet & 1),
-            None,
-        )
-        if helper is None:
-            raise Unrepairable(f"packet {packet} has no replica outside node {failed}")
-        assignments.append((packet, helper))
-    helpers = tuple(sorted({h for _, h in assignments}))
-    return RepairPlan(
-        failed=failed,
-        assignments=tuple(assignments),
-        helpers=helpers,
-        repair_degree=len(helpers),
-        bandwidth=len(lost),
-    )
+    return _finish_plan(code, failed, tuple(i for i in range(code.n) if i != failed))
 
 
 def repair_degree_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:

@@ -117,13 +117,27 @@ def test_reconstruction_degree_matches_linear_scan():
     rng = random.Random(99)
     for _ in range(15):
         code = random_code(rng, max_n=8, max_theta=12)
-        for file_size in (1, max(1, code.theta - 1), code.theta):
+        for file_size in range(1, code.theta + 1):
             expected = brute_reconstruction_degree(code, file_size)
             if expected is None:
                 with pytest.raises(Unreachable):
                     reconstruction_degree(code, file_size)
             else:
                 assert reconstruction_degree(code, file_size) == expected
+
+
+def test_wide_code_searches_without_recursion():
+    code = make_code(1200, 2, [{0, 1}] * 1200)
+    assert reconstruction_degree(code) == 1
+    assert min_coverage(code, 1200) == (2, tuple(range(1200)))
+
+
+def test_reconstruction_degree_probes_only_up_to_the_answer():
+    # C(30, 15) exceeds the default budget, but the scan stops at k = 1.
+    code = make_code(30, 2, [{0, 1}] * 30)
+    assert reconstruction_degree(code) == 1
+    with pytest.raises(BudgetExceeded):
+        min_coverage(code, 15)
 
 
 def test_reconstruction_degree_unreachable():

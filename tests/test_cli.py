@@ -133,6 +133,15 @@ def test_goodness_structural_failure(capsys, bad_code_file):
     assert out.rstrip().endswith("FAIL")
 
 
+def test_goodness_wide_code_fails_cleanly(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    export_code(make_code(1200, 2, [{0, 1}] * 1200), str(path))
+    rc, out, err = run(capsys, "goodness", str(path))
+    assert rc == 1
+    assert out.splitlines()[-1] == "FAIL"
+    assert err == ""
+
+
 def test_goodness_weak_flag(capsys, ring_file):
     rc, out, _ = run(capsys, "goodness", ring_file, "--weak")
     assert rc == 0

@@ -206,6 +206,20 @@ def export_code(code: FrCode, path: str, fmt: str | None = None) -> None:
         raise ParseError(f"unknown code format {fmt!r}")
 
 
+def read_csv_records(path: str) -> list[list[str]]:
+    """Every record of a UTF-8 CSV file. A file that cannot be opened,
+    decoded or split into fields raises ParseError."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: not valid CSV ({exc})") from exc
+
+
 def import_code(path: str, fmt: str | None = None) -> FrCode:
     """Read a code file; structural validation is delegated to make_code,
     so invalid contents raise the same errors as building by hand."""
@@ -216,6 +230,8 @@ def import_code(path: str, fmt: str | None = None) -> FrCode:
                 doc = json.load(fh)
         except OSError as exc:
             raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
@@ -234,21 +250,16 @@ def import_code(path: str, fmt: str | None = None) -> FrCode:
         return make_code(n, theta, nodes)
     if fmt == FORMAT_CSV_MATRIX:
         rows: list[list[int]] = []
-        try:
-            fh = open(path, "r", newline="", encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-        with fh:
-            for lineno, record in enumerate(csv.reader(fh), start=1):
-                if not record:
-                    continue
-                try:
-                    row = [int(v) for v in record]
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
-                if any(v not in (0, 1) for v in row):
-                    raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
-                rows.append(row)
+        for lineno, record in enumerate(read_csv_records(path), start=1):
+            if not record:
+                continue
+            try:
+                row = [int(v) for v in record]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
+            if any(v not in (0, 1) for v in row):
+                raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
+            rows.append(row)
         if not rows:
             raise ParseError(f"{path}: empty incidence matrix")
         if len({len(r) for r in rows}) != 1:

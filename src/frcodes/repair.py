@@ -4,16 +4,19 @@ Repair replaces every packet the failed node held by downloading one
 surviving replica of each, so bandwidth always equals the failed node's
 storage. What varies is how many distinct helper nodes must be
 contacted: plan_repair finds a provably minimum helper set by exact set
-cover over the candidate nodes, enumerated smallest cardinality first
-and lexicographically within a cardinality, so the reported plan is
-deterministic. plan_repair_greedy gives the no-coordination baseline
-(each packet fetched from its lowest-indexed surviving holder) for
-comparison.
+cover over the candidate nodes, walked smallest cardinality first and
+lexicographically within a cardinality, so the reported plan is
+deterministic. The walk cuts a branch once its partial union together
+with all later candidates still misses a lost packet; such a branch
+holds no cover, so the cut never changes which cover is found first.
+The budget is an up-front estimate: the sum of C(c, size) over the
+sizes tried, for c candidate helpers. plan_repair_greedy gives the
+no-coordination baseline (each packet fetched from its lowest-indexed
+surviving holder) for comparison.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,11 +66,14 @@ def _finish_plan(
 def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> RepairPlan:
     """Minimum-helper exact repair plan for one failed node.
 
-    Enumerates candidate helper subsets by increasing size; the first
-    subset whose members jointly hold every lost packet is returned, so
-    ties break toward the lexicographically least helper set. Raises
-    Unrepairable when some lost packet has no other replica, and
-    BudgetExceeded when the subsets to examine outgrow the budget.
+    Walks candidate helper subsets by increasing size, in lexicographic
+    order within a size; the first subset whose members jointly hold
+    every lost packet is returned, so ties break toward the
+    lexicographically least helper set. A branch is cut as soon as its
+    partial union, joined with every candidate still to come, misses a
+    lost packet. Raises Unrepairable when some lost packet has no other
+    replica, and BudgetExceeded when the running sum of C(c, size) over
+    the c candidates outgrows the budget, checked before each size.
     """
     if not 0 <= failed < code.n:
         raise KOutOfRange(f"failed node {failed} outside [0, {code.n})")
@@ -77,28 +83,45 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     candidates = [
         i for i in range(code.n) if i != failed and code.masks[i] & lost_mask
     ]
-    coverable = 0
-    for i in candidates:
-        coverable |= code.masks[i] & lost_mask
-    if coverable != lost_mask:
-        missing = (lost_mask & ~coverable).bit_length() - 1
-        raise Unrepairable(f"packet {missing} has no replica outside node {failed}")
     restricted = [code.masks[i] & lost_mask for i in candidates]
+    c = len(candidates)
+    rest = [0] * (c + 1)  # rest[i] is the union of restricted[i:]
+    for i in range(c - 1, -1, -1):
+        rest[i] = rest[i + 1] | restricted[i]
+    if rest[0] != lost_mask:
+        missing = (lost_mask & ~rest[0]).bit_length() - 1
+        raise Unrepairable(f"packet {missing} has no replica outside node {failed}")
     examined = 0
-    for size in range(1, len(candidates) + 1):
-        examined += math.comb(len(candidates), size)
+    for size in range(1, c + 1):
+        examined += math.comb(c, size)
         if examined > budget:
             raise BudgetExceeded(
                 f"helper-set search for node {failed} exceeds budget {budget}"
             )
-        for combo in itertools.combinations(range(len(candidates)), size):
-            union = 0
-            for idx in combo:
-                union |= restricted[idx]
-            if union == lost_mask:
+        chosen: list[int] = []
+        outer: list[int] = []  # outer[d] is the partial union before chosen[d]
+        union = 0  # union of restricted over chosen
+        i = 0  # next candidate for position len(chosen)
+        while True:
+            depth = len(chosen)
+            # Leave the branch when too few candidates remain to fill it,
+            # or when all of them together still miss a lost packet.
+            if i > c - size + depth or union | rest[i] != lost_mask:
+                if not chosen:
+                    break
+                i = chosen.pop() + 1
+                union = outer.pop()
+                continue
+            grown = union | restricted[i]
+            if depth + 1 < size:
+                chosen.append(i)
+                outer.append(union)
+                union = grown
+            elif grown == lost_mask:
                 return _finish_plan(
-                    code, failed, tuple(candidates[idx] for idx in combo)
+                    code, failed, tuple(candidates[j] for j in (*chosen, i))
                 )
+            i += 1
     raise AssertionError("coverable candidates must admit a cover")
 
 

@@ -30,7 +30,7 @@ from .analysis import (
     predicted_k_ring,
     reconstruction_degree,
 )
-from .constructions import RingSpec, build_ring
+from .constructions import RingSpec, build_ring, read_csv_records
 from .core import profile
 from .errors import MalformedRow, ParseError, RhoRange
 
@@ -321,12 +321,7 @@ def write_rows_csv(rows: Iterable[TableRow], path: str) -> None:
 
 
 def read_rows_csv(path: str, provenance: str = PROVENANCE_TRANSCRIBED) -> list[TableRow]:
-    try:
-        fh = open(path, "r", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    with fh:
-        return _parse_rows(csv.reader(fh), path, provenance)
+    return _parse_rows(read_csv_records(path), path, provenance)
 
 
 def _parse_rows(records: Iterable[list[str]], origin: str, provenance: str) -> list[TableRow]:

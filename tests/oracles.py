@@ -53,3 +53,19 @@ def brute_min_helper_count(code, failed):
         if lost <= union:
             best = len(members)
     return best
+
+
+def brute_lex_least_helpers(code, failed):
+    """The first subset of surviving nodes, smallest size first and in
+    lexicographic order within a size, that jointly holds every packet
+    of the failed node; None when no subset covers them."""
+    lost = set(code.packets(failed))
+    others = [i for i in range(code.n) if i != failed]
+    for size in range(len(others) + 1):
+        for members in itertools.combinations(others, size):
+            union = set()
+            for i in members:
+                union |= set(code.packets(i))
+            if lost <= union:
+                return members
+    return None

@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import frcodes
 from frcodes import RingSpec, build_ring, export_code, import_code, make_code
 from frcodes.cli import main
 
@@ -320,11 +322,27 @@ def test_missing_code_file(capsys, tmp_path):
     assert err.startswith("ParseError:")
 
 
+def test_undecodable_input_file(capsys, tmp_path):
+    code = tmp_path / "b.json"
+    code.write_bytes(b'\xff\xfe{"n": 1}')
+    rc, out, err = run(capsys, "repair", str(code), "--fail", "1")
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"ParseError: {code}: not valid UTF-8")
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"\xff\xfen,k,d,rho,theta\n")
+    rc, out, err = run(capsys, "audit-table", str(table), "--family", "ring")
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"ParseError: {table}: not valid UTF-8")
+
+
 def test_module_entry_point():
+    # Run from the directory holding the package, so that the child finds
+    # it whether or not PYTHONPATH names src/.
     proc = subprocess.run(
         [sys.executable, "-m", "frcodes", "--help"],
         capture_output=True,
         text=True,
+        cwd=Path(frcodes.__file__).parent.parent,
     )
     assert proc.returncode == 0
     assert "audit-table" in proc.stdout

@@ -244,6 +244,23 @@ def test_import_rejects_non_integer_n_theta(tmp_path, fields):
         import_code(str(path))
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("bad.json", b'\xff\xfe{"n": 1}'),
+        ("bad.csv", b"\xff\xfe1,0\n"),
+        ("big.csv", b"1," + b"0" * 200_000 + b"\n"),  # over the csv field limit
+    ],
+    ids=["json-not-utf8", "csv-not-utf8", "csv-field-limit"],
+)
+def test_import_rejects_unreadable_text(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as exc:
+        import_code(str(path))
+    assert str(exc.value).startswith(f"{path}: not valid")
+
+
 def test_import_unknown_extension(tmp_path):
     path = tmp_path / "code.txt"
     path.write_text("{}")

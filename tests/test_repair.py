@@ -17,7 +17,7 @@ from frcodes import (
     plan_repair_greedy,
     repair_degree_profile,
 )
-from oracles import brute_min_helper_count
+from oracles import brute_lex_least_helpers, brute_min_helper_count
 
 
 def random_repairable_code(rng, max_n=9, max_theta=14):
@@ -112,13 +112,29 @@ def test_plans_are_valid_assignments():
             assert plan.repair_degree == len(plan.helpers)
 
 
+def random_replicated_code(rng, max_n=11, max_theta=30):
+    """Every packet on exactly rho (2 or 3) nodes: with many packets per
+    node, a failed node has many candidate helpers, most of them
+    indispensable for some packet."""
+    rho = rng.randint(2, 3)
+    n = rng.randint(rho, max_n)
+    theta = rng.randint(1, max_theta)
+    storage = [set() for _ in range(n)]
+    for j in range(theta):
+        for i in rng.sample(range(n), rho):
+            storage[i].add(j)
+    return make_code(n, theta, storage)
+
+
 def test_plan_repair_matches_oracle_minimum():
     rng = random.Random(42)
-    for _ in range(20):
-        code = random_repairable_code(rng, max_n=8, max_theta=10)
+    codes = [random_repairable_code(rng, max_n=8, max_theta=10) for _ in range(20)]
+    codes += [random_replicated_code(rng) for _ in range(20)]
+    for code in codes:
         for failed in range(code.n):
             plan = plan_repair(code, failed)
             assert plan.repair_degree == brute_min_helper_count(code, failed)
+            assert plan.helpers == brute_lex_least_helpers(code, failed)
             assert plan.repair_degree <= plan_repair_greedy(code, failed).repair_degree
 
 

@@ -254,6 +254,22 @@ def test_read_rows_csv_errors(tmp_path):
         read_rows_csv(str(nonpositive))
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"n,k,d,rho,theta\n\xff\xfe\n",
+        b"n,k,d,rho,theta\n" + b"5" * 200_000 + b"\n",  # over the csv field limit
+    ],
+    ids=["not-utf8", "field-limit"],
+)
+def test_read_rows_csv_rejects_unreadable_text(tmp_path, content):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as exc:
+        read_rows_csv(str(path))
+    assert str(exc.value).startswith(f"{path}: not valid")
+
+
 def test_load_bundled_table_errors_and_family():
     with pytest.raises(ParseError):
         load_bundled_table("nope")

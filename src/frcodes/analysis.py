@@ -12,6 +12,17 @@ its lexicographically least witness, and the first one found shows that
 some k nodes hold fewer packets than the starting bound. The search
 refuses to start when C(n, k) exceeds the budget.
 
+Many codes are mapped onto themselves by the node rotation i -> i+1
+(mod n): uniform ring codes, shifted-placement codes, any circulant
+placement. The search detects this from the code itself (the rotation
+must map the multiset of packet holder sets onto itself; codes whose
+nodes differ in size are rejected at once), at most once per public
+call. On such a code every union keeps its size under rotation, and
+every subset rotates to one that starts at node 0 with its smallest
+circular gap first. The lexicographically least witness already has
+that form, so the search walks only those subsets and returns the same
+minimum, witness and decision as the full walk.
+
 A code is universally good when every k <= alpha satisfies
 
     min_coverage(code, k) >= k * alpha - C(k, 2)
@@ -36,11 +47,43 @@ from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable
 DEFAULT_BUDGET = 10**8
 
 
+def _rotation_invariant(code: FrCode) -> bool:
+    """True when the node rotation i -> i+1 (mod n) maps the multiset of
+    packet holder sets onto itself, so every union keeps its size."""
+    masks = code.masks
+    size = masks[0].bit_count()
+    # Rotation moves node i's packets to node i+1, so sizes must agree.
+    if any(m.bit_count() != size for m in masks):
+        return False
+    holders = [0] * code.theta  # holders[j] has bit i set when node i holds j
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            holders[low.bit_length() - 1] |= bit
+            m ^= low
+    full, top = (1 << code.n) - 1, code.n - 1
+    holders.sort()
+    return holders == sorted([h << 1 & full | h >> top for h in holders])
+
+
 def _smaller_unions(
-    code: FrCode, k: int, bound: int, budget: int
+    code: FrCode, k: int, bound: int, budget: int, symmetric: bool
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (union size, subset) for each k-subset, in lex order, whose
-    union is smaller than bound and than every earlier yield."""
+    union is smaller than bound and than every earlier yield.
+
+    symmetric says the code is rotation invariant (_rotation_invariant).
+    Then only subsets that start at node 0 and whose first gap g is the
+    smallest circular gap are walked: the second pick is at most n // k,
+    each later pick is at least g after the previous one, and the last
+    pick leaves at least g before node 0 comes round again. Every subset
+    rotates into that form with its union size unchanged, and the
+    lexicographically least subset of any size is already in it (a
+    rotation that starts at a smaller gap would be smaller), so the
+    minimum, its witness and the existence of a subset below the bound
+    are those of the full walk.
+    """
     n = code.n
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside [1, {n}]")
@@ -49,26 +92,45 @@ def _smaller_unions(
             f"C({n}, {k}) = {math.comb(n, k)} exceeds budget {budget}"
         )
     masks = code.masks
+    # limits[d] is the last candidate for position d: the k - 1 - d later
+    # picks and the gap back to node 0 each need step more nodes.
+    limits = [n - k + d for d in range(k)]
+    if symmetric:
+        limits[0] = 0
+        if k > 1:
+            limits[1] = n // k
+    step = 1
+    last = k - 1
     chosen: list[int] = []
     unions = [0]  # unions[d] is the union of chosen[:d]
-    i = 0  # next candidate for position len(chosen)
+    depth = 0  # len(chosen)
+    limit = limits[0]
+    i = 0  # next candidate for position depth
     while True:
-        depth = len(chosen)
-        if i > n - k + depth:  # too few nodes left to complete the subset
-            if not chosen:
+        if i > limit:  # too few nodes left to complete the subset
+            if not depth:
                 return
+            depth -= 1
+            limit = limits[depth]
             i = chosen.pop() + 1
             unions.pop()
             continue
         union = unions[depth] | masks[i]
         size = union.bit_count()
         if size < bound:
-            if depth + 1 == k:
+            if depth == last:
                 bound = size
                 yield size, (*chosen, i)
             else:
+                if symmetric and depth == 1:  # i is the smallest gap
+                    step = i
+                    limits[2:] = [n - (k - d) * i for d in range(2, k)]
                 chosen.append(i)
                 unions.append(union)
+                depth += 1
+                limit = limits[depth]
+                i += step
+                continue
         i += 1
 
 
@@ -80,8 +142,11 @@ def min_coverage(
     Returns (value, witness) where witness is the lexicographically
     least subset achieving the value, as a sorted tuple of node indices.
     """
+    # At k = 1 and k = n the walk visits at most n nodes, fewer than
+    # the symmetry test costs.
+    symmetric = 1 < k < code.n and _rotation_invariant(code)
     # Every union is at most theta, so the first subset always yields.
-    *_, best = _smaller_unions(code, k, code.theta + 1, budget)
+    *_, best = _smaller_unions(code, k, code.theta + 1, budget, symmetric)
     return best
 
 
@@ -130,10 +195,11 @@ def reconstruction_degree(
         raise Unreachable(
             f"all {code.n} nodes jointly store fewer than {file_size} packets"
         )
+    symmetric = _rotation_invariant(code)
     return next(
         k
         for k in range(1, code.n + 1)
-        if next(_smaller_unions(code, k, file_size, budget), None) is None
+        if next(_smaller_unions(code, k, file_size, budget, symmetric), None) is None
     )
 
 

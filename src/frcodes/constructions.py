@@ -24,7 +24,13 @@ import math
 import os
 from dataclasses import dataclass
 
-from .core import FrCode, code_from_matrix, incidence_matrix, make_code
+from .core import (
+    FrCode,
+    _check_theta_cap,
+    code_from_matrix,
+    incidence_matrix,
+    make_code,
+)
 from .errors import (
     DegenerateOffsets,
     DegreeRange,
@@ -75,6 +81,7 @@ def build_prg(spec: PrgSpec) -> FrCode:
     has rho = 2, alpha_i = d except alpha_{n-1} = d - 1, and
     theta = (n * d - 1) / 2.
     """
+    _check_theta_cap(spec.theta)
     n = spec.n
     edges: list[tuple[int, int]] = []
     for off in range(1, spec.q + 1):
@@ -114,6 +121,7 @@ def build_ring(spec: RingSpec) -> FrCode:
     other theta yield weak FR codes, including codes with empty nodes
     once n exceeds theta + rho - 1.
     """
+    _check_theta_cap(spec.theta)
     storage: list[set[int]] = [set() for _ in range(spec.n)]
     for j in range(spec.theta):
         for i in range(spec.rho):
@@ -157,6 +165,7 @@ def build_t_code(spec: TSpec) -> FrCode:
     module); those listings are treated as data, never as assertions
     about this builder.
     """
+    _check_theta_cap(spec.n)
     step = spec.t + 1
     storage = [
         {(i - j * step) % spec.n for j in range(spec.d)} for i in range(spec.n)
@@ -207,10 +216,11 @@ def export_code(code: FrCode, path: str, fmt: str | None = None) -> None:
 
 
 def read_csv_records(path: str) -> list[list[str]]:
-    """Every record of a UTF-8 CSV file. A file that cannot be opened,
-    decoded or split into fields raises ParseError."""
+    """Every record of a UTF-8 CSV file, with or without a byte-order
+    mark. A file that cannot be opened, decoded or split into fields
+    raises ParseError."""
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
@@ -232,7 +242,8 @@ def import_code(path: str, fmt: str | None = None) -> FrCode:
             raise ParseError(f"{path}: {exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the interpreter allows.
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ParseError(f"{path}: expected a JSON object")

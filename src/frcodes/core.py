@@ -33,6 +33,13 @@ from .errors import (
 DEFAULT_THETA_CAP = 4096
 
 
+def _check_theta_cap(theta: int, theta_cap: int = DEFAULT_THETA_CAP) -> None:
+    """Refuse a code wider than the cap. The builders call this before
+    they place any packet, so an oversized spec fails at once."""
+    if theta > theta_cap:
+        raise BudgetExceeded(f"theta={theta} exceeds cap {theta_cap}")
+
+
 def mask_from_packets(packets: Iterable[int], theta: int) -> int:
     """Fold packet indices into a bitmask, validating the range."""
     mask = 0
@@ -89,8 +96,7 @@ def make_code(
         raise EmptySystem(f"need at least one node, got n={n}")
     if theta < 1:
         raise EmptySystem(f"need at least one packet, got theta={theta}")
-    if theta > theta_cap:
-        raise BudgetExceeded(f"theta={theta} exceeds cap {theta_cap}")
+    _check_theta_cap(theta, theta_cap)
     node_sets = list(storage)
     if len(node_sets) != n:
         raise InvariantViolation(f"expected {n} node sets, got {len(node_sets)}")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frcodes import (
     BudgetExceeded,
@@ -30,6 +30,8 @@ from frcodes import (
     ring_margin_case2,
     weak_form_applies,
 )
+from frcodes.analysis import _rotation_invariant, _smaller_unions
+from frcodes.core import FrCode
 from oracles import brute_min_coverage, brute_reconstruction_degree
 
 
@@ -42,6 +44,54 @@ def random_code(rng, max_n=10, max_theta=20):
         for i in rng.sample(range(n), count):
             storage[i].add(j)
     return make_code(n, theta, storage)
+
+
+def circulant_code(n, bases, extra=()):
+    """Base set b contributes n packets, packet s of them on the nodes
+    (x + s) mod n for x in b, so node rotation maps the code onto
+    itself. Each node in extra then gets one more packet of its own,
+    which breaks the symmetry."""
+    storage = [set() for _ in range(n)]
+    for r, base in enumerate(bases):
+        for s in range(n):
+            for x in base:
+                storage[(x + s) % n].add(r * n + s)
+    theta = len(bases) * n
+    for i in extra:
+        storage[i].add(theta)
+        theta += 1
+    return make_code(n, theta, storage)
+
+
+def random_circulant(rng, max_n=10, max_bases=2):
+    n = rng.randint(1, max_n)
+    bases = [
+        rng.sample(range(n), rng.randint(1, n))
+        for _ in range(rng.randint(1, max_bases))
+    ]
+    return n, bases
+
+
+def swap_nodes(code, a, b):
+    """The same packet sets with nodes a and b exchanged: node sizes stay
+    equal, but rotation no longer maps the code onto itself."""
+    masks = list(code.masks)
+    masks[a], masks[b] = masks[b], masks[a]
+    return FrCode(n=code.n, theta=code.theta, masks=tuple(masks))
+
+
+def assert_matches_oracles(code, ks=None, file_sizes=None):
+    """min_coverage (value and witness) and reconstruction_degree agree
+    with the brute-force oracles at every k and file size asked for."""
+    for k in ks or range(1, code.n + 1):
+        assert min_coverage(code, k) == brute_min_coverage(code, k), k
+    for file_size in file_sizes or range(1, code.theta + 1):
+        expected = brute_reconstruction_degree(code, file_size)
+        if expected is None:
+            with pytest.raises(Unreachable):
+                reconstruction_degree(code, file_size)
+        else:
+            assert reconstruction_degree(code, file_size) == expected, file_size
 
 
 # --- min_coverage ----------------------------------------------------------
@@ -146,6 +196,161 @@ def test_reconstruction_degree_unreachable():
         reconstruction_degree(code, 6)
     with pytest.raises(KOutOfRange):
         reconstruction_degree(code, 0)
+
+
+# --- rotation symmetry -----------------------------------------------------
+
+# Equal node sizes, so only the holder-set comparison rejects it; the
+# lone minimum pair (2, 3) misses node 0.
+TWINS = make_code(4, 6, [{0, 1}, {2, 3}, {4, 5}, {4, 5}])
+
+
+def symmetric_families():
+    rng = random.Random(5150)
+    yield from (
+        build_ring(RingSpec(7, 7, 2)),
+        build_ring(RingSpec(8, 16, 3)),
+        build_ring(RingSpec(9, 9, 4)),
+        build_ring(RingSpec(6, 18, 2)),
+        build_t_code(TSpec(9, 3, 1)),
+        build_t_code(TSpec(10, 3, 2)),
+        build_t_code(TSpec(8, 2, 2)),
+        circulant_code(1, [[0], [0]]),
+        # Nodes 0, 3 and 6 hold the same packets: the best triple is
+        # evenly spaced, its closing gap as small as its first.
+        circulant_code(9, [[0, 3, 6]]),
+        circulant_code(8, [[0, 4], [1, 5]]),
+    )
+    for _ in range(12):
+        yield circulant_code(*random_circulant(rng, max_n=9))
+
+
+def fallback_families():
+    rng = random.Random(6160)
+    yield from (
+        build_prg(PrgSpec(7, 5)),
+        build_prg(PrgSpec(9, 5)),
+        build_prg(PrgSpec(11, 3)),
+        build_ring(RingSpec(9, 13, 3)),
+        TWINS,
+    )
+    for _ in range(8):
+        n, bases = random_circulant(rng, max_n=9)
+        yield circulant_code(n, bases, extra=[rng.randrange(n)])
+
+
+def test_rotation_invariant_codes_match_oracles():
+    for code in symmetric_families():
+        assert _rotation_invariant(code)
+        assert_matches_oracles(code)
+
+
+def test_non_invariant_codes_match_oracles():
+    for code in fallback_families():
+        if code.n > 1:  # a one-node code is always rotation invariant
+            assert not _rotation_invariant(code)
+        assert_matches_oracles(code)
+    # Too wide for the oracles at every k; the restricted walk would
+    # already be wrong at k = 1..9 and at file sizes 4..9.
+    assert_matches_oracles(
+        build_ring(RingSpec(20, 30, 3)),
+        ks=(1, 2, 3, 4, 17, 18, 19, 20),
+        file_sizes=range(1, 10),
+    )
+
+
+@pytest.mark.parametrize(
+    "code, invariant",
+    [
+        (build_ring(RingSpec(12, 12, 3)), True),
+        (build_ring(RingSpec(10, 30, 4)), True),
+        (build_ring(RingSpec(20, 30, 3)), False),  # theta not a multiple of n
+        (build_ring(RingSpec(9, 13, 3)), False),
+        (build_t_code(TSpec(26, 4, 2)), True),
+        (build_t_code(TSpec(13, 3, 1)), True),
+        (build_prg(PrgSpec(7, 5)), False),
+        (build_prg(PrgSpec(21, 17)), False),
+        (circulant_code(9, [[0, 3], [0, 3], [1, 2, 7]]), True),
+        (circulant_code(9, [[0, 3]], extra=[4]), False),
+        (circulant_code(1, [[0]], extra=[0]), True),
+        (swap_nodes(build_ring(RingSpec(7, 7, 2)), 0, 3), False),
+        (swap_nodes(build_t_code(TSpec(13, 3, 1)), 0, 5), False),
+        (TWINS, False),
+    ],
+)
+def test_rotation_invariance_verdicts(code, invariant):
+    assert _rotation_invariant(code) is invariant
+
+
+class CountingMasks(tuple):
+    """Node masks that count indexed reads: the search reads one mask
+    for every node it visits."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def count_reads(code, search):
+    counted = FrCode(n=code.n, theta=code.theta, masks=CountingMasks(code.masks))
+    return search(counted), counted.masks.reads
+
+
+def full_walk(k):
+    return lambda code: list(_smaller_unions(code, k, code.theta + 1, 10**8, False))
+
+
+def test_symmetric_search_engages_on_invariant_codes_only():
+    invariant = build_t_code(TSpec(13, 3, 1))
+    full_reads = symmetric_reads = 0
+    for k in range(2, invariant.n):
+        walk = list(_smaller_unions(invariant, k, invariant.theta + 1, 10**8, True))
+        for _, subset in walk:
+            gaps = [b - a for a, b in zip(subset, subset[1:] + (invariant.n,))]
+            assert subset[0] == 0 and gaps[0] == min(gaps)
+        full, reads = count_reads(invariant, full_walk(k))
+        assert full[-1] == walk[-1]
+        full_reads += reads
+        best, reads = count_reads(invariant, lambda code: min_coverage(code, k))
+        assert best == walk[-1]
+        symmetric_reads += reads
+    assert symmetric_reads * 3 < full_reads  # 903 against 3,598
+    file_size = invariant.theta - 1
+    degree, degree_reads = count_reads(
+        invariant, lambda code: reconstruction_degree(code, file_size)
+    )
+    decision_reads = sum(
+        count_reads(
+            invariant,
+            lambda code: next(_smaller_unions(code, k, file_size, 10**8, False), None),
+        )[1]
+        for k in range(1, degree + 1)
+    )
+    assert degree_reads < decision_reads  # 188 against 408
+    # Not invariant: min_coverage walks every subset the full walk does.
+    other = build_ring(RingSpec(9, 13, 3))
+    for k in range(2, other.n):
+        full, reads = count_reads(other, full_walk(k))
+        best, public_reads = count_reads(other, lambda code: min_coverage(code, k))
+        assert best == full[-1]
+        assert public_reads >= reads
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_circulant_search_paths_agree_with_oracles(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    base = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    bases = data.draw(st.lists(base, min_size=1, max_size=3), label="bases")
+    if data.draw(st.booleans(), label="repeat"):
+        bases.append(bases[0])
+    extra = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="extra")
+    code = circulant_code(n, bases, extra)
+    if not extra:
+        assert _rotation_invariant(code)
+    assert_matches_oracles(code)
 
 
 # --- goodness --------------------------------------------------------------

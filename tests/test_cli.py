@@ -335,6 +335,21 @@ def test_undecodable_input_file(capsys, tmp_path):
     assert err.startswith(f"ParseError: {table}: not valid UTF-8")
 
 
+def test_deeply_nested_json_input(capsys, tmp_path):
+    code = tmp_path / "deep.json"
+    code.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(capsys, "repair", str(code), "--fail", "1")
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"ParseError: {code}: not valid JSON (")
+
+
+def test_generate_refuses_wide_code_at_once(capsys):
+    rc, out, err = run(capsys, "generate", "ring", "--n", "3",
+                       "--theta", "1000000000", "--rho", "2")
+    assert (rc, out) == (1, "")
+    assert err.startswith("BudgetExceeded: theta=1000000000 exceeds cap 4096")
+
+
 def test_module_entry_point():
     # Run from the directory holding the package, so that the child finds
     # it whether or not PYTHONPATH names src/.

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from frcodes import (
+    BudgetExceeded,
     DegenerateOffsets,
     DegreeRange,
     OrphanPacket,
@@ -149,6 +150,20 @@ def test_ring_empty_nodes_when_n_large():
 # --- shifted placement -----------------------------------------------------
 
 
+def test_builders_refuse_theta_over_cap_before_building():
+    # Building any of these would take minutes and gigabytes; the cap
+    # must be checked before the first packet is placed.
+    message = r"^theta=1000000000 exceeds cap 4096$"
+    with pytest.raises(BudgetExceeded, match=message):
+        build_ring(RingSpec(3, 10**9, 2))
+    with pytest.raises(BudgetExceeded, match=message):
+        build_t_code(TSpec(10**9, 2, 0))
+    spec = PrgSpec(666_666_667, 3)
+    assert spec.theta == 10**9
+    with pytest.raises(BudgetExceeded, match=message):
+        build_prg(spec)
+
+
 def test_t_zero_is_the_ring_code():
     assert build_t_code(TSpec(4, 2, 0)) == build_ring(RingSpec(4, 4, 2))
     assert build_t_code(TSpec(9, 3, 0)) == build_ring(RingSpec(9, 9, 3))
@@ -259,6 +274,22 @@ def test_import_rejects_unreadable_text(tmp_path, name, content):
     with pytest.raises(ParseError) as exc:
         import_code(str(path))
     assert str(exc.value).startswith(f"{path}: not valid")
+
+
+def test_import_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError) as exc:
+        import_code(str(path))
+    assert str(exc.value).startswith(f"{path}: not valid JSON (")
+
+
+def test_import_csv_matrix_with_byte_order_mark(tmp_path):
+    code = build_ring(RingSpec(6, 13, 3))
+    path = tmp_path / "code.csv"
+    export_code(code, str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert import_code(str(path)) == code
 
 
 def test_import_unknown_extension(tmp_path):

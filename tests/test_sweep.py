@@ -270,6 +270,15 @@ def test_read_rows_csv_rejects_unreadable_text(tmp_path, content):
     assert str(exc.value).startswith(f"{path}: not valid")
 
 
+def test_read_rows_csv_accepts_byte_order_mark(tmp_path):
+    rows = [TableRow(n=5, k=3, d=2, rho=2, theta=5, provenance="generated")]
+    plain = tmp_path / "plain.csv"
+    write_rows_csv(rows, str(plain))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_rows_csv(str(marked), provenance="generated") == rows
+
+
 def test_load_bundled_table_errors_and_family():
     with pytest.raises(ParseError):
         load_bundled_table("nope")

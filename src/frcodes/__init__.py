@@ -22,7 +22,6 @@ from .analysis import (
     reconstruction_degree,
     ring_margin_case1,
     ring_margin_case2,
-    weak_form_applies,
 )
 from .constructions import (
     PrgSpec,
@@ -66,7 +65,6 @@ from .repair import (
     RepairPlan,
     plan_repair,
     plan_repair_greedy,
-    repair_degree_profile,
 )
 from .sweep import (
     BUNDLED_TABLES,

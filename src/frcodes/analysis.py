@@ -16,12 +16,15 @@ Many codes are mapped onto themselves by the node rotation i -> i+1
 (mod n): uniform ring codes, shifted-placement codes, any circulant
 placement. The search detects this from the code itself (the rotation
 must map the multiset of packet holder sets onto itself; codes whose
-nodes differ in size are rejected at once), at most once per public
-call. On such a code every union keeps its size under rotation, and
-every subset rotates to one that starts at node 0 with its smallest
-circular gap first. The lexicographically least witness already has
-that form, so the search walks only those subsets and returns the same
-minimum, witness and decision as the full walk.
+nodes differ in size are rejected at once). min_coverage and
+reconstruction_degree detect it once per call, so coverage_profile and
+goodness_structural, which call min_coverage once per k, detect it once
+per k; the holder sets are cached on the code, so each detection after
+the first is only a sort. On such a code every union keeps its size
+under rotation, and every subset rotates to one that starts at node 0
+with its smallest circular gap first. The lexicographically least
+witness already has that form, so the search walks only those subsets
+and returns the same minimum, witness and decision as the full walk.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -55,15 +58,8 @@ def _rotation_invariant(code: FrCode) -> bool:
     # Rotation moves node i's packets to node i+1, so sizes must agree.
     if any(m.bit_count() != size for m in masks):
         return False
-    holders = [0] * code.theta  # holders[j] has bit i set when node i holds j
-    for i, m in enumerate(masks):
-        bit = 1 << i
-        while m:
-            low = m & -m
-            holders[low.bit_length() - 1] |= bit
-            m ^= low
+    holders = sorted(code.holders)
     full, top = (1 << code.n) - 1, code.n - 1
-    holders.sort()
     return holders == sorted([h << 1 & full | h >> top for h in holders])
 
 
@@ -191,10 +187,6 @@ def reconstruction_degree(
         raise Unreachable(
             f"file size {file_size} exceeds theta={code.theta}"
         )
-    if min_coverage(code, code.n, budget=budget)[0] < file_size:
-        raise Unreachable(
-            f"all {code.n} nodes jointly store fewer than {file_size} packets"
-        )
     symmetric = _rotation_invariant(code)
     return next(
         k
@@ -267,13 +259,6 @@ def goodness_arithmetic(
         margin=margin,
         verdict=margin >= 0,
     )
-
-
-def weak_form_applies(code: FrCode) -> bool:
-    """True when the relaxed bound is the right one for this code: a
-    single node one packet short of alpha, the rest at alpha, regular
-    replication."""
-    return single_deficit_shape(profile(code))
 
 
 def goodness_structural(

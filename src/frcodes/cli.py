@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import analysis, constructions, repair, sweep
-from .core import check_identities, profile
+from .core import DEFAULT_THETA_CAP, check_identities, profile, single_deficit_shape
 from .errors import FrcError
 
 
@@ -34,12 +34,15 @@ def _budget() -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept 'A..B' (inclusive) or a single integer."""
+    """Accept 'A..B' (inclusive, at most DEFAULT_THETA_CAP values) or a
+    single integer."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
+        if hi - lo >= DEFAULT_THETA_CAP:
+            raise ValueError(f"range {text!r} spans more than {DEFAULT_THETA_CAP} values")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -139,7 +142,7 @@ def _cmd_goodness(args) -> int:
     else:
         prof = profile(code)
         if weak is None:
-            weak = analysis.weak_form_applies(code)
+            weak = single_deficit_shape(prof)
         file_size = args.file_size if args.file_size is not None else code.theta - 1
         k = analysis.reconstruction_degree(code, file_size, budget=budget)
         report = analysis.goodness_arithmetic(
@@ -157,10 +160,8 @@ def _cmd_goodness(args) -> int:
         print(f"rhs={report.rhs} margin={report.margin}")
         if args.structural and report.first_failing_k is not None:
             print(f"first failing k: {report.first_failing_k}")
-        verdict = report.structural_verdict if args.structural else report.verdict
-        print("PASS" if verdict else "FAIL")
-    final = report.structural_verdict if args.structural else report.verdict
-    return 0 if final else 1
+        print("PASS" if report.verdict else "FAIL")
+    return 0 if report.verdict else 1
 
 
 def _cmd_repair(args) -> int:

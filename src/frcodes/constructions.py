@@ -23,8 +23,10 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Any, Callable, TextIO
 
 from .core import (
+    DEFAULT_THETA_CAP,
     FrCode,
     _check_theta_cap,
     code_from_matrix,
@@ -32,6 +34,7 @@ from .core import (
     make_code,
 )
 from .errors import (
+    BudgetExceeded,
     DegenerateOffsets,
     DegreeRange,
     ParityError,
@@ -119,9 +122,12 @@ def build_ring(spec: RingSpec) -> FrCode:
     theta = m * n yields a uniform FR code with alpha = m * rho whose
     incidence matrix is m horizontal copies of the one-round block;
     other theta yield weak FR codes, including codes with empty nodes
-    once n exceeds theta + rho - 1.
+    once n exceeds theta + rho - 1. Like theta, n may not exceed
+    DEFAULT_THETA_CAP; a wider spec fails before any node is placed.
     """
     _check_theta_cap(spec.theta)
+    if spec.n > DEFAULT_THETA_CAP:
+        raise BudgetExceeded(f"n={spec.n} exceeds cap {DEFAULT_THETA_CAP}")
     storage: list[set[int]] = [set() for _ in range(spec.n)]
     for j in range(spec.theta):
         for i in range(spec.rho):
@@ -215,17 +221,24 @@ def export_code(code: FrCode, path: str, fmt: str | None = None) -> None:
         raise ParseError(f"unknown code format {fmt!r}")
 
 
+def _read_file(path: str, parse: Callable[[TextIO], Any]) -> Any:
+    """parse(fh) on a UTF-8 text file, with or without a byte-order
+    mark. A file that cannot be opened or decoded raises ParseError."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
 def read_csv_records(path: str) -> list[list[str]]:
     """Every record of a UTF-8 CSV file, with or without a byte-order
     mark. A file that cannot be opened, decoded or split into fields
     raises ParseError."""
     try:
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            return list(csv.reader(fh))
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+        return _read_file(path, lambda fh: list(csv.reader(fh)))
     except csv.Error as exc:
         raise ParseError(f"{path}: not valid CSV ({exc})") from exc
 
@@ -236,12 +249,7 @@ def import_code(path: str, fmt: str | None = None) -> FrCode:
     fmt = fmt or _infer_format(path)
     if fmt == FORMAT_JSON:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+            doc = _read_file(path, json.load)
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: nesting deeper than the interpreter allows.
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc

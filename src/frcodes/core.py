@@ -19,6 +19,7 @@ add one (nodes print as U_1..U_n, packets as P_1..P_theta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -33,11 +34,11 @@ from .errors import (
 DEFAULT_THETA_CAP = 4096
 
 
-def _check_theta_cap(theta: int, theta_cap: int = DEFAULT_THETA_CAP) -> None:
+def _check_theta_cap(theta: int) -> None:
     """Refuse a code wider than the cap. The builders call this before
     they place any packet, so an oversized spec fails at once."""
-    if theta > theta_cap:
-        raise BudgetExceeded(f"theta={theta} exceeds cap {theta_cap}")
+    if theta > DEFAULT_THETA_CAP:
+        raise BudgetExceeded(f"theta={theta} exceeds cap {DEFAULT_THETA_CAP}")
 
 
 def mask_from_packets(packets: Iterable[int], theta: int) -> int:
@@ -78,13 +79,18 @@ class FrCode:
         """Sorted packet indices held by one node."""
         return packets_from_mask(self.masks[node])
 
+    @cached_property
+    def holders(self) -> tuple[int, ...]:
+        """The incidence read by packet: holders[j] is the bitmask of
+        the nodes that hold packet j. Built on first use."""
+        holders = [0] * self.theta
+        for i, m in enumerate(self.masks):
+            for j in packets_from_mask(m):
+                holders[j] |= 1 << i
+        return tuple(holders)
 
-def make_code(
-    n: int,
-    theta: int,
-    storage: Iterable[Iterable[int]],
-    theta_cap: int = DEFAULT_THETA_CAP,
-) -> FrCode:
+
+def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
     """Validate and freeze a code from per-node packet collections.
 
     Checks, in order: n >= 1 and theta >= 1; theta within the cap; exactly
@@ -96,7 +102,7 @@ def make_code(
         raise EmptySystem(f"need at least one node, got n={n}")
     if theta < 1:
         raise EmptySystem(f"need at least one packet, got theta={theta}")
-    _check_theta_cap(theta, theta_cap)
+    _check_theta_cap(theta)
     node_sets = list(storage)
     if len(node_sets) != n:
         raise InvariantViolation(f"expected {n} node sets, got {len(node_sets)}")
@@ -129,9 +135,7 @@ def profile(code: FrCode) -> CodeProfile:
     and regular codes coincide with the common value.
     """
     alpha_per_node = tuple(m.bit_count() for m in code.masks)
-    rho_per_packet = tuple(
-        sum(m >> j & 1 for m in code.masks) for j in range(code.theta)
-    )
+    rho_per_packet = tuple(h.bit_count() for h in code.holders)
     return CodeProfile(
         alpha_per_node=alpha_per_node,
         alpha=max(alpha_per_node),

@@ -131,11 +131,3 @@ def plan_repair_greedy(code: FrCode, failed: int) -> RepairPlan:
     if not 0 <= failed < code.n:
         raise KOutOfRange(f"failed node {failed} outside [0, {code.n})")
     return _finish_plan(code, failed, tuple(i for i in range(code.n) if i != failed))
-
-
-def repair_degree_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Minimum helper count for every node, in node order."""
-    return tuple(
-        plan_repair(code, failed, budget=budget).repair_degree
-        for failed in range(code.n)
-    )

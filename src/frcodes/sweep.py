@@ -21,7 +21,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .analysis import (
     DEFAULT_BUDGET,
@@ -71,17 +71,8 @@ class TableRow:
         return (self.n, self.k, self.d, self.rho, self.theta)
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "rho": self.rho,
-            "theta": self.theta,
-        }
-        if self.t is not None:
-            out["t"] = self.t
-        out["provenance"] = self.provenance
-        return out
+        """The fields in declaration order, without t when it is None."""
+        return {k: v for k, v in vars(self).items() if k != "t" or v is not None}
 
 
 def sweep_ring(
@@ -410,7 +401,6 @@ def default_theta_rule(n: int) -> list[int]:
 def conjecture_harness(
     n_values: Iterable[int],
     rho_values: Iterable[int],
-    theta_rule: Callable[[int], Iterable[int]] = default_theta_rule,
     budget: int = DEFAULT_BUDGET,
 ) -> list[ConjectureFinding]:
     """Compare conjectured and brute-forced k over heterogeneous ring
@@ -422,9 +412,7 @@ def conjecture_harness(
         for rho in sorted(set(rho_values)):
             if not 2 <= rho <= n - 1:
                 continue
-            for theta in sorted(set(theta_rule(n))):
-                if theta % n == 0:
-                    continue  # homogeneous; covered by theorems, not conjecture
+            for theta in default_theta_rule(n):
                 prediction = predicted_k_ring(n, theta, rho)
                 code = build_ring(RingSpec(n=n, theta=theta, rho=rho))
                 brute = reconstruction_degree(code, theta - 1, budget=budget)

@@ -27,6 +27,13 @@ def brute_min_coverage(code, k):
     return best, best_witness
 
 
+def brute_holders(code):
+    """For each packet, the set of nodes that hold it."""
+    return [
+        {i for i in range(code.n) if j in code.packets(i)} for j in range(code.theta)
+    ]
+
+
 def brute_reconstruction_degree(code, file_size):
     for k in range(1, code.n + 1):
         value, _ = brute_min_coverage(code, k)

@@ -28,11 +28,11 @@ from frcodes import (
     reconstruction_degree,
     ring_margin_case1,
     ring_margin_case2,
-    weak_form_applies,
+    single_deficit_shape,
 )
 from frcodes.analysis import _rotation_invariant, _smaller_unions
 from frcodes.core import FrCode
-from oracles import brute_min_coverage, brute_reconstruction_degree
+from oracles import brute_holders, brute_min_coverage, brute_reconstruction_degree
 
 
 def random_code(rng, max_n=10, max_theta=20):
@@ -353,6 +353,26 @@ def test_circulant_search_paths_agree_with_oracles(data):
     assert_matches_oracles(code)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_holders_and_searches_match_oracles_on_irregular_codes(data):
+    # Node sets may be empty or repeated, n may exceed theta and theta
+    # may be 1: the shapes where a search that assumes full nodes breaks.
+    n = data.draw(st.integers(1, 8), label="n")
+    theta = data.draw(st.integers(1, 8), label="theta")
+    node = st.sets(st.integers(0, theta - 1), max_size=theta)
+    storage = data.draw(st.lists(node, min_size=n, max_size=n), label="storage")
+    storage[0] |= set(range(theta)).difference(*storage)  # no orphan packets
+    if n > 1 and data.draw(st.booleans(), label="repeat"):
+        storage[0] |= storage[-1]
+        storage[-1] = set(storage[0])
+    code = make_code(n, theta, storage)
+    expected = brute_holders(code)
+    assert code.holders == tuple(sum(1 << i for i in nodes) for nodes in expected)
+    assert profile(code).rho_per_packet == tuple(len(nodes) for nodes in expected)
+    assert_matches_oracles(code)
+
+
 # --- goodness --------------------------------------------------------------
 
 
@@ -414,9 +434,9 @@ def test_goodness_structural_prg_uses_weak_form():
 
 
 def test_weak_form_applies():
-    assert weak_form_applies(build_prg(PrgSpec(9, 5)))
-    assert not weak_form_applies(build_ring(RingSpec(5, 5, 2)))
-    assert not weak_form_applies(make_code(3, 3, [{0, 1}, {0, 1}, {2}]))
+    assert single_deficit_shape(profile(build_prg(PrgSpec(9, 5))))
+    assert not single_deficit_shape(profile(build_ring(RingSpec(5, 5, 2))))
+    assert not single_deficit_shape(profile(make_code(3, 3, [{0, 1}, {0, 1}, {2}])))
 
 
 def test_structural_pass_implies_arithmetic_pass_everywhere():

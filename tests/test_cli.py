@@ -335,6 +335,16 @@ def test_undecodable_input_file(capsys, tmp_path):
     assert err.startswith(f"ParseError: {table}: not valid UTF-8")
 
 
+def test_code_files_with_byte_order_mark(capsys, tmp_path, ring_file):
+    expected = run(capsys, "analyze", ring_file)
+    code = build_ring(RingSpec(5, 5, 2))
+    for name in ("bom.json", "bom.csv"):
+        path = tmp_path / name
+        export_code(code, str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, "analyze", str(path)) == expected
+
+
 def test_deeply_nested_json_input(capsys, tmp_path):
     code = tmp_path / "deep.json"
     code.write_text("[" * 100_000 + "]" * 100_000)
@@ -348,6 +358,51 @@ def test_generate_refuses_wide_code_at_once(capsys):
                        "--theta", "1000000000", "--rho", "2")
     assert (rc, out) == (1, "")
     assert err.startswith("BudgetExceeded: theta=1000000000 exceeds cap 4096")
+
+
+# The child caps its own address space, so a command that starts to
+# build something huge before it checks its arguments dies of
+# MemoryError instead of exhausting the machine.
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from frcodes.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_limited(*argv):
+    """Run the CLI in a child process limited to 256 MiB of address space."""
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        cwd=Path(frcodes.__file__).parent.parent,
+        timeout=60,
+    )
+
+
+def test_generate_refuses_ring_with_too_many_nodes_at_once():
+    proc = run_limited("generate", "ring", "--n", "2000000", "--theta", "5", "--rho", "2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "BudgetExceeded: n=2000000 exceeds cap 4096\n"
+
+
+def test_ranges_wider_than_the_cap_are_usage_errors():
+    for argv in (
+        ("sweep", "ring", "--n", "1..1000000000", "--rho", "2", "--m", "1"),
+        ("conjecture", "--n", "5", "--rho", "1..1000000000"),
+    ):
+        proc = run_limited(*argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage error: range '1..1000000000' spans more than 4096")
+
+
+def test_range_of_exactly_the_cap_is_accepted(capsys):
+    rc, out, _ = run(capsys, "sweep", "ring", "--n", "3", "--rho", "1..4096", "--m", "1")
+    assert rc == 0 and out.endswith("1 rows\n")
+    rc, _, err = run(capsys, "sweep", "ring", "--n", "3", "--rho", "1..4097", "--m", "1")
+    assert rc == 2 and err.startswith("usage error: range '1..4097'")
 
 
 def test_module_entry_point():

@@ -284,9 +284,10 @@ def test_import_rejects_deeply_nested_json(tmp_path):
     assert str(exc.value).startswith(f"{path}: not valid JSON (")
 
 
-def test_import_csv_matrix_with_byte_order_mark(tmp_path):
+@pytest.mark.parametrize("name", ["code.csv", "code.json"])
+def test_import_with_byte_order_mark(tmp_path, name):
     code = build_ring(RingSpec(6, 13, 3))
-    path = tmp_path / "code.csv"
+    path = tmp_path / name
     export_code(code, str(path))
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert import_code(str(path)) == code

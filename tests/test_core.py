@@ -64,8 +64,9 @@ def test_make_code_rejects_wrong_length():
 
 
 def test_make_code_theta_cap():
-    with pytest.raises(BudgetExceeded):
-        make_code(1, 10, [set(range(10))], theta_cap=9)
+    make_code(1, 4096, [range(4096)])
+    with pytest.raises(BudgetExceeded, match=r"^theta=4097 exceeds cap 4096$"):
+        make_code(1, 4097, [range(4097)])
 
 
 def test_duplicates_within_a_node_collapse():

@@ -15,7 +15,6 @@ from frcodes import (
     make_code,
     plan_repair,
     plan_repair_greedy,
-    repair_degree_profile,
 )
 from oracles import brute_lex_least_helpers, brute_min_helper_count
 
@@ -139,8 +138,8 @@ def test_plan_repair_matches_oracle_minimum():
 
 
 def test_repair_degree_profile_rings():
-    assert repair_degree_profile(build_ring(RingSpec(5, 5, 2))) == (2,) * 5
-    assert repair_degree_profile(build_ring(RingSpec(6, 12, 2))) == (2,) * 6
+    for code in (build_ring(RingSpec(5, 5, 2)), build_ring(RingSpec(6, 12, 2))):
+        assert [plan_repair(code, i).repair_degree for i in range(code.n)] == [2] * code.n
 
 
 def test_plan_repair_deterministic():

@@ -6,11 +6,16 @@ output labels nodes U_1..U_n and packets P_1..P_theta (1-based); code
 files and --json output keep the 0-based indices used in memory. The
 FRC_BUDGET environment variable (a positive integer) overrides the
 enumeration budget.
+
+The argument parser is built on the first main call and reused; each
+call parses into a fresh namespace, so main can be called repeatedly in
+one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -268,6 +273,7 @@ def _cmd_conjecture(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frc",

@@ -187,6 +187,7 @@ def build_t_code(spec: TSpec) -> FrCode:
 
 FORMAT_JSON = "json"
 FORMAT_CSV_MATRIX = "csv-matrix"
+_BINARY_ENTRIES = frozenset(("0", "1"))
 
 
 def _infer_format(path: str) -> str:
@@ -250,8 +251,10 @@ def import_code(path: str, fmt: str | None = None) -> FrCode:
     if fmt == FORMAT_JSON:
         try:
             doc = _read_file(path, json.load)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: nesting deeper than the interpreter allows.
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers an integer literal longer than the
+            # interpreter's digit limit; RecursionError, nesting deeper
+            # than it allows.
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ParseError(f"{path}: expected a JSON object")
@@ -272,12 +275,15 @@ def import_code(path: str, fmt: str | None = None) -> FrCode:
         for lineno, record in enumerate(read_csv_records(path), start=1):
             if not record:
                 continue
-            try:
-                row = [int(v) for v in record]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
-            if any(v not in (0, 1) for v in row):
-                raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
+            if _BINARY_ENTRIES.issuperset(record):  # as export_code writes it
+                row = [v == "1" for v in record]
+            else:
+                try:
+                    row = [int(v) for v in record]
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
+                if any(v not in (0, 1) for v in row):
+                    raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
             rows.append(row)
         if not rows:
             raise ParseError(f"{path}: empty incidence matrix")

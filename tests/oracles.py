@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import itertools
 
+from frcodes.constructions import read_csv_records
+from frcodes.core import code_from_matrix
+from frcodes.errors import ParseError
+
 
 def brute_min_coverage(code, k):
     """(value, witness) by full lexicographic enumeration, no pruning."""
@@ -76,3 +80,25 @@ def brute_lex_least_helpers(code, failed):
             if lost <= union:
                 return members
     return None
+
+
+def brute_import_csv_matrix(path):
+    """Incidence-matrix CSV import with an int() per entry: each
+    non-blank record must hold integers equal to 0 or 1, all records
+    equally long."""
+    rows = []
+    for lineno, record in enumerate(read_csv_records(path), start=1):
+        if not record:
+            continue
+        try:
+            row = [int(v) for v in record]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
+        if any(v not in (0, 1) for v in row):
+            raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{path}: empty incidence matrix")
+    if len({len(r) for r in rows}) != 1:
+        raise ParseError(f"{path}: ragged incidence matrix")
+    return code_from_matrix(rows)

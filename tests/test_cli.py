@@ -10,7 +10,7 @@ import pytest
 
 import frcodes
 from frcodes import RingSpec, build_ring, export_code, import_code, make_code
-from frcodes.cli import main
+from frcodes.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -351,6 +351,58 @@ def test_deeply_nested_json_input(capsys, tmp_path):
     rc, out, err = run(capsys, "repair", str(code), "--fail", "1")
     assert (rc, out) == (1, "")
     assert err.startswith(f"ParseError: {code}: not valid JSON (")
+
+
+def test_huge_integer_in_json_file_is_a_content_error(capsys, tmp_path, ring_file):
+    code = tmp_path / "huge.json"
+    huge = "9" * 5000
+    code.write_text('{"n": 2, "theta": 2, "nodes": [[0], [%s]]}' % huge)
+    rc, out, err = run(capsys, "analyze", str(code))
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"ParseError: {code}: not valid JSON (")
+    # The same number as a command-line argument stays a usage error.
+    for argv in (("repair", ring_file, "--fail", huge),
+                 ("generate", "prg", "--n", huge, "--d", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+
+def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path, ring_file):
+    written = str(tmp_path / "gen.json")
+    ring = ("generate", "ring", "--n", "5", "--theta", "5", "--rho", "2")
+    calls = [
+        ("frobnicate",),
+        ("repair", ring_file),  # --fail is required
+        ("--help",),
+        ("analyze", ring_file, "--file-size", "1"),
+        ("analyze", ring_file),
+        (*ring, "-o", written),
+        ring,
+        ("repair", ring_file, "--fail", "2", "--json"),
+        ("repair", ring_file, "--fail", "2"),
+    ]
+
+    def call(argv):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    _build_parser.cache_clear()
+    shared = [call(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert "reconstruction degree at M=4" in shared[4][1]
+    assert shared[6][1].startswith("n=5 theta=5")
+    assert not shared[8][1].startswith("{")
 
 
 def test_generate_refuses_wide_code_at_once(capsys):

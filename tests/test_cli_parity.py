@@ -8,6 +8,12 @@ test unchanged. After a change that is meant to alter output, record
 the digests again and review the keys that moved:
 
     PYTHONPATH=src python tests/test_cli_parity.py
+
+Usage errors and --help end in SystemExit; its code is recorded as the
+rc. They are interleaved with valid calls, so a parser that kept state
+from one call to the next would move a digest. Their text is argparse's
+own, so those keys are tied to the Python minor version (3.11 when
+recorded) and to an 80-column help width, which COLUMNS pins.
 """
 
 from __future__ import annotations
@@ -52,6 +58,14 @@ TABLES = (
     ("audit-table", "--bundled", "t_rhs_positive"),
 )
 
+# Incidence matrices that export_code never writes: entries int() accepts
+# in other spellings, a non-binary entry and a non-integer one.
+HAND_CSV = {
+    "entries-spelled": "1, 1,0\n\n0,+1,01\n-0,0,1 \n01,0,1\n",
+    "entries-two": "1,1,0\n0,1,1\n1,0,2\n0,0,1\n",
+    "entries-word": "1,1,0\n0,1,1\n1,0,1\n0, x,1\n",
+}
+
 
 def _random_code(rng: random.Random):
     """A small code that may have empty nodes, a repeated node set,
@@ -81,15 +95,25 @@ def _codes():
 def _invocations(directory: str):
     """(key, argv) for every invocation of the matrix; code files are
     written into directory, and keys name them by file name only."""
+    yield ("--help",)
+    yield ("generate",)
     for argv in GENERATE:
         yield ("generate", *argv)
     for argv in TABLES:
         yield argv
+    for name, text in HAND_CSV.items():
+        path = os.path.join(directory, f"{name}.csv")
+        Path(path).write_text(text, encoding="utf-8")
+        yield ("analyze", path)
+        for node in range(1, 5):
+            yield ("repair", path, "--fail", str(node))
     for name, code in _codes():
         sizes = (None, 0, 1, code.theta, code.theta + 1)
         for ext in ("json", "csv"):
             path = os.path.join(directory, f"{name}.{ext}")
             export_code(code, path)
+            yield ("repair", path)
+            yield ("analyze", path, "--file-size", "x")
             for size in sizes:
                 yield ("analyze", path) + (() if size is None else ("--file-size", str(size)))
             yield ("goodness", path)
@@ -108,7 +132,10 @@ def run_matrix() -> dict[str, str]:
             for extra in ((), ("--json",)):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    rc = main([*argv, *extra])
+                    try:
+                        rc = main([*argv, *extra])
+                    except SystemExit as exc:  # argparse: usage errors, --help
+                        rc = exc.code
                 record = json.dumps([rc, out.getvalue(), err.getvalue()]).replace(prefix, "")
                 key = " ".join((*argv, *extra)).replace(prefix, "")
                 digests[key] = hashlib.sha256(record.encode()).hexdigest()
@@ -117,6 +144,7 @@ def run_matrix() -> dict[str, str]:
 
 def test_cli_output_matches_recorded_digests(monkeypatch):
     monkeypatch.delenv("FRC_BUDGET", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     current = run_matrix()
     assert sorted(current) == sorted(recorded), "the invocation matrix changed"
@@ -126,6 +154,7 @@ def test_cli_output_matches_recorded_digests(monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop("FRC_BUDGET", None)
+    os.environ["COLUMNS"] = "80"
     digests = run_matrix()
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(digests)} digests in {DIGESTS}", file=sys.stderr)

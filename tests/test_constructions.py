@@ -4,11 +4,14 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frcodes import (
     BudgetExceeded,
     DegenerateOffsets,
     DegreeRange,
+    FrCode,
+    FrcError,
     OrphanPacket,
     ParityError,
     ParseError,
@@ -24,6 +27,7 @@ from frcodes import (
     incidence_matrix,
     profile,
 )
+from oracles import brute_import_csv_matrix
 
 # The published 5x5 one-round block and its two-round double.
 BLOCK_5 = [
@@ -282,6 +286,100 @@ def test_import_rejects_deeply_nested_json(tmp_path):
     with pytest.raises(ParseError) as exc:
         import_code(str(path))
     assert str(exc.value).startswith(f"{path}: not valid JSON (")
+
+
+def test_import_rejects_integer_literal_over_the_digit_limit(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 2, "theta": 2, "nodes": [[0], [%s]]}' % ("9" * 5000))
+    with pytest.raises(ParseError) as exc:
+        import_code(str(path))
+    assert str(exc.value).startswith(f"{path}: not valid JSON (")
+
+
+# Entries int() accepts in other spellings, and entries it rejects or
+# that are not 0/1, next to the "0" and "1" that export_code writes.
+CSV_ENTRIES = ["0", "1", " 1", "1 ", "+1", "01", "-0", "2", "x", ""]
+
+
+def outcome(read, path):
+    """The code read from path, or the class and message of its error."""
+    try:
+        return read(path)
+    except FrcError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csv_matrix_import_matches_int_parse_oracle(tmp_path_factory, data):
+    theta = data.draw(st.integers(1, 5), label="theta")
+    binary = st.lists(st.sampled_from(["0", "1"]), min_size=theta, max_size=theta)
+    mixed = st.lists(st.sampled_from(CSV_ENTRIES), min_size=theta, max_size=theta)
+    ragged = st.lists(st.sampled_from(["0", "1"]), min_size=0, max_size=theta + 1)
+    blank = st.just([])
+    row = st.one_of(binary, binary, mixed, ragged, blank)
+    rows = data.draw(st.lists(row, max_size=6), label="rows")
+    path = tmp_path_factory.mktemp("csv") / "code.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    assert outcome(import_code, str(path)) == outcome(brute_import_csv_matrix, str(path))
+
+
+class Digits(str):
+    """A JSON integer literal, written out as its digits."""
+
+
+def dump_json(value) -> str:
+    if isinstance(value, Digits):
+        return str(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dump_json, value)) + "]"
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}: {dump_json(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    return json.dumps(value)
+
+
+# Integer literals around the interpreter's 4,300-digit conversion limit.
+LONG_INTEGERS = st.builds(
+    lambda sign, digits: Digits(sign + "9" * digits),
+    st.sampled_from(["", "-"]),
+    st.integers(4290, 4310),
+)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.integers(-2, 6), LONG_INTEGERS,
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "theta", "nodes", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def code_like(n, theta):
+    """Code documents near n nodes and theta packets: these reach
+    make_code, and some of them are valid codes. JSON_VALUES covers
+    missing keys and values of the wrong type."""
+    packet = st.integers(0, max(theta - 1, 0)) | st.integers(-1, theta)
+    node = st.lists(packet, max_size=theta + 1)
+    nodes = st.lists(node, min_size=n, max_size=n) | st.lists(node, max_size=n + 1)
+    return st.fixed_dictionaries({"n": st.just(n), "theta": st.just(theta), "nodes": nodes})
+
+
+CODE_LIKE = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(lambda nt: code_like(*nt))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.one_of(JSON_VALUES, CODE_LIKE))
+def test_import_json_fuzz_raises_only_toolkit_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "code.json"
+    path.write_text(dump_json(doc), encoding="utf-8")
+    try:
+        code = import_code(str(path))
+    except FrcError:
+        return
+    assert isinstance(code, FrCode)
 
 
 @pytest.mark.parametrize("name", ["code.csv", "code.json"])

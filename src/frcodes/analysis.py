@@ -14,17 +14,13 @@ refuses to start when C(n, k) exceeds the budget.
 
 Many codes are mapped onto themselves by the node rotation i -> i+1
 (mod n): uniform ring codes, shifted-placement codes, any circulant
-placement. The search detects this from the code itself (the rotation
-must map the multiset of packet holder sets onto itself; codes whose
-nodes differ in size are rejected at once). min_coverage and
-reconstruction_degree detect it once per call, so coverage_profile and
-goodness_structural, which call min_coverage once per k, detect it once
-per k; the holder sets are cached on the code, so each detection after
-the first is only a sort. On such a code every union keeps its size
-under rotation, and every subset rotates to one that starts at node 0
-with its smallest circular gap first. The lexicographically least
-witness already has that form, so the search walks only those subsets
-and returns the same minimum, witness and decision as the full walk.
+placement. The code detects this once, on first use, and caches the
+verdict (FrCode.rotation_invariant). On such a code every union keeps
+its size under rotation, and every subset rotates to one that starts
+at node 0 with its smallest circular gap first. The lexicographically
+least witness already has that form, so the search walks only those
+subsets and returns the same minimum, witness and decision as the full
+walk.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -50,35 +46,22 @@ from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable
 DEFAULT_BUDGET = 10**8
 
 
-def _rotation_invariant(code: FrCode) -> bool:
-    """True when the node rotation i -> i+1 (mod n) maps the multiset of
-    packet holder sets onto itself, so every union keeps its size."""
-    masks = code.masks
-    size = masks[0].bit_count()
-    # Rotation moves node i's packets to node i+1, so sizes must agree.
-    if any(m.bit_count() != size for m in masks):
-        return False
-    holders = sorted(code.holders)
-    full, top = (1 << code.n) - 1, code.n - 1
-    return holders == sorted([h << 1 & full | h >> top for h in holders])
-
-
 def _smaller_unions(
     code: FrCode, k: int, bound: int, budget: int, symmetric: bool
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (union size, subset) for each k-subset, in lex order, whose
     union is smaller than bound and than every earlier yield.
 
-    symmetric says the code is rotation invariant (_rotation_invariant).
-    Then only subsets that start at node 0 and whose first gap g is the
-    smallest circular gap are walked: the second pick is at most n // k,
-    each later pick is at least g after the previous one, and the last
-    pick leaves at least g before node 0 comes round again. Every subset
-    rotates into that form with its union size unchanged, and the
-    lexicographically least subset of any size is already in it (a
-    rotation that starts at a smaller gap would be smaller), so the
-    minimum, its witness and the existence of a subset below the bound
-    are those of the full walk.
+    symmetric says the code is rotation invariant, which is detected
+    once per code (FrCode.rotation_invariant). Then only subsets that
+    start at node 0 and whose first gap g is the smallest circular gap
+    are walked: the second pick is at most n // k, each later pick is
+    at least g after the previous one, and the last pick leaves at least
+    g before node 0 comes round again. Every subset rotates into that
+    form with its union size unchanged, and the lexicographically least
+    subset of any size is already in it (a rotation that starts at a
+    smaller gap would be smaller), so the minimum, its witness and the
+    existence of a subset below the bound are those of the full walk.
     """
     n = code.n
     if not 1 <= k <= n:
@@ -138,11 +121,8 @@ def min_coverage(
     Returns (value, witness) where witness is the lexicographically
     least subset achieving the value, as a sorted tuple of node indices.
     """
-    # At k = 1 and k = n the walk visits at most n nodes, fewer than
-    # the symmetry test costs.
-    symmetric = 1 < k < code.n and _rotation_invariant(code)
     # Every union is at most theta, so the first subset always yields.
-    *_, best = _smaller_unions(code, k, code.theta + 1, budget, symmetric)
+    *_, best = _smaller_unions(code, k, code.theta + 1, budget, code.rotation_invariant)
     return best
 
 
@@ -187,12 +167,11 @@ def reconstruction_degree(
         raise Unreachable(
             f"file size {file_size} exceeds theta={code.theta}"
         )
-    symmetric = _rotation_invariant(code)
-    return next(
-        k
-        for k in range(1, code.n + 1)
-        if next(_smaller_unions(code, k, file_size, budget, symmetric), None) is None
-    )
+    # All n nodes hold theta >= file_size packets, so k = n returns.
+    for k in range(1, code.n + 1):
+        below = _smaller_unions(code, k, file_size, budget, code.rotation_invariant)
+        if next(below, None) is None:
+            return k
 
 
 @dataclass(frozen=True)

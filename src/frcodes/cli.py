@@ -15,6 +15,7 @@ one process.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -79,16 +80,9 @@ def _show_code(code, as_json: bool) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "prg":
-        code = constructions.build_prg(constructions.PrgSpec(n=args.n, d=args.d))
-    elif args.family == "ring":
-        code = constructions.build_ring(
-            constructions.RingSpec(n=args.n, theta=args.theta, rho=args.rho)
-        )
-    else:
-        code = constructions.build_t_code(
-            constructions.TSpec(n=args.n, d=args.d, t=args.t)
-        )
+    spec = args.spec(*(getattr(args, f.name) for f in dataclasses.fields(args.spec)))
+    # Looked up per call, so a wrapper patched onto the module is seen.
+    code = getattr(constructions, args.builder)(spec)
     if args.output:
         constructions.export_code(code, args.output, fmt=args.format)
         if not args.json:
@@ -148,10 +142,9 @@ def _cmd_goodness(args) -> int:
         prof = profile(code)
         if weak is None:
             weak = single_deficit_shape(prof)
-        file_size = args.file_size if args.file_size is not None else code.theta - 1
-        k = analysis.reconstruction_degree(code, file_size, budget=budget)
+        k = analysis.reconstruction_degree(code, args.file_size, budget=budget)
         report = analysis.goodness_arithmetic(
-            k, prof.alpha, code.theta, weak=weak, file_size=file_size
+            k, prof.alpha, code.theta, weak=weak, file_size=args.file_size
         )
     if args.json:
         _print_json(report)
@@ -286,18 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="build a code and print or save it")
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    gen_prg = gen_sub.add_parser("prg", help="partial regular graph code (n, d odd)")
-    gen_prg.add_argument("--n", type=int, required=True)
-    gen_prg.add_argument("--d", type=int, required=True)
-    gen_ring = gen_sub.add_parser("ring", help="cyclic consecutive placement")
-    gen_ring.add_argument("--n", type=int, required=True)
-    gen_ring.add_argument("--theta", type=int, required=True)
-    gen_ring.add_argument("--rho", type=int, required=True)
-    gen_t = gen_sub.add_parser("t", help="shifted placement with step t+1")
-    gen_t.add_argument("--n", type=int, required=True)
-    gen_t.add_argument("--d", type=int, required=True)
-    gen_t.add_argument("--t", type=int, required=True)
-    for p in (gen_prg, gen_ring, gen_t):
+    for family, spec, builder, about in (
+        ("prg", constructions.PrgSpec, "build_prg", "partial regular graph code (n, d odd)"),
+        ("ring", constructions.RingSpec, "build_ring", "cyclic consecutive placement"),
+        ("t", constructions.TSpec, "build_t_code", "shifted placement with step t+1"),
+    ):
+        p = gen_sub.add_parser(family, help=about)
+        for field in dataclasses.fields(spec):
+            p.add_argument(f"--{field.name}", type=int, required=True)
         p.add_argument("-o", "--output", help="write the code to this path")
         p.add_argument(
             "--format",
@@ -305,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="file format (default: by extension)",
         )
         add_json(p)
-        p.set_defaults(handler=_cmd_generate)
+        p.set_defaults(handler=_cmd_generate, spec=spec, builder=builder)
 
     ana = sub.add_parser("analyze", help="profiles, coverage table, reconstruction degree")
     ana.add_argument("code", help="code file (.json or .csv)")

@@ -244,11 +244,11 @@ def read_csv_records(path: str) -> list[list[str]]:
         raise ParseError(f"{path}: not valid CSV ({exc})") from exc
 
 
-def import_code(path: str, fmt: str | None = None) -> FrCode:
-    """Read a code file; structural validation is delegated to make_code,
-    so invalid contents raise the same errors as building by hand."""
-    fmt = fmt or _infer_format(path)
-    if fmt == FORMAT_JSON:
+def import_code(path: str) -> FrCode:
+    """Read a code file in the format its extension names; structural
+    validation is delegated to make_code, so invalid contents raise the
+    same errors as building by hand."""
+    if _infer_format(path) == FORMAT_JSON:
         try:
             doc = _read_file(path, json.load)
         except (ValueError, RecursionError) as exc:
@@ -270,24 +270,22 @@ def import_code(path: str, fmt: str | None = None) -> FrCode:
         if any(type(v) is not int for s in nodes for v in s):
             raise ParseError(f"{path}: packet indices must be integers")
         return make_code(n, theta, nodes)
-    if fmt == FORMAT_CSV_MATRIX:
-        rows: list[list[int]] = []
-        for lineno, record in enumerate(read_csv_records(path), start=1):
-            if not record:
-                continue
-            if _BINARY_ENTRIES.issuperset(record):  # as export_code writes it
-                row = [v == "1" for v in record]
-            else:
-                try:
-                    row = [int(v) for v in record]
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
-                if any(v not in (0, 1) for v in row):
-                    raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
-            rows.append(row)
-        if not rows:
-            raise ParseError(f"{path}: empty incidence matrix")
-        if len({len(r) for r in rows}) != 1:
-            raise ParseError(f"{path}: ragged incidence matrix")
-        return code_from_matrix(rows)
-    raise ParseError(f"unknown code format {fmt!r}")
+    rows: list[list[int]] = []
+    for lineno, record in enumerate(read_csv_records(path), start=1):
+        if not record:
+            continue
+        if _BINARY_ENTRIES.issuperset(record):  # as export_code writes it
+            row = [v == "1" for v in record]
+        else:
+            try:
+                row = [int(v) for v in record]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
+            if any(v not in (0, 1) for v in row):
+                raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{path}: empty incidence matrix")
+    if len({len(r) for r in rows}) != 1:
+        raise ParseError(f"{path}: ragged incidence matrix")
+    return code_from_matrix(rows)

@@ -42,10 +42,12 @@ def _check_theta_cap(theta: int) -> None:
 
 
 def mask_from_packets(packets: Iterable[int], theta: int) -> int:
-    """Fold packet indices into a bitmask, validating the range."""
+    """Fold packet indices into a bitmask, validating type and range."""
     mask = 0
     for p in packets:
-        p = int(p)
+        # bool is an int subclass, so test the type itself.
+        if type(p) is not int:
+            raise InvariantViolation(f"packet index {p!r} is not an integer")
         if not 0 <= p < theta:
             raise IndexOutOfRange(f"packet {p} outside [0, {theta})")
         mask |= 1 << p
@@ -89,14 +91,27 @@ class FrCode:
                 holders[j] |= 1 << i
         return tuple(holders)
 
+    @cached_property
+    def rotation_invariant(self) -> bool:
+        """True when the node rotation i -> i+1 (mod n) maps the multiset
+        of packet holder sets onto itself, so every union of nodes keeps
+        its size under rotation. Decided on first use."""
+        size = self.masks[0].bit_count()
+        # Rotation moves node i's packets to node i+1, so sizes must agree.
+        if any(m.bit_count() != size for m in self.masks):
+            return False
+        full, top = (1 << self.n) - 1, self.n - 1
+        rotated = [h << 1 & full | h >> top for h in self.holders]
+        return sorted(self.holders) == sorted(rotated)
+
 
 def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
     """Validate and freeze a code from per-node packet collections.
 
     Checks, in order: n >= 1 and theta >= 1; theta within the cap; exactly
-    n node collections; every packet index in [0, theta); every packet
-    stored somewhere. Duplicate indices within one node collapse silently
-    (node contents are sets).
+    n node collections; every packet index an int (not a bool) in
+    [0, theta); every packet stored somewhere. Duplicate indices within
+    one node collapse silently (node contents are sets).
     """
     if n < 1:
         raise EmptySystem(f"need at least one node, got n={n}")

@@ -31,7 +31,7 @@ from .analysis import (
     reconstruction_degree,
 )
 from .constructions import RingSpec, build_ring, read_csv_records
-from .core import profile
+from .core import DEFAULT_THETA_CAP, profile
 from .errors import MalformedRow, ParseError, RhoRange
 
 PROVENANCE_GENERATED = "generated"
@@ -61,6 +61,11 @@ class TableRow:
                 raise MalformedRow(f"{name}={value} must be positive")
         if self.t is not None and self.t < 0:
             raise MalformedRow(f"t={self.t} must be nonnegative")
+        # No code is wider than the cap. The audit numbers built from a
+        # larger value can be too long to print, so it is not printed.
+        for name in ("n", "k", "d", "rho", "theta", "t"):
+            if (getattr(self, name) or 0) > DEFAULT_THETA_CAP:
+                raise MalformedRow(f"{name} exceeds cap {DEFAULT_THETA_CAP}")
 
     def key(self) -> tuple:
         """Full identity including t (None sorts like absent)."""

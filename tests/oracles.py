@@ -10,6 +10,7 @@ boring on purpose.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from frcodes.constructions import read_csv_records
 from frcodes.core import code_from_matrix
@@ -36,6 +37,14 @@ def brute_holders(code):
     return [
         {i for i in range(code.n) if j in code.packets(i)} for j in range(code.theta)
     ]
+
+
+def brute_rotation_invariant(code):
+    """Whether the node rotation i -> i+1 (mod n) maps the multiset of
+    packet holder sets onto itself, compared as counts of frozensets."""
+    holder_sets = [frozenset(nodes) for nodes in brute_holders(code)]
+    rotated = [frozenset((i + 1) % code.n for i in nodes) for nodes in holder_sets]
+    return Counter(holder_sets) == Counter(rotated)
 
 
 def brute_reconstruction_degree(code, file_size):

@@ -30,9 +30,14 @@ from frcodes import (
     ring_margin_case2,
     single_deficit_shape,
 )
-from frcodes.analysis import _rotation_invariant, _smaller_unions
+from frcodes.analysis import _smaller_unions
 from frcodes.core import FrCode
-from oracles import brute_holders, brute_min_coverage, brute_reconstruction_degree
+from oracles import (
+    brute_holders,
+    brute_min_coverage,
+    brute_reconstruction_degree,
+    brute_rotation_invariant,
+)
 
 
 def random_code(rng, max_n=10, max_theta=20):
@@ -241,14 +246,14 @@ def fallback_families():
 
 def test_rotation_invariant_codes_match_oracles():
     for code in symmetric_families():
-        assert _rotation_invariant(code)
+        assert code.rotation_invariant
         assert_matches_oracles(code)
 
 
 def test_non_invariant_codes_match_oracles():
     for code in fallback_families():
         if code.n > 1:  # a one-node code is always rotation invariant
-            assert not _rotation_invariant(code)
+            assert not code.rotation_invariant
         assert_matches_oracles(code)
     # Too wide for the oracles at every k; the restricted walk would
     # already be wrong at k = 1..9 and at file sizes 4..9.
@@ -279,7 +284,33 @@ def test_non_invariant_codes_match_oracles():
     ],
 )
 def test_rotation_invariance_verdicts(code, invariant):
-    assert _rotation_invariant(code) is invariant
+    assert code.rotation_invariant is invariant
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rotation_invariant_matches_oracle_on_equal_sized_nodes(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    base = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    bases = data.draw(st.lists(base, min_size=1, max_size=3), label="bases")
+    code = circulant_code(n, bases)
+    kind = data.draw(st.sampled_from(["circulant", "split", "swapped"]), label="kind")
+    if kind == "split":
+        # One more packet on some nodes and one on the rest: every node
+        # gains a packet, and the two may or may not rotate onto each other.
+        part = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="part")
+        storage = [
+            set(code.packets(i)) | ({code.theta} if i in part else {code.theta + 1})
+            for i in range(n)
+        ]
+        theta = code.theta + (1 if len(part) == n else 2)
+        code = make_code(n, theta, storage)
+    elif kind == "swapped":
+        a = data.draw(st.integers(0, n - 1), label="a")
+        b = data.draw(st.integers(0, n - 1), label="b")
+        code = swap_nodes(code, a, b)
+    assert len({m.bit_count() for m in code.masks}) == 1
+    assert code.rotation_invariant is brute_rotation_invariant(code)
 
 
 class CountingMasks(tuple):
@@ -349,7 +380,7 @@ def test_circulant_search_paths_agree_with_oracles(data):
     extra = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="extra")
     code = circulant_code(n, bases, extra)
     if not extra:
-        assert _rotation_invariant(code)
+        assert code.rotation_invariant
     assert_matches_oracles(code)
 
 

@@ -1,16 +1,33 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frcodes
-from frcodes import RingSpec, build_ring, export_code, import_code, make_code
-from frcodes.cli import _build_parser, main
+from frcodes import (
+    FrcError,
+    RingSpec,
+    TableRow,
+    build_ring,
+    constructions,
+    errors,
+    export_code,
+    import_code,
+    make_code,
+    read_rows_csv,
+)
+from frcodes.cli import _build_parser, _parse_range, main
 
 
 def run(capsys, *argv):
@@ -68,6 +85,18 @@ def test_generate_csv_matrix_output(capsys, tmp_path):
                    "-o", str(path))
     assert rc == 0
     assert import_code(str(path)) == build_ring(RingSpec(5, 5, 2))
+
+
+def test_generate_calls_the_builder_bound_on_the_module(capsys, monkeypatch):
+    # Wrappers patched onto constructions (as a tracer does) must see
+    # every call, also with a parser built before the patch.
+    run(capsys, "generate", "t", "--n", "7", "--d", "3", "--t", "1")
+    calls = []
+    build = constructions.build_t_code
+    monkeypatch.setattr(constructions, "build_t_code", lambda spec: calls.append(spec) or build(spec))
+    rc, out, _ = run(capsys, "generate", "t", "--n", "7", "--d", "3", "--t", "1")
+    assert rc == 0 and out.startswith("n=7 theta=7 alpha=3 rho=3")
+    assert calls == [constructions.TSpec(n=7, d=3, t=1)]
 
 
 def test_generate_domain_error_exit_code(capsys):
@@ -258,6 +287,98 @@ def test_audit_usage_errors(capsys, tmp_path):
     path.write_text("n,k,d,rho,theta\n6,5,4,2,12\n")
     rc, _, err = run(capsys, "audit-table", str(path))
     assert rc == 1 and "--family" in err
+
+
+def test_audit_row_above_the_cap_is_a_malformed_row(capsys, tmp_path):
+    # The audit of a 4,000-digit k has numbers too long to print.
+    path = tmp_path / "rows.csv"
+    path.write_text(f"n,k,d,rho,theta\n5,{'9' * 4000},1,1,5\n")
+    for extra in ((), ("--json",)):
+        rc, out, err = run(capsys, "audit-table", str(path), "--family", "ring", *extra)
+        assert (rc, out, err) == (1, "", "MalformedRow: k exceeds cap 4096\n")
+
+
+VALID_HEADERS = ("n,k,d,rho,theta", "n,k,d,rho,theta,t", " n, k ,d,rho,theta,t ")
+BAD_HEADERS = ("n,k,d,rho", "k,n,d,rho,theta", "n,k,d,rho,theta,t,x", "")
+# Up to the interpreter's 4,300-digit limit on int() and str(); half
+# of the draws are long enough that a product of two exceeds it.
+DIGITS = st.builds(
+    lambda digit, length: digit * length,
+    st.sampled_from("0123456789"),
+    st.one_of(st.integers(1, 4300), st.integers(2200, 4300)),
+)
+POSITIVE_FIELDS = st.one_of(st.integers(1, 40).map(str), DIGITS)
+TABLE_FIELDS = st.one_of(
+    POSITIVE_FIELDS,
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", " "]),
+            st.sampled_from(["", "+", "-"]),
+            st.one_of(st.integers(0, 40).map(str), DIGITS),
+            st.sampled_from(["", " "]),
+        ),
+    ),
+    st.sampled_from(["", " ", "x", "1.5", "0x1f", "1_0", "\u0661"]),
+)
+FRC_ERRORS = {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, FrcError)
+}
+
+
+@st.composite
+def table_texts(draw):
+    header = draw(st.one_of(st.sampled_from(VALID_HEADERS), st.sampled_from(BAD_HEADERS)))
+    width = header.count(",") + 1
+    record = st.one_of(
+        st.lists(POSITIVE_FIELDS, min_size=width, max_size=width),
+        st.lists(TABLE_FIELDS, min_size=width, max_size=width),
+        st.lists(TABLE_FIELDS, max_size=8),
+    )
+    rows = draw(st.lists(record.map(",".join), max_size=4))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=table_texts(), family=st.sampled_from(["ring", "t"]))
+def test_table_reader_and_audit_fuzz(text, family):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "rows.csv")
+        Path(path).write_text(text, encoding="utf-8")
+        try:
+            rows = read_rows_csv(path)
+        except FrcError:
+            pass
+        else:
+            assert all(isinstance(row, TableRow) for row in rows)
+        for extra in ((), ("--json",)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["audit-table", path, "--family", family, *extra])
+            assert rc in (0, 1)
+            message = err.getvalue()
+            if message:
+                match = re.fullmatch(r"(\w+): [^\n]*\n", message)
+                assert match and match.group(1) in FRC_ERRORS, message[:200]
+
+
+RANGE_ENDS = st.one_of(
+    st.integers(-10**5, 10**5).map(str),
+    st.text(alphabet=" +-_.0123456789x", max_size=8),
+    DIGITS,
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.builds("{}..{}".format, RANGE_ENDS, RANGE_ENDS)))
+def test_parse_range_gives_consecutive_ints_or_value_error(text):
+    try:
+        values = _parse_range(text)
+    except ValueError:
+        return
+    assert 1 <= len(values) <= 4096
+    assert values == list(range(values[0], values[0] + len(values)))
 
 
 # --- conjecture -------------------------------------------------------------

@@ -97,6 +97,10 @@ def _invocations(directory: str):
     written into directory, and keys name them by file name only."""
     yield ("--help",)
     yield ("generate",)
+    yield ("generate", "--help")
+    for family in ("prg", "ring", "t"):
+        yield ("generate", family, "--help")
+        yield ("generate", family)
     for argv in GENERATE:
         yield ("generate", *argv)
     for argv in TABLES:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from frcodes import (
     BudgetExceeded,
     EmptySystem,
+    FrcError,
     IndexOutOfRange,
     InvariantViolation,
     OrphanPacket,
@@ -17,6 +18,7 @@ from frcodes import (
     single_deficit_shape,
 )
 from frcodes.constructions import PrgSpec, RingSpec, build_prg, build_ring
+from frcodes.core import FrCode
 
 
 @st.composite
@@ -49,6 +51,52 @@ def test_make_code_rejects_out_of_range():
         make_code(2, 2, [{0, 2}, {1}])
     with pytest.raises(IndexOutOfRange):
         make_code(1, 1, [{-1, 0}])
+
+
+@pytest.mark.parametrize(
+    "storage, shown",
+    [
+        ([[0, 1.7]], "1.7"),
+        ([[0, 1.0]], "1.0"),
+        ([["0", "1"]], "'0'"),
+        (["01"], "'0'"),
+        ([[True, 0]], "True"),
+        ([[None]], "None"),
+        ([["x"]], "'x'"),
+    ],
+)
+def test_make_code_rejects_non_integer_indices(storage, shown):
+    with pytest.raises(InvariantViolation, match=rf"^packet index {shown} is not an integer$"):
+        make_code(1, 2, storage)
+
+
+# Python values a caller might pass where a packet index belongs.
+LOOSE_VALUES = st.one_of(
+    st.integers(-1, 3),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.text(max_size=2),
+    st.binary(max_size=2),
+    st.fractions(),
+)
+
+
+@given(st.data())
+def test_make_code_builds_from_ints_only(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    theta = data.draw(st.integers(1, 3), label="theta")
+    node = st.one_of(st.lists(LOOSE_VALUES, max_size=4), st.text(max_size=3))
+    storage = data.draw(st.lists(node, min_size=n, max_size=n), label="storage")
+    try:
+        code = make_code(n, theta, storage)
+    except FrcError:
+        return
+    assert isinstance(code, FrCode)
+    # A code is built only from genuine ints, each one kept as given.
+    assert all(type(p) is int for s in storage for p in s)
+    assert [code.packets(i) for i in range(n)] == [tuple(sorted(set(s))) for s in storage]
 
 
 def test_make_code_rejects_empty_system():

@@ -39,6 +39,15 @@ def test_table_row_validation():
         TableRow(n=5, k=3, d=2, rho=2, theta=5, t=-1)
 
 
+def test_table_row_fields_above_the_cap_are_malformed():
+    TableRow(n=4096, k=4096, d=4096, rho=4096, theta=4096, t=4096)  # fine
+    for name in ("n", "k", "d", "rho", "theta", "t"):
+        fields = dict(n=5, k=3, d=2, rho=2, theta=5, t=1)
+        fields[name] = 4097
+        with pytest.raises(MalformedRow, match=rf"^{name} exceeds cap 4096$"):
+            TableRow(**fields)
+
+
 def test_table_row_keys():
     row = TableRow(n=5, k=3, d=2, rho=2, theta=5, t=1)
     assert row.key() == (5, 3, 2, 2, 5, 1)

@@ -22,6 +22,12 @@ least witness already has that form, so the search walks only those
 subsets and returns the same minimum, witness and decision as the full
 walk.
 
+The reconstruction degree can also be read from the packets' side, as
+a coverage of the transpose (FrCode.transpose; see
+reconstruction_degree). It is read there once C(n, k) exceeds that
+walk's count, and the transpose's own rotation symmetry (the packet
+rotation j -> j+1) restricts that walk the same way.
+
 A code is universally good when every k <= alpha satisfies
 
     min_coverage(code, k) >= k * alpha - C(k, 2)
@@ -148,27 +154,49 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
     return CoverageProfile(values=tuple(values), witnesses=tuple(witnesses))
 
 
+def default_file_size(theta: int) -> int:
+    """The outer-layer size of the bundled tables, theta - 1, but at
+    least 1 so that a one-packet code has one."""
+    return max(theta - 1, 1)
+
+
 def reconstruction_degree(
     code: FrCode, file_size: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Least k such that min_coverage(code, k) >= file_size.
 
-    file_size defaults to theta - 1, the outer-layer size used
-    throughout the bundled tables. k is scanned upward from 1, and each
-    step only asks whether some k nodes hold fewer than file_size
-    packets: the search stops at the first such subset instead of
-    minimising.
+    file_size (M) defaults to default_file_size(code.theta). k is
+    scanned upward from 1, and each step only asks whether some k nodes
+    hold fewer than M packets: the search stops at the first such
+    subset instead of minimising.
+
+    Some k nodes hold fewer than M packets exactly when the other n - k
+    nodes hold every copy of some t = theta - M + 1 packets. With u the
+    fewest nodes holding every copy of some t packets (min_coverage of
+    the transpose at t), that happens for k <= n - u, so the degree is
+    n - u + 1. Once C(n, k) exceeds C(theta, t), one walk on the
+    transpose answers instead; it is then the cheaper side, so it
+    refuses nothing the scan would have answered.
     """
     if file_size is None:
-        file_size = code.theta - 1
+        file_size = default_file_size(code.theta)
     if file_size < 1:
         raise KOutOfRange(f"file size must be >= 1, got {file_size}")
     if file_size > code.theta:
         raise Unreachable(
             f"file size {file_size} exceeds theta={code.theta}"
         )
+    t = code.theta - file_size + 1
+    dual_cost = math.comb(code.theta, t)
     # All n nodes hold theta >= file_size packets, so k = n returns.
     for k in range(1, code.n + 1):
+        if math.comb(code.n, k) > dual_cost:
+            dual = code.transpose
+            # Every packet has a holder, so 1 <= u <= n.
+            *_, (u, _) = _smaller_unions(
+                dual, t, dual.theta + 1, budget, dual.rotation_invariant
+            )
+            return code.n - u + 1
         below = _smaller_unions(code, k, file_size, budget, code.rotation_invariant)
         if next(below, None) is None:
             return k
@@ -215,14 +243,14 @@ def goodness_arithmetic(
 ) -> GoodnessReport:
     """Point check of the goodness bound at one k.
 
-    file_size defaults to theta - 1. The verdict is
+    file_size defaults to default_file_size(theta). The verdict is
     file_size >= k*alpha - C(k, 2) (right side lowered by one when
     weak); margin is the slack.
     """
     if k < 1 or alpha < 1 or theta < 1:
         raise KOutOfRange(f"need k, alpha, theta >= 1, got {k}, {alpha}, {theta}")
     if file_size is None:
-        file_size = theta - 1
+        file_size = default_file_size(theta)
     if file_size > theta:
         raise Unreachable(f"file size {file_size} exceeds theta={theta}")
     rhs = goodness_rhs(k, alpha, weak)
@@ -355,6 +383,14 @@ def predicted_k_ring(n: int, theta: int, rho: int) -> KPrediction:
     n - rho; theta > n with theta not a multiple of n gives n - rho + 1.
     Conjectured values are labeled so and must never be asserted
     against brute force, only compared.
+
+    The labels mirror the paper; the transpose settles both conjectured
+    branches. At file size theta - 1
+    the degree is n - u + 1, with u the smallest union of two packets'
+    holder windows (see reconstruction_degree), and every window has
+    rho nodes. When theta > n, packets 0 and n share the window 0..rho-1,
+    so u = rho. When n > theta >= 2, the windows start at different
+    nodes, so any two differ and u >= rho + 1; packets 0 and 1 reach it.
     """
     if not 2 <= rho <= n - 1:
         raise RhoRange(f"need 2 <= rho <= n - 1, got rho={rho}, n={n}")

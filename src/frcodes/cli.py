@@ -100,7 +100,9 @@ def _cmd_analyze(args) -> int:
     prof = profile(code)
     identities = check_identities(code)
     cov = analysis.coverage_profile(code, budget=budget)
-    file_size = args.file_size if args.file_size is not None else code.theta - 1
+    file_size = (
+        analysis.default_file_size(code.theta) if args.file_size is None else args.file_size
+    )
     k = analysis.reconstruction_degree(code, file_size, budget=budget)
     if args.json:
         _print_json(
@@ -298,7 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="profiles, coverage table, reconstruction degree")
     ana.add_argument("code", help="code file (.json or .csv)")
-    ana.add_argument("--file-size", type=int, help="outer layer size M (default theta-1)")
+    ana.add_argument(
+        "--file-size", type=int, help="outer layer size M (default theta-1, at least 1)"
+    )
     add_json(ana)
     ana.set_defaults(handler=_cmd_analyze)
 
@@ -310,7 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="brute-force every k <= alpha instead of the point check",
     )
-    good.add_argument("--file-size", type=int, help="point-check file size (default theta-1)")
+    good.add_argument(
+        "--file-size", type=int, help="point-check file size (default theta-1, at least 1)"
+    )
     add_json(good)
     good.set_defaults(handler=_cmd_goodness)
 

@@ -196,7 +196,9 @@ def _infer_format(path: str) -> str:
         return FORMAT_JSON
     if ext == ".csv":
         return FORMAT_CSV_MATRIX
-    raise ParseError(f"cannot infer code format from {path!r}; pass fmt explicitly")
+    raise ParseError(
+        f"cannot infer code format from {path!r}; expected a .json or .csv extension"
+    )
 
 
 def code_to_dict(code: FrCode) -> dict:

@@ -87,9 +87,23 @@ class FrCode:
         the nodes that hold packet j. Built on first use."""
         holders = [0] * self.theta
         for i, m in enumerate(self.masks):
-            for j in packets_from_mask(m):
-                holders[j] |= 1 << i
+            bit = 1 << i
+            while m:
+                low = m & -m
+                holders[low.bit_length() - 1] |= bit
+                m ^= low
         return tuple(holders)
+
+    @cached_property
+    def transpose(self) -> FrCode:
+        """The code read from the packets' side: its node j holds the
+        nodes that hold packet j. Built on first use. Transposing twice
+        gives the code back, so its holders are this code's masks, and
+        its rotation_invariant is this code's packet-rotation symmetry.
+        """
+        dual = FrCode(n=self.theta, theta=self.n, masks=self.holders)
+        dual.__dict__["holders"] = self.masks  # what cached_property stores
+        return dual
 
     @cached_property
     def rotation_invariant(self) -> bool:
@@ -108,11 +122,15 @@ class FrCode:
 def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
     """Validate and freeze a code from per-node packet collections.
 
-    Checks, in order: n >= 1 and theta >= 1; theta within the cap; exactly
-    n node collections; every packet index an int (not a bool) in
-    [0, theta); every packet stored somewhere. Duplicate indices within
-    one node collapse silently (node contents are sets).
+    Checks, in order: n and theta ints (not bools); n >= 1 and
+    theta >= 1; theta within the cap; exactly n node collections; every
+    packet index an int (not a bool) in [0, theta); every packet stored
+    somewhere. Duplicate indices within one node collapse silently (node
+    contents are sets).
     """
+    for name, value in (("n", n), ("theta", theta)):
+        if type(value) is not int:
+            raise InvariantViolation(f"{name}={value!r} is not an integer")
     if n < 1:
         raise EmptySystem(f"need at least one node, got n={n}")
     if theta < 1:
@@ -121,14 +139,22 @@ def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
     node_sets = list(storage)
     if len(node_sets) != n:
         raise InvariantViolation(f"expected {n} node sets, got {len(node_sets)}")
-    masks = tuple(mask_from_packets(s, theta) for s in node_sets)
+    masks = []
+    for s in node_sets:
+        try:
+            packets = iter(s)
+        except TypeError:
+            raise InvariantViolation(
+                f"node {s!r} is not a collection of packet indices"
+            ) from None
+        masks.append(mask_from_packets(packets, theta))
     placed = 0
     for m in masks:
         placed |= m
     if placed != (1 << theta) - 1:
         missing = next(j for j in range(theta) if not placed >> j & 1)
         raise OrphanPacket(f"packet {missing} is stored on no node")
-    return FrCode(n=n, theta=theta, masks=masks)
+    return FrCode(n=n, theta=theta, masks=tuple(masks))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from frcodes import (
 )
 from frcodes.analysis import _smaller_unions
 from frcodes.core import FrCode
+from frcodes.sweep import default_theta_rule
 from oracles import (
     brute_holders,
     brute_min_coverage,
@@ -85,9 +87,16 @@ def swap_nodes(code, a, b):
     return FrCode(n=code.n, theta=code.theta, masks=tuple(masks))
 
 
+#: The transpose is also searched directly at each file size whose walk
+#: has at most this many subsets: every file size when theta <= 15.
+DUAL_CHECK_SUBSETS = 10**4
+
+
 def assert_matches_oracles(code, ks=None, file_sizes=None):
     """min_coverage (value and witness) and reconstruction_degree agree
-    with the brute-force oracles at every k and file size asked for."""
+    with the brute-force oracles at every k and file size asked for, and
+    so does n - u + 1 read off the transpose (u its min_coverage at
+    t = theta - file_size + 1) where that walk is small."""
     for k in ks or range(1, code.n + 1):
         assert min_coverage(code, k) == brute_min_coverage(code, k), k
     for file_size in file_sizes or range(1, code.theta + 1):
@@ -97,6 +106,10 @@ def assert_matches_oracles(code, ks=None, file_sizes=None):
                 reconstruction_degree(code, file_size)
         else:
             assert reconstruction_degree(code, file_size) == expected, file_size
+            t = code.theta - file_size + 1
+            if math.comb(code.theta, t) <= DUAL_CHECK_SUBSETS:
+                u, _ = min_coverage(code.transpose, t)
+                assert code.n - u + 1 == expected, file_size
 
 
 # --- min_coverage ----------------------------------------------------------
@@ -193,6 +206,34 @@ def test_reconstruction_degree_probes_only_up_to_the_answer():
     assert reconstruction_degree(code) == 1
     with pytest.raises(BudgetExceeded):
         min_coverage(code, 15)
+
+
+def test_reconstruction_degree_answers_from_the_cheaper_side():
+    # C(30, 13) exceeds the default budget, so the scan alone refuses
+    # ring(30, 30, 3); the transpose at t = 2 has C(30, 2) = 435 pairs.
+    code = build_ring(RingSpec(30, 30, 3))
+    with pytest.raises(BudgetExceeded):
+        for k in range(1, code.n + 1):
+            next(_smaller_unions(code, k, code.theta - 1, 10**8, True), None)
+    assert reconstruction_degree(code) == 27
+    assert reconstruction_degree(build_t_code(TSpec(26, 4, 2))) == 22
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@pytest.mark.parametrize("holding", ["all", "one", "half"])
+def test_single_packet_codes_on_every_search_path(n, holding):
+    holders = {"all": set(range(n)), "one": {n - 1}, "half": set(range(0, n, 2))}[holding]
+    code = make_code(n, 1, [[0] if i in holders else [] for i in range(n)])
+    spare = [i for i in range(n) if i not in holders]
+    assert reconstruction_degree(code) == reconstruction_degree(code, 1) == n - len(holders) + 1
+    assert min_coverage(code.transpose, 1) == (len(holders), (0,))
+    for k in (1, n):
+        expected = (0, tuple(spare[:k])) if k <= len(spare) else (1, tuple(range(k)))
+        assert min_coverage(code, k) == expected
+        # The symmetric walk holds on rotation-invariant codes and at k = n.
+        for symmetric in {False, code.rotation_invariant or k == n}:
+            walk = _smaller_unions(code, k, code.theta + 1, 10**8, symmetric)
+            assert list(walk)[-1] == expected, symmetric
 
 
 def test_reconstruction_degree_unreachable():
@@ -359,7 +400,8 @@ def test_symmetric_search_engages_on_invariant_codes_only():
         )[1]
         for k in range(1, degree + 1)
     )
-    assert degree_reads < decision_reads  # 188 against 408
+    # 4 against 408: from k = 3 on, the transpose answers.
+    assert degree_reads < decision_reads
     # Not invariant: min_coverage walks every subset the full walk does.
     other = build_ring(RingSpec(9, 13, 3))
     for k in range(2, other.n):
@@ -538,6 +580,21 @@ def test_predicted_k_ring_branches():
     assert predicted_k_ring(6, 4, 2) == (4, "conjecture")
     with pytest.raises(RhoRange):
         predicted_k_ring(5, 5, 5)
+
+
+def test_transpose_settles_the_conjectured_ring_branches():
+    # At file size theta - 1, t = 2 and k = n - u + 1, with u the
+    # smallest union of two packets' holder windows.
+    checked = 0
+    for n in range(4, 25):
+        for rho in range(2, n):
+            for theta in default_theta_rule(n):
+                dual = build_ring(RingSpec(n, theta, rho)).transpose
+                u = min_coverage(dual, 2)[0]
+                assert u == (rho if theta > n else rho + 1), (n, theta, rho)
+                assert n - u + 1 == predicted_k_ring(n, theta, rho).k
+                checked += 1
+    assert checked == 11886
 
 
 def test_predicted_k_matches_brute_force_on_homogeneous_rings():

@@ -135,6 +135,31 @@ def test_analyze_file_size_flag(capsys, ring_file):
     assert "reconstruction degree at M=5: k=4" in out
 
 
+def test_one_packet_code_defaults_to_file_size_one(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text('{"n": 2, "theta": 1, "nodes": [[0], [0]]}')
+    rc, out, _ = run(capsys, "analyze", str(path))
+    assert rc == 0
+    assert out.splitlines()[-1] == "reconstruction degree at M=1: k=1"
+    rc, out, _ = run(capsys, "goodness", str(path))
+    assert rc == 0
+    assert "k=1 alpha=1 theta=1 M=1" in out
+    rc, _, err = run(capsys, "analyze", str(path), "--file-size", "0")
+    assert rc == 1
+    assert err == "KOutOfRange: file size must be >= 1, got 0\n"
+
+
+def test_analyze_names_the_accepted_extensions(capsys, tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_text("{}")
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"ParseError: cannot infer code format from {str(path)!r};"
+        " expected a .json or .csv extension\n"
+    )
+
+
 # --- goodness ---------------------------------------------------------------
 
 
@@ -232,6 +257,17 @@ def test_sweep_json(capsys):
     doc = json.loads(out)
     assert all(row["provenance"] == "generated" for row in doc["rows"])
     assert {(r["n"], r["k"]) for r in doc["rows"]} == {(4, 2), (5, 3), (6, 4)}
+
+
+@pytest.mark.parametrize(
+    "n, rho, m, row",
+    [("30", "3", "1", (30, 27, 3, 3, 30)), ("40", "2", "2", (40, 39, 4, 2, 80))],
+)
+def test_sweep_answers_rings_too_wide_for_the_node_scan(capsys, n, rho, m, row):
+    rc, out, err = run(capsys, "sweep", "ring", "--n", n, "--rho", rho, "--m", m, "--json")
+    assert (rc, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [(r["n"], r["k"], r["d"], r["rho"], r["theta"]) for r in rows] == [row]
 
 
 def test_sweep_bad_range(capsys):
@@ -388,6 +424,12 @@ def test_conjecture_command(capsys):
     rc, out, _ = run(capsys, "conjecture", "--n", "9", "--rho", "3")
     assert rc == 0
     assert out.rstrip().splitlines()[-1] == "23/23 instances agree with the conjecture"
+
+
+def test_conjecture_answers_rings_too_wide_for_the_node_scan(capsys):
+    rc, out, err = run(capsys, "conjecture", "--n", "30", "--rho", "3")
+    assert (rc, err) == (0, "")
+    assert out.rstrip().splitlines()[-1] == "86/86 instances agree with the conjecture"
 
 
 def test_conjecture_json(capsys):

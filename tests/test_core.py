@@ -19,6 +19,7 @@ from frcodes import (
 )
 from frcodes.constructions import PrgSpec, RingSpec, build_prg, build_ring
 from frcodes.core import FrCode
+from oracles import brute_holders
 
 
 @st.composite
@@ -85,18 +86,36 @@ LOOSE_VALUES = st.one_of(
 
 @given(st.data())
 def test_make_code_builds_from_ints_only(data):
-    n = data.draw(st.integers(1, 3), label="n")
-    theta = data.draw(st.integers(1, 3), label="theta")
-    node = st.one_of(st.lists(LOOSE_VALUES, max_size=4), st.text(max_size=3))
-    storage = data.draw(st.lists(node, min_size=n, max_size=n), label="storage")
+    size = st.one_of(st.integers(1, 3), LOOSE_VALUES)
+    n = data.draw(size, label="n")
+    theta = data.draw(size, label="theta")
+    node = st.one_of(st.lists(LOOSE_VALUES, max_size=4), st.text(max_size=3), LOOSE_VALUES)
+    count = n if type(n) is int and 1 <= n <= 3 else data.draw(st.integers(1, 3))
+    storage = data.draw(st.lists(node, min_size=count, max_size=count), label="storage")
     try:
         code = make_code(n, theta, storage)
     except FrcError:
         return
     assert isinstance(code, FrCode)
     # A code is built only from genuine ints, each one kept as given.
+    assert type(code.n) is int and type(code.theta) is int
     assert all(type(p) is int for s in storage for p in s)
     assert [code.packets(i) for i in range(n)] == [tuple(sorted(set(s))) for s in storage]
+
+
+@pytest.mark.parametrize(
+    "n, theta, storage, message",
+    [
+        (True, 1, [[0]], "n=True is not an integer"),
+        (1, True, [[0]], "theta=True is not an integer"),
+        (2.0, 1, [[0], [0]], "n=2.0 is not an integer"),
+        (1, 2.0, [[0, 1]], "theta=2.0 is not an integer"),
+        (1, 1, [5], "node 5 is not a collection of packet indices"),
+    ],
+)
+def test_make_code_rejects_non_integer_sizes_and_bare_nodes(n, theta, storage, message):
+    with pytest.raises(InvariantViolation, match=rf"^{message}$"):
+        make_code(n, theta, storage)
 
 
 def test_make_code_rejects_empty_system():
@@ -200,6 +219,17 @@ def test_check_identities_general():
     report = check_identities(make_code(3, 3, [{0, 1}, {0, 1}, {2}]))
     assert report.classification == "general"
     assert not report.uniform_identity and not report.deficient_identity
+
+
+@given(random_codes(max_n=9, max_theta=9))
+def test_transpose_is_the_packet_side_incidence(code):
+    dual = code.transpose
+    assert (dual.n, dual.theta) == (code.theta, code.n)
+    assert dual.masks == tuple(sum(1 << i for i in nodes) for nodes in brute_holders(code))
+    # Seeded from the code, not built again.
+    assert dual.holders is code.masks
+    assert dual.transpose == code
+    assert code.transpose is dual
 
 
 def test_code_is_immutable_and_hashable():

@@ -87,6 +87,10 @@ def _codes():
     yield "ring-8-5-2", build_ring(RingSpec(8, 5, 2))
     yield "prg-7-3", build_prg(PrgSpec(7, 3))
     yield "t-7-3-1", build_t_code(TSpec(7, 3, 1))
+    yield "ring-12-12-3", build_ring(RingSpec(12, 12, 3))
+    yield "ring-11-17-3", build_ring(RingSpec(11, 17, 3))
+    yield "t-13-3-1", build_t_code(TSpec(13, 3, 1))
+    yield "t-12-3-2", build_t_code(TSpec(12, 3, 2))
     rng = random.Random(6)
     for i in range(6):
         yield f"random-{i}", _random_code(rng)

@@ -28,6 +28,21 @@ reconstruction_degree). It is read there once C(n, k) exceeds that
 walk's count, and the transpose's own rotation symmetry (the packet
 rotation j -> j+1) restricts that walk the same way.
 
+coverage_profile needs no walk to find its values on codes whose
+packets are each held by a cyclic arc of nodes, once the nodes are
+relabeled i -> s*i mod n for some unit s (every ring code, and every
+shifted-placement code whose step t + 1 is prime to n). The packets
+that k chosen nodes miss are exactly the arcs that fit in the gaps
+between them, so M(k) is theta less the most arcs that k gaps can hold,
+and one dynamic program over gap endpoints gives that for every k at
+once: O(n^3) from one cut of the cycle on a rotation-invariant code,
+O(n^4) over all n cuts otherwise. Each witness is then the first subset
+the walk finds with a union of at most M(k), which is the
+lexicographically least one in the code's own labels. The program runs
+only when C(n, n // 2), the largest walk, is within the budget; every
+other code, and every refusal, goes through min_coverage one k at a
+time.
+
 A code is universally good when every k <= alpha satisfies
 
     min_coverage(code, k) >= k * alpha - C(k, 2)
@@ -42,10 +57,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Iterator, NamedTuple
 
 from .constructions import PrgSpec
-from .core import FrCode, profile, single_deficit_shape
+from .core import FrCode, packets_from_mask, profile, single_deficit_shape
 from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable
 
 #: Default ceiling on C(n, k) per enumeration.
@@ -145,13 +162,94 @@ class CoverageProfile:
 
 
 def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProfile:
-    values = []
-    witnesses = []
-    for k in range(1, code.n + 1):
-        value, witness = min_coverage(code, k, budget=budget)
-        values.append(value)
-        witnesses.append(witness)
-    return CoverageProfile(values=tuple(values), witnesses=tuple(witnesses))
+    n = code.n
+    # The arc DP answers only where no k would be refused, so the per-k
+    # searches keep every refusal, raised at the same k.
+    arcs = _arc_order(code) if math.comb(n, n // 2) <= budget else None
+    if arcs is None:
+        best = [min_coverage(code, k, budget=budget) for k in range(1, n + 1)]
+    else:
+        symmetric = code.rotation_invariant
+        most = _most_missed(n, arcs, symmetric)
+        # The first subset at or below the minimum is its lex-least witness.
+        best = [
+            next(_smaller_unions(code, k, code.theta - most[k] + 1, budget, symmetric))
+            for k in range(1, n + 1)
+        ]
+    values, witnesses = zip(*best)
+    return CoverageProfile(values=values, witnesses=witnesses)
+
+
+def _arc_order(code: FrCode) -> list[tuple[int, int]] | None:
+    """(start, length) of each packet's holder arc under the first node
+    relabeling i -> s*i mod n, s a unit tried from 1 up, that makes every
+    holder set a cyclic arc; arcs round the whole cycle are left out,
+    since no choice of nodes misses them. None when no unit does."""
+    n = code.n
+    full = (1 << n) - 1
+    for s in range(1, n + 1):
+        if math.gcd(s, n) != 1:
+            continue
+        arcs = []
+        for h in code.holders:
+            if s > 1:  # relabel lazily: most codes fail on a few packets
+                h = sum(1 << s * i % n for i in packets_from_mask(h))
+            if h == full:
+                continue
+            # An arc has exactly one held node whose predecessor is not.
+            starts = h & ~(h << 1 & full | h >> n - 1)
+            if not starts or starts & starts - 1:
+                break
+            arcs.append((starts.bit_length() - 1, h.bit_count()))
+        else:
+            return arcs
+    return None
+
+
+def _most_missed(
+    n: int, arcs: list[tuple[int, int]], symmetric: bool
+) -> list[int]:
+    """most[k]: the most arcs that k chosen nodes miss, for k in 0..n.
+
+    An arc is missed exactly when it fits in a gap between chosen nodes.
+    Cut the cycle at the first chosen node c and let the chosen nodes
+    sit at offsets 0 = p_1 < .. < p_k < n - c from it, the gap after the
+    last one closing at offset n. W[a][b], the arcs inside the gap
+    between offsets a and b, is a 2-D prefix count of each arc's two
+    flanking offsets, and f_j[b], the most arcs missed by j chosen nodes
+    ending at offset b, is max over a < b of f_{j-1}[a] + W[a][b]. A
+    rotation-invariant code needs only the cut at node 0; others take
+    the best over every cut.
+    """
+    most = [0] * (n + 1)
+    for c in range(1 if symmetric else n):
+        m = n - c  # offsets 0..m-1 may be chosen
+        # flanks[right][left] counts arcs by flanking offsets. Offsets
+        # past m - 1 cannot be chosen, so a right flank there is the gap
+        # that closes the cycle (column m) and a left flank there is
+        # passed by every chosen offset.
+        flanks = [[0] * m for _ in range(m + 1)]
+        for start, length in arcs:
+            r = (start - c) % n  # the arc's first offset; r - 1 flanks it
+            end = r + length  # the offset that flanks it on the right
+            if r and end <= n:  # node c is not on the arc
+                flanks[end if end < m else m][r - 1 if r <= m else m - 1] += 1
+        gaps = []  # gaps[b][a] = W[a][b]
+        col = [0] * m
+        for row in flanks:
+            row.reverse()
+            above = list(accumulate(row))  # arcs whose left flank is >= a
+            above.reverse()
+            col = list(map(add, col, above))
+            gaps.append(col)
+        closing = gaps[m]
+        f = [0]  # f_j over offsets j-1..m-1; f_1 is only offset 0
+        for j in range(1, m + 1):
+            best = max(map(add, f, closing[j - 1 :]))
+            if best > most[j]:
+                most[j] = best
+            f = [max(map(add, f, gaps[b][j - 1 : b])) for b in range(j, m)]
+    return most
 
 
 def default_file_size(theta: int) -> int:

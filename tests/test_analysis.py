@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -31,7 +32,7 @@ from frcodes import (
     ring_margin_case2,
     single_deficit_shape,
 )
-from frcodes.analysis import _smaller_unions
+from frcodes.analysis import _arc_order, _smaller_unions
 from frcodes.core import FrCode
 from frcodes.sweep import default_theta_rule
 from oracles import (
@@ -164,6 +165,86 @@ def test_coverage_profile_monotone_and_bounded():
         for k in range(1, code.n):
             assert prof.values[k - 1] <= prof.values[k]
             assert prof.values[k] <= prof.values[k - 1] + alpha
+
+
+# --- coverage profile on arc codes -----------------------------------------
+
+
+def arc_code(n, arcs, unit=1):
+    """Packet j held by the cyclic arc arcs[j] = (start, length) of
+    nodes, each node x then relabeled to unit * x mod n."""
+    storage = [set() for _ in range(n)]
+    for j, (start, length) in enumerate(arcs):
+        for x in range(start, start + length):
+            storage[unit * x % n].add(j)
+    return make_code(n, len(arcs), storage)
+
+
+def assert_profile_matches_oracle(code):
+    prof = coverage_profile(code)
+    for k in range(1, code.n + 1):
+        assert (prof.values[k - 1], prof.witnesses[k - 1]) == brute_min_coverage(code, k), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arc_profile_matches_oracle(data):
+    # Mixed lengths up to the full cycle, repeated arcs, nodes on no arc
+    # and n > theta, with the nodes relabeled by a random unit mod n.
+    n = data.draw(st.integers(1, 9), label="n")
+    arc = st.tuples(st.integers(0, n - 1), st.integers(1, n))
+    arcs = data.draw(st.lists(arc, min_size=1, max_size=12), label="arcs")
+    if data.draw(st.booleans(), label="repeat"):
+        arcs.append(arcs[0])
+    units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+    code = arc_code(n, arcs, data.draw(st.sampled_from(units), label="unit"))
+    assert _arc_order(code) is not None
+    assert_profile_matches_oracle(code)
+
+
+def test_arc_profile_matches_oracle_on_every_small_cycle():
+    for n in range(1, 4):
+        arcs = sorted({(s, length) for s in range(n) for length in range(1, n)} | {(0, n)})
+        for size in range(1, 4):
+            for chosen in itertools.combinations_with_replacement(arcs, size):
+                assert_profile_matches_oracle(arc_code(n, chosen))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        build_prg(PrgSpec(7, 3)),
+        build_t_code(TSpec(12, 3, 2)),  # gcd(3, 12) = 3: no unit makes arcs
+        swap_nodes(build_ring(RingSpec(9, 9, 3)), 0, 4),
+    ],
+)
+def test_codes_without_an_arc_order_keep_the_per_k_profile(code):
+    assert _arc_order(code) is None
+    prof = coverage_profile(code)
+    per_k = [min_coverage(code, k) for k in range(1, code.n + 1)]
+    assert list(zip(prof.values, prof.witnesses)) == per_k
+
+
+@pytest.mark.parametrize(
+    "code",
+    [build_ring(RingSpec(22, 22, 3)), build_t_code(TSpec(13, 3, 1))],
+)
+def test_arc_dp_engages_on_ring_and_t_codes(code):
+    # Only the witness walks read masks: 254 against 110,858 reads on
+    # the ring, 279 against 919 on the t code (relabeled by a unit).
+    prof, reads = count_reads(code, coverage_profile)
+    per_k, loop_reads = count_reads(
+        code, lambda c: [min_coverage(c, k) for k in range(1, c.n + 1)]
+    )
+    assert list(zip(prof.values, prof.witnesses)) == per_k
+    assert reads * 3 < loop_reads
+
+
+def test_coverage_profile_refuses_as_the_per_k_loop_does():
+    # C(12, 6) exceeds the budget, so the loop runs and stops at k = 3.
+    with pytest.raises(BudgetExceeded) as info:
+        coverage_profile(build_ring(RingSpec(12, 12, 3)), budget=100)
+    assert str(info.value) == "C(12, 3) = 220 exceeds budget 100"
 
 
 # --- reconstruction degree -------------------------------------------------

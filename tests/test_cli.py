@@ -149,6 +149,17 @@ def test_one_packet_code_defaults_to_file_size_one(capsys, tmp_path):
     assert err == "KOutOfRange: file size must be >= 1, got 0\n"
 
 
+def test_analyze_refuses_ring_30_30_5_at_the_default_budget(capsys, tmp_path, monkeypatch):
+    # C(30, 15) exceeds the budget, so coverage runs k by k and stops at
+    # the first k whose walk it refuses.
+    monkeypatch.delenv("FRC_BUDGET", raising=False)
+    path = tmp_path / "ring.json"
+    export_code(build_ring(RingSpec(30, 30, 5)), str(path))
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (1, "")
+    assert err == "BudgetExceeded: C(30, 13) = 119759850 exceeds budget 100000000\n"
+
+
 def test_analyze_names_the_accepted_extensions(capsys, tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("{}")

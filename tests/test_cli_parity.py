@@ -80,6 +80,18 @@ def _random_code(rng: random.Random):
     return make_code(n, theta, [packets_from_mask(m) for m in masks])
 
 
+def _spread_code(rng: random.Random, n: int, theta: int, rho: int):
+    """Each packet on rho distinct nodes drawn uniformly, redrawn until no
+    node is empty: no arc order and no rotation symmetry in general."""
+    while True:
+        storage = [set() for _ in range(n)]
+        for packet in range(theta):
+            for node in rng.sample(range(n), rho):
+                storage[node].add(packet)
+        if all(storage):
+            return make_code(n, theta, storage)
+
+
 def _codes():
     yield "ring-5-5-2", build_ring(RingSpec(5, 5, 2))
     yield "ring-6-12-2", build_ring(RingSpec(6, 12, 2))
@@ -91,6 +103,8 @@ def _codes():
     yield "ring-11-17-3", build_ring(RingSpec(11, 17, 3))
     yield "t-13-3-1", build_t_code(TSpec(13, 3, 1))
     yield "t-12-3-2", build_t_code(TSpec(12, 3, 2))
+    yield "prg-17-3", build_prg(PrgSpec(17, 3))
+    yield "spread-18", _spread_code(random.Random(18), 18, 36, 3)
     rng = random.Random(6)
     for i in range(6):
         yield f"random-{i}", _random_code(rng)

@@ -38,10 +38,23 @@ and one dynamic program over gap endpoints gives that for every k at
 once: O(n^3) from one cut of the cycle on a rotation-invariant code,
 O(n^4) over all n cuts otherwise. Each witness is then the first subset
 the walk finds with a union of at most M(k), which is the
-lexicographically least one in the code's own labels. The program runs
-only when C(n, n // 2), the largest walk, is within the budget; every
-other code, and every refusal, goes through min_coverage one k at a
-time.
+lexicographically least one in the code's own labels.
+
+coverage_profile reads codes with no arc order and no rotation symmetry
+(prg codes, seeded random codes) off a table of the union sizes of all
+2^n node subsets (_subset_table). Subset s holds node i when its bit
+n - 1 - i is set, so of two subsets of one size the lexicographically
+smaller is the larger number: the lex-least witness of M(k) is the
+highest s at the minimum. The table is bit-sliced over slices of 2^16
+subsets, so each AND or XOR of CPython's big ints handles 64 subsets
+per machine word. It is exhaustive, as any exact method must be for
+minimum k-union, which is NP-hard, but it cut prg(21,5) from 262 to
+9 ms. Rotation-invariant codes with no arc order keep the symmetric
+walk of min_coverage, which beats the table there: t(28,3,1) 357
+against 439 ms, t(24,4,2) 21 against 35 ms. The arc program and the
+table run only when C(n, n // 2), the largest walk, is within the
+budget; every other code, and every refusal, goes through min_coverage
+one k at a time.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -57,8 +70,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
-from operator import add
+from operator import add, or_
 from typing import Iterator, NamedTuple
 
 from .constructions import PrgSpec
@@ -163,12 +177,12 @@ class CoverageProfile:
 
 def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProfile:
     n = code.n
-    # The arc DP answers only where no k would be refused, so the per-k
-    # searches keep every refusal, raised at the same k.
-    arcs = _arc_order(code) if math.comb(n, n // 2) <= budget else None
-    if arcs is None:
-        best = [min_coverage(code, k, budget=budget) for k in range(1, n + 1)]
-    else:
+    # The arc DP and the subset table answer only where no k would be
+    # refused, so the per-k searches keep every refusal, raised at the
+    # same k.
+    small = math.comb(n, n // 2) <= budget
+    arcs = _arc_order(code) if small else None
+    if arcs is not None:
         symmetric = code.rotation_invariant
         most = _most_missed(n, arcs, symmetric)
         # The first subset at or below the minimum is its lex-least witness.
@@ -176,8 +190,109 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
             next(_smaller_unions(code, k, code.theta - most[k] + 1, budget, symmetric))
             for k in range(1, n + 1)
         ]
+    elif small and not code.rotation_invariant:
+        best = _subset_table(code)
+    else:
+        best = [min_coverage(code, k, budget=budget) for k in range(1, n + 1)]
     values, witnesses = zip(*best)
     return CoverageProfile(values=values, witnesses=witnesses)
+
+
+#: Free nodes per slice of the subset table. A slice is a 2**16-bit int
+#: (8 KiB), so the table's live ints stay under half a MiB.
+_SLICE_BITS = 16
+
+
+def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
+    """(M(k), lex-least witness) for every k in 1..n, read off a
+    bit-sliced table of the union sizes of all 2^n node subsets.
+
+    Subset s holds node i when its bit n - 1 - i is set, so of two
+    subsets of one size the lexicographically smaller is the larger
+    number. The subsets come in slices of 2^f, f = min(n, _SLICE_BITS):
+    the leading n - f nodes are fixed per slice, highest assignment
+    first, and bit p of a slice-wide int stands for the subset whose
+    last f nodes are the bits of p. A packet with a chosen fixed holder
+    adds one to every union of the slice (offset). Any other packet is
+    held at the positions in the OR of its free holders' columns, and
+    these indicators are summed into a bit-sliced counter (counter[b]
+    holds bit b of every position's count) by ripple-carry XOR/AND.
+    Per k, a scan from the top counter bit down keeps the positions of
+    popcount k - c (c fixed nodes chosen) that avoid each bit while
+    some do, leaving the slice's minimum and, as the highest position,
+    its witness. A slice replaces the answer only when strictly
+    smaller, so ties keep the highest subset.
+    """
+    n = code.n
+    f = min(n, _SLICE_BITS)
+    fixed = n - f
+    full = (1 << (1 << f)) - 1
+    # columns[b] marks the positions p with bit b set: 2^b zeros, then
+    # 2^b ones, repeated by doubling.
+    columns = []
+    for b in range(f):
+        column = ((1 << (1 << b)) - 1) << (1 << b)
+        for shift in range(b + 1, f):
+            column |= column << (1 << shift)
+        columns.append(column)
+    # classes[j] marks the positions of popcount j.
+    classes = [1]
+    for b in range(f):
+        classes = [x | y << (1 << b) for x, y in zip(classes + [0], [0] + classes)]
+    base: list[int] = []  # the counter of the packets with no fixed holder
+    tied = []  # (fixed holders, free holders' columns) of the others
+    for h in code.holders:
+        r = int(f"{h:0{n}b}"[::-1], 2)  # node i -> bit n - 1 - i
+        held = [columns[b] for b in packets_from_mask(r & (1 << f) - 1)]
+        if r >> f:
+            tied.append((r >> f, held))
+        elif held:
+            _add_bits(base, reduce(or_, held))
+    best = [(code.theta + 1, 0)] * (n + 1)  # (union size, subset s) per k
+    for a in range((1 << fixed) - 1, -1, -1):
+        c = a.bit_count()
+        offset = 0
+        counter = base.copy()
+        for holders, held in tied:
+            if holders & a:
+                offset += 1
+            elif held:
+                _add_bits(counter, reduce(or_, held))
+        # Complemented once per slice, top bit first: cand & ~bit would
+        # complement a 2^f-bit int at every step of every scan.
+        inverted = [full ^ bit for bit in reversed(counter)]
+        for k in range(max(c, 1), c + f + 1):
+            limit = best[k][0]
+            if offset >= limit:
+                continue
+            cand = classes[k - c]
+            size = offset
+            weight = 1 << len(inverted)
+            for avoid in inverted:
+                weight >>= 1
+                narrowed = cand & avoid
+                if narrowed:
+                    cand = narrowed
+                else:
+                    size += weight
+                    if size >= limit:
+                        break
+            else:
+                best[k] = size, a << f | cand.bit_length() - 1
+    return [
+        (size, tuple(i for i in range(n) if s >> n - 1 - i & 1))
+        for size, s in best[1:]
+    ]
+
+
+def _add_bits(counter: list[int], x: int) -> None:
+    """Add the 0/1 indicator x to the bit-sliced counter, in place."""
+    for b, bit in enumerate(counter):
+        counter[b] = bit ^ x
+        x &= bit
+        if not x:
+            return
+    counter.append(x)
 
 
 def _arc_order(code: FrCode) -> list[tuple[int, int]] | None:
@@ -258,6 +373,18 @@ def default_file_size(theta: int) -> int:
     return max(theta - 1, 1)
 
 
+def _checked_file_size(theta: int, file_size: int | None) -> int:
+    """file_size, or default_file_size(theta) when None, once it is
+    known to lie in 1..theta."""
+    if file_size is None:
+        file_size = default_file_size(theta)
+    if file_size < 1:
+        raise KOutOfRange(f"file size must be >= 1, got {file_size}")
+    if file_size > theta:
+        raise Unreachable(f"file size {file_size} exceeds theta={theta}")
+    return file_size
+
+
 def reconstruction_degree(
     code: FrCode, file_size: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> int:
@@ -276,14 +403,7 @@ def reconstruction_degree(
     transpose answers instead; it is then the cheaper side, so it
     refuses nothing the scan would have answered.
     """
-    if file_size is None:
-        file_size = default_file_size(code.theta)
-    if file_size < 1:
-        raise KOutOfRange(f"file size must be >= 1, got {file_size}")
-    if file_size > code.theta:
-        raise Unreachable(
-            f"file size {file_size} exceeds theta={code.theta}"
-        )
+    file_size = _checked_file_size(code.theta, file_size)
     t = code.theta - file_size + 1
     dual_cost = math.comb(code.theta, t)
     # All n nodes hold theta >= file_size packets, so k = n returns.

@@ -100,10 +100,10 @@ def _cmd_analyze(args) -> int:
     prof = profile(code)
     identities = check_identities(code)
     cov = analysis.coverage_profile(code, budget=budget)
-    file_size = (
-        analysis.default_file_size(code.theta) if args.file_size is None else args.file_size
-    )
-    k = analysis.reconstruction_degree(code, file_size, budget=budget)
+    file_size = analysis._checked_file_size(code.theta, args.file_size)
+    # The reconstruction degree is the least k with M(k) >= file_size;
+    # M(n) = theta, so there is one.
+    k = next(k for k, value in enumerate(cov.values, start=1) if value >= file_size)
     if args.json:
         _print_json(
             {

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +34,9 @@ from frcodes import (
     ring_margin_case2,
     single_deficit_shape,
 )
-from frcodes.analysis import _arc_order, _smaller_unions
-from frcodes.core import FrCode
+from frcodes import analysis
+from frcodes.analysis import _SLICE_BITS, _arc_order, _smaller_unions, _subset_table
+from frcodes.core import FrCode, packets_from_mask
 from frcodes.sweep import default_theta_rule
 from oracles import (
     brute_holders,
@@ -245,6 +248,96 @@ def test_coverage_profile_refuses_as_the_per_k_loop_does():
     with pytest.raises(BudgetExceeded) as info:
         coverage_profile(build_ring(RingSpec(12, 12, 3)), budget=100)
     assert str(info.value) == "C(12, 3) = 220 exceeds budget 100"
+
+
+# --- coverage profile from the subset table --------------------------------
+
+
+def spread_code(seed, n, theta, rho):
+    """Each packet on rho distinct nodes drawn uniformly, redrawn until no
+    node is empty: no arc order and no rotation symmetry in general."""
+    rng = random.Random(seed)
+    while True:
+        storage = [set() for _ in range(n)]
+        for packet in range(theta):
+            for node in rng.sample(range(n), rho):
+                storage[node].add(packet)
+        if all(storage):
+            return make_code(n, theta, storage)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subset_table_matches_oracle(data):
+    # Empty nodes, a repeated node set, n > theta, one-packet codes and
+    # packets on every node; slices as narrow as one free node.
+    n = data.draw(st.integers(1, 9), label="n")
+    theta = data.draw(st.integers(1, 12), label="theta")
+    full = (1 << theta) - 1
+    masks = data.draw(st.lists(st.integers(0, full), min_size=n, max_size=n), label="masks")
+    for j in data.draw(st.sets(st.integers(0, theta - 1), max_size=2), label="everywhere"):
+        masks = [m | 1 << j for m in masks]
+    placed = 0
+    for m in masks:
+        placed |= m
+    masks[data.draw(st.integers(0, n - 1), label="orphans")] |= full & ~placed
+    if data.draw(st.booleans(), label="repeat"):
+        masks.append(masks[data.draw(st.integers(0, n - 1), label="copied")])
+    code = make_code(len(masks), theta, [packets_from_mask(m) for m in masks])
+    expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
+    bits = data.draw(st.sampled_from([1, 2, 3, _SLICE_BITS]), label="slice bits")
+    with mock.patch.object(analysis, "_SLICE_BITS", bits):
+        assert _subset_table(code) == expected
+
+
+@pytest.mark.parametrize("n", [_SLICE_BITS - 1, _SLICE_BITS, _SLICE_BITS + 1, _SLICE_BITS + 3])
+def test_subset_table_matches_the_per_k_walk_across_slices(n):
+    for code in (spread_code(n, n, 2 * n, 3), spread_code(n, n, n + 3, 2)):
+        per_k = [min_coverage(code, k) for k in range(1, n + 1)]
+        assert _subset_table(code) == per_k
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("this search must not run")
+
+
+@pytest.mark.parametrize(
+    "code", [build_prg(PrgSpec(17, 3)), spread_code(18, 18, 36, 3)], ids=["prg", "spread"]
+)
+def test_subset_table_answers_codes_with_no_arc_order_and_no_symmetry(code, monkeypatch):
+    assert _arc_order(code) is None and not code.rotation_invariant
+    per_k = [min_coverage(code, k) for k in range(1, code.n + 1)]
+    monkeypatch.setattr(analysis, "_smaller_unions", forbidden)
+    prof = coverage_profile(code)
+    assert list(zip(prof.values, prof.witnesses)) == per_k
+
+
+def test_invariant_codes_with_no_arc_order_keep_the_symmetric_walk(monkeypatch):
+    # gcd(3, 24) = 3, so no unit makes the holder sets arcs.
+    code = build_t_code(TSpec(24, 4, 2))
+    assert _arc_order(code) is None and code.rotation_invariant
+    per_k = [min_coverage(code, k) for k in range(1, code.n + 1)]
+    monkeypatch.setattr(analysis, "_subset_table", forbidden)
+    prof = coverage_profile(code)
+    assert list(zip(prof.values, prof.witnesses)) == per_k
+
+
+def test_subset_table_keeps_the_refusals_of_the_per_k_loop():
+    # C(19, 9) exceeds the budget, so the loop runs and stops at k = 4.
+    with pytest.raises(BudgetExceeded) as info:
+        coverage_profile(build_prg(PrgSpec(19, 7)), budget=1000)
+    assert str(info.value) == "C(19, 4) = 3876 exceeds budget 1000"
+
+
+def test_subset_table_memory_stays_under_one_mib():
+    code = build_prg(PrgSpec(21, 5))
+    tracemalloc.start()
+    try:
+        coverage_profile(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- reconstruction degree -------------------------------------------------

@@ -19,6 +19,7 @@ from frcodes import (
     FrcError,
     RingSpec,
     TableRow,
+    analysis,
     build_ring,
     constructions,
     errors,
@@ -147,6 +148,28 @@ def test_one_packet_code_defaults_to_file_size_one(capsys, tmp_path):
     rc, _, err = run(capsys, "analyze", str(path), "--file-size", "0")
     assert rc == 1
     assert err == "KOutOfRange: file size must be >= 1, got 0\n"
+
+
+def test_analyze_reads_the_degree_off_the_profile(capsys, tmp_path, monkeypatch):
+    code = make_code(4, 5, [{0, 1}, {1, 2}, {2, 3, 4}, {0}])
+    path = tmp_path / "code.json"
+    export_code(code, str(path))
+    expected = [analysis.reconstruction_degree(code, m) for m in range(1, code.theta + 1)]
+    monkeypatch.setattr(analysis, "reconstruction_degree", None)
+    for m, k in enumerate(expected, start=1):
+        rc, out, _ = run(capsys, "analyze", str(path), "--file-size", str(m))
+        assert (rc, out.splitlines()[-1]) == (0, f"reconstruction degree at M={m}: k={k}")
+    rc, _, err = run(capsys, "analyze", str(path), "--file-size", "6")
+    assert (rc, err) == (1, "Unreachable: file size 6 exceeds theta=5\n")
+
+
+def test_analyze_checks_the_budget_before_the_file_size(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("FRC_BUDGET", raising=False)
+    path = tmp_path / "ring.json"
+    export_code(build_ring(RingSpec(30, 30, 5)), str(path))
+    rc, _, err = run(capsys, "analyze", str(path), "--file-size", "0")
+    assert rc == 1
+    assert err.startswith("BudgetExceeded: C(30, 13)")
 
 
 def test_analyze_refuses_ring_30_30_5_at_the_default_budget(capsys, tmp_path, monkeypatch):

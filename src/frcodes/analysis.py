@@ -48,10 +48,10 @@ smaller is the larger number: the lex-least witness of M(k) is the
 highest s at the minimum. The table is bit-sliced over slices of 2^16
 subsets, so each AND or XOR of CPython's big ints handles 64 subsets
 per machine word. It is exhaustive, as any exact method must be for
-minimum k-union, which is NP-hard, but it cut prg(21,5) from 262 to
-9 ms. Rotation-invariant codes with no arc order keep the symmetric
-walk of min_coverage, which beats the table there: t(28,3,1) 357
-against 439 ms, t(24,4,2) 21 against 35 ms. The arc program and the
+minimum k-union, which is NP-hard, but it cut prg(21,5) from about 250
+to about 10 ms. Rotation-invariant codes with no arc order keep the
+symmetric walk of min_coverage, which beats the table there: t(28,3,1)
+357 against 439 ms, t(24,4,2) 21 against 35 ms. The arc program and the
 table run only when C(n, n // 2), the largest walk, is within the
 budget; every other code, and every refusal, goes through min_coverage
 one k at a time.
@@ -199,7 +199,7 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
 
 
 #: Free nodes per slice of the subset table. A slice is a 2**16-bit int
-#: (8 KiB), so the table's live ints stay under half a MiB.
+#: (8 KiB); the table keeps a few dozen live, about 490 KiB on prg(21,5).
 _SLICE_BITS = 16
 
 

@@ -14,6 +14,9 @@ rc. They are interleaved with valid calls, so a parser that kept state
 from one call to the next would move a digest. Their text is argparse's
 own, so those keys are tied to the Python minor version (3.11 when
 recorded) and to an 80-column help width, which COLUMNS pins.
+
+A few searches that run away are run under a small FRC_BUDGET, which
+prefixes their keys, so the refusal text is pinned too.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ import os
 import random
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 from frcodes import (
     PrgSpec,
@@ -110,6 +115,26 @@ def _codes():
         yield f"random-{i}", _random_code(rng)
 
 
+# Small enough that each runaway refuses within milliseconds.
+RUNAWAY_BUDGET = "1000"
+
+
+def _runaway_invocations(directory: str):
+    """analyze, goodness --structural and repair on codes whose searches
+    run away. In the blocks code every node holds its own ten packets, so
+    every k-union is 10k and no branch is ever cut; its arc DP is charged
+    more than the budget. In the cover code node 0 holds the vertices of
+    K_12 and each of the 66 others holds one edge: a cover needs six."""
+    blocks = os.path.join(directory, "runaway-blocks.json")
+    export_code(make_code(20, 200, [range(10 * i, 10 * i + 10) for i in range(20)]), blocks)
+    cover = os.path.join(directory, "runaway-cover.json")
+    edges = [set(edge) for edge in combinations(range(12), 2)]
+    export_code(make_code(67, 12, [range(12), *edges]), cover)
+    yield ("analyze", blocks)
+    yield ("goodness", blocks, "--structural")
+    yield ("repair", cover, "--fail", "1")
+
+
 def _invocations(directory: str):
     """(key, argv) for every invocation of the matrix; code files are
     written into directory, and keys name them by file name only."""
@@ -150,16 +175,24 @@ def run_matrix() -> dict[str, str]:
     digests = {}
     with tempfile.TemporaryDirectory() as directory:
         prefix = directory + os.sep
-        for argv in _invocations(directory):
+        runs = [({}, argv) for argv in _invocations(directory)]
+        budget = {"FRC_BUDGET": RUNAWAY_BUDGET}
+        runs += [(budget, argv) for argv in _runaway_invocations(directory)]
+        for env, argv in runs:
             for extra in ((), ("--json",)):
                 out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with (
+                    mock.patch.dict(os.environ, env),
+                    contextlib.redirect_stdout(out),
+                    contextlib.redirect_stderr(err),
+                ):
                     try:
                         rc = main([*argv, *extra])
                     except SystemExit as exc:  # argparse: usage errors, --help
                         rc = exc.code
                 record = json.dumps([rc, out.getvalue(), err.getvalue()]).replace(prefix, "")
-                key = " ".join((*argv, *extra)).replace(prefix, "")
+                words = [f"{name}={value}" for name, value in env.items()]
+                key = " ".join((*words, *argv, *extra)).replace(prefix, "")
                 digests[key] = hashlib.sha256(record.encode()).hexdigest()
     return digests
 

@@ -9,8 +9,16 @@ the current bound, since unions only grow along a branch; the cut never
 skips an earlier subset below the bound. Each subset found below the
 bound becomes the new bound, so the last one found is the minimum with
 its lexicographically least witness, and the first one found shows that
-some k nodes hold fewer packets than the starting bound. The search
-refuses to start when C(n, k) exceeds the budget.
+some k nodes hold fewer packets than the starting bound.
+
+The budget limits the work of one search, counted in descents: each
+extension of a partial subset by one more node costs one, and the
+search raises BudgetExceeded once it would pass the budget. Minimum
+k-union is NP-hard, so some searches must be refused, but a count of
+what a search does refuses it only once it has done that much work,
+where an estimate made up front misses both ways: ring(30,30,3) at
+k = 15 answers in 51,638 descents, though C(30, 15) is 155 million,
+and prg(25,7) at k = 22 needs 9,582, against C(25, 22) = 2,300.
 
 Many codes are mapped onto themselves by the node rotation i -> i+1
 (mod n): uniform ring codes, shifted-placement codes, any circulant
@@ -52,9 +60,13 @@ minimum k-union, which is NP-hard, but it cut prg(21,5) from about 250
 to about 10 ms. Rotation-invariant codes with no arc order keep the
 symmetric walk of min_coverage, which beats the table there: t(28,3,1)
 357 against 439 ms, t(24,4,2) 21 against 35 ms. The arc program and the
-table run only when C(n, n // 2), the largest walk, is within the
-budget; every other code, and every refusal, goes through min_coverage
-one k at a time.
+table are charged their cost up front in the same unit, since n alone
+fixes it: the program its row entries (about m^3 / 6 for a cut of m
+offsets, over its 1 or n cuts), the table 2^n / 256, which keeps the
+table to n <= 31 at the default budget. A code whose charge passes the
+budget, and every code with neither structure, goes through
+min_coverage one k at a time, and each of those walks counts its
+descents as it goes.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -79,8 +91,10 @@ from .constructions import PrgSpec
 from .core import FrCode, packets_from_mask, profile, single_deficit_shape
 from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable
 
-#: Default ceiling on C(n, k) per enumeration.
-DEFAULT_BUDGET = 10**8
+#: Default work ceiling of one search, in descents: extensions of a
+#: partial subset by one more node. A walk that runs away on 34 nodes
+#: passes 10^7 descents in about 8 s, so it is refused within seconds.
+DEFAULT_BUDGET = 10**7
 
 
 def _smaller_unions(
@@ -103,10 +117,6 @@ def _smaller_unions(
     n = code.n
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={k} outside [1, {n}]")
-    if math.comb(n, k) > budget:
-        raise BudgetExceeded(
-            f"C({n}, {k}) = {math.comb(n, k)} exceeds budget {budget}"
-        )
     masks = code.masks
     # limits[d] is the last candidate for position d: the k - 1 - d later
     # picks and the gap back to node 0 each need step more nodes.
@@ -122,6 +132,7 @@ def _smaller_unions(
     depth = 0  # len(chosen)
     limit = limits[0]
     i = 0  # next candidate for position depth
+    left = budget  # descents still allowed
     while True:
         if i > limit:  # too few nodes left to complete the subset
             if not depth:
@@ -138,6 +149,11 @@ def _smaller_unions(
                 bound = size
                 yield size, (*chosen, i)
             else:
+                if not left:
+                    raise BudgetExceeded(
+                        f"search at k={k} exceeds budget of {budget} descents"
+                    )
+                left -= 1
                 if symmetric and depth == 1:  # i is the smallest gap
                     step = i
                     limits[2:] = [n - (k - d) * i for d in range(2, k)]
@@ -176,21 +192,36 @@ class CoverageProfile:
 
 
 def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProfile:
+    """M(k) and its lexicographically least witness for every k in 1..n.
+
+    Three paths, chosen from the code's structure, give the same answer:
+
+    - A code whose holder sets are arcs (_arc_order) takes its values
+      from the arc DP and each witness from a first-hit walk at M(k).
+      The DP is charged its row entries up front, (m - 1) m (m + 1) / 6
+      for a cut of m offsets, over its one cut on a rotation-invariant
+      code and its n cuts otherwise.
+    - A code with no arc order and no rotation symmetry is read off the
+      subset table, charged 2^n / 256 up front: a subset costs a few
+      ns there against about 1 us for a descent of the walk.
+    - Every other code, and every code whose charge passes the budget,
+      runs min_coverage at each k, which counts its descents as it goes.
+
+    Every walk is one search with the whole budget; BudgetExceeded
+    names the k whose walk passed it.
+    """
     n = code.n
-    # The arc DP and the subset table answer only where no k would be
-    # refused, so the per-k searches keep every refusal, raised at the
-    # same k.
-    small = math.comb(n, n // 2) <= budget
-    arcs = _arc_order(code) if small else None
-    if arcs is not None:
-        symmetric = code.rotation_invariant
+    arcs = _arc_order(code)
+    symmetric = code.rotation_invariant
+    cuts = [n] if symmetric else range(1, n + 1)  # offsets per cut of the DP
+    if arcs is not None and sum((m - 1) * m * (m + 1) // 6 for m in cuts) <= budget:
         most = _most_missed(n, arcs, symmetric)
         # The first subset at or below the minimum is its lex-least witness.
         best = [
             next(_smaller_unions(code, k, code.theta - most[k] + 1, budget, symmetric))
             for k in range(1, n + 1)
         ]
-    elif small and not code.rotation_invariant:
+    elif arcs is None and not symmetric and 2**n // 256 <= budget:
         best = _subset_table(code)
     else:
         best = [min_coverage(code, k, budget=budget) for k in range(1, n + 1)]
@@ -400,8 +431,9 @@ def reconstruction_degree(
     fewest nodes holding every copy of some t packets (min_coverage of
     the transpose at t), that happens for k <= n - u, so the degree is
     n - u + 1. Once C(n, k) exceeds C(theta, t), one walk on the
-    transpose answers instead; it is then the cheaper side, so it
-    refuses nothing the scan would have answered.
+    transpose answers instead. The comparison only chooses the side;
+    every walk, on either side, is charged the descents it makes, and
+    the one that passes the budget raises BudgetExceeded.
     """
     file_size = _checked_file_size(code.theta, file_size)
     t = code.theta - file_size + 1
@@ -467,10 +499,7 @@ def goodness_arithmetic(
     """
     if k < 1 or alpha < 1 or theta < 1:
         raise KOutOfRange(f"need k, alpha, theta >= 1, got {k}, {alpha}, {theta}")
-    if file_size is None:
-        file_size = default_file_size(theta)
-    if file_size > theta:
-        raise Unreachable(f"file size {file_size} exceeds theta={theta}")
+    file_size = _checked_file_size(theta, file_size)
     rhs = goodness_rhs(k, alpha, weak)
     margin = file_size - rhs
     return GoodnessReport(

@@ -4,8 +4,9 @@ Exit codes: 0 on success, 1 on failing verdicts or domain errors (the
 error class name goes to stderr), 2 on usage errors. Human-facing
 output labels nodes U_1..U_n and packets P_1..P_theta (1-based); code
 files and --json output keep the 0-based indices used in memory. The
-FRC_BUDGET environment variable (a positive integer) overrides the
-enumeration budget.
+FRC_BUDGET environment variable (a positive integer) overrides the work
+budget of each search, counted in descents (analysis.DEFAULT_BUDGET); a
+search that passes it exits 1 with BudgetExceeded naming the search.
 
 The argument parser is built on the first main call and reused; each
 call parses into a fresh namespace, so main can be called repeatedly in
@@ -309,12 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
     good = sub.add_parser("goodness", help="universal-goodness check")
     good.add_argument("code")
     good.add_argument("--weak", action="store_true", help="force the relaxed bound")
-    good.add_argument(
+    # The structural check scans every k and takes no file size.
+    point = good.add_mutually_exclusive_group()
+    point.add_argument(
         "--structural",
         action="store_true",
         help="brute-force every k <= alpha instead of the point check",
     )
-    good.add_argument(
+    point.add_argument(
         "--file-size", type=int, help="point-check file size (default theta-1, at least 1)"
     )
     add_json(good)

@@ -57,7 +57,8 @@ class Unreachable(FrcError):
 
 
 class BudgetExceeded(FrcError):
-    """Enumeration would exceed the configured subset budget."""
+    """A search would pass its work budget (counted in descents), or a
+    size would pass its cap."""
 
 
 class Unrepairable(FrcError):

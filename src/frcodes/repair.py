@@ -9,15 +9,16 @@ lexicographically within a cardinality, so the reported plan is
 deterministic. The walk cuts a branch once its partial union together
 with all later candidates still misses a lost packet; such a branch
 holds no cover, so the cut never changes which cover is found first.
-The budget is an up-front estimate: the sum of C(c, size) over the
-sizes tried, for c candidate helpers. plan_repair_greedy gives the
-no-coordination baseline (each packet fetched from its lowest-indexed
-surviving holder) for comparison.
+The budget counts the walk's descents, the unit of the coverage
+searches (analysis.DEFAULT_BUDGET): each extension of a partial helper
+set by one more candidate costs one, over every size tried for the
+node. plan_repair_greedy gives the no-coordination baseline (each
+packet fetched from its lowest-indexed surviving holder) for
+comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .analysis import DEFAULT_BUDGET
@@ -72,8 +73,8 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     lexicographically least helper set. A branch is cut as soon as its
     partial union, joined with every candidate still to come, misses a
     lost packet. Raises Unrepairable when some lost packet has no other
-    replica, and BudgetExceeded when the running sum of C(c, size) over
-    the c candidates outgrows the budget, checked before each size.
+    replica, and BudgetExceeded once the walk, over all sizes, would
+    make more descents than the budget allows.
     """
     if not 0 <= failed < code.n:
         raise KOutOfRange(f"failed node {failed} outside [0, {code.n})")
@@ -91,13 +92,8 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     if rest[0] != lost_mask:
         missing = (lost_mask & ~rest[0]).bit_length() - 1
         raise Unrepairable(f"packet {missing} has no replica outside node {failed}")
-    examined = 0
+    left = budget  # descents still allowed
     for size in range(1, c + 1):
-        examined += math.comb(c, size)
-        if examined > budget:
-            raise BudgetExceeded(
-                f"helper-set search for node {failed} exceeds budget {budget}"
-            )
         chosen: list[int] = []
         outer: list[int] = []  # outer[d] is the partial union before chosen[d]
         union = 0  # union of restricted over chosen
@@ -114,6 +110,12 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
                 continue
             grown = union | restricted[i]
             if depth + 1 < size:
+                if not left:
+                    raise BudgetExceeded(
+                        f"helper-set search for node {failed} exceeds budget"
+                        f" of {budget} descents"
+                    )
+                left -= 1
                 chosen.append(i)
                 outer.append(union)
                 union = grown

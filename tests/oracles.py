@@ -55,6 +55,23 @@ def brute_reconstruction_degree(code, file_size):
     return None
 
 
+def brute_structural_goodness(code, weak):
+    """(binding k, its coverage, first failing k or None) of the bound
+    M(k) >= k*alpha - C(k, 2), one lower when weak, at every k up to
+    min(alpha, n): the first failing k binds, else the first k of least
+    slack."""
+    alpha = max(len(code.packets(i)) for i in range(code.n))
+    slack = []
+    for k in range(1, min(alpha, code.n) + 1):
+        value, _ = brute_min_coverage(code, k)
+        margin = value - (k * alpha - k * (k - 1) // 2 - weak)
+        if margin < 0:
+            return k, value, k
+        slack.append((margin, k, value))
+    _, k, value = min(slack)
+    return k, value, None
+
+
 def brute_min_helper_count(code, failed):
     """Smallest number of surviving nodes jointly holding every packet
     of the failed node; None when no subset covers them."""

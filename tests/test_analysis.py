@@ -36,14 +36,16 @@ from frcodes import (
 )
 from frcodes import analysis
 from frcodes.analysis import _SLICE_BITS, _arc_order, _smaller_unions, _subset_table
-from frcodes.core import FrCode, packets_from_mask
+from frcodes.core import FrCode
 from frcodes.sweep import default_theta_rule
 from oracles import (
     brute_holders,
     brute_min_coverage,
     brute_reconstruction_degree,
     brute_rotation_invariant,
+    brute_structural_goodness,
 )
+from strategies import small_codes
 
 
 def random_code(rng, max_n=10, max_theta=20):
@@ -55,6 +57,16 @@ def random_code(rng, max_n=10, max_theta=20):
         for i in rng.sample(range(n), count):
             storage[i].add(j)
     return make_code(n, theta, storage)
+
+
+def disjoint_pairs(n, extra=()):
+    """Node i holds packets 2i and 2i + 1, so any k nodes hold 2k and no
+    walk cuts a branch before its last pick: min_coverage runs away at
+    k near n / 2. Each node in extra gets one more packet of its own."""
+    storage = [{2 * i, 2 * i + 1} for i in range(n)]
+    for j, i in enumerate(extra, start=2 * n):
+        storage[i].add(j)
+    return make_code(n, 2 * n + len(extra), storage)
 
 
 def circulant_code(n, bases, extra=()):
@@ -142,9 +154,30 @@ def test_min_coverage_k_range():
 
 
 def test_min_coverage_budget():
-    code = build_ring(RingSpec(10, 10, 2))
-    with pytest.raises(BudgetExceeded):
-        min_coverage(code, 5, budget=100)
+    # The budget counts descents. With no branch cut, the plain walk
+    # descends once into every prefix of 1..k-1 nodes that can still be
+    # completed, C(n, k - 1) - 1 of them.
+    code = disjoint_pairs(10)
+    descents = math.comb(10, 4) - 1
+    walk = _smaller_unions(code, 5, code.theta + 1, descents, False)
+    assert list(walk)[-1] == (10, (0, 1, 2, 3, 4))
+    message = f"^search at k=5 exceeds budget of {descents - 1} descents$"
+    with pytest.raises(BudgetExceeded, match=message):
+        list(_smaller_unions(code, 5, code.theta + 1, descents - 1, False))
+    # On 34 pairs, k = 17 would walk C(34, 16) prefixes.
+    with pytest.raises(BudgetExceeded, match="^search at k=17 "):
+        min_coverage(disjoint_pairs(34), 17, budget=10**4)
+
+
+def test_the_budget_counts_descents_not_subsets():
+    # C(30, 15) is 155 million, but the symmetric walk needs 51,638
+    # descents, so the default budget answers.
+    code = build_ring(RingSpec(30, 30, 3))
+    prof = coverage_profile(code)
+    assert min_coverage(code, 15) == (prof.values[14], prof.witnesses[14])
+    assert min_coverage(code, 15, budget=51_638) == min_coverage(code, 15)
+    with pytest.raises(BudgetExceeded, match="^search at k=15 exceeds budget of 51637 "):
+        min_coverage(code, 15, budget=51_637)
 
 
 def test_min_coverage_matches_oracle_randomized():
@@ -244,10 +277,23 @@ def test_arc_dp_engages_on_ring_and_t_codes(code):
 
 
 def test_coverage_profile_refuses_as_the_per_k_loop_does():
-    # C(12, 6) exceeds the budget, so the loop runs and stops at k = 3.
-    with pytest.raises(BudgetExceeded) as info:
-        coverage_profile(build_ring(RingSpec(12, 12, 3)), budget=100)
-    assert str(info.value) == "C(12, 3) = 220 exceeds budget 100"
+    # Below the arc DP's charge the loop runs and refuses where it would
+    # alone; at the charge the DP answers, and each witness walk stops at
+    # its first hit.
+    for code, charge, refused_k in (
+        # One cut of 20 offsets: 19 * 20 * 21 / 6 row entries.
+        (disjoint_pairs(20), 1330, 7),
+        # Not rotation invariant: cuts of 1..20 offsets, C(22, 4) in all.
+        (disjoint_pairs(20, extra=[19]), 7315, 6),
+    ):
+        message = f"^search at k={refused_k} exceeds budget of {charge - 1} descents$"
+        with pytest.raises(BudgetExceeded, match=message):
+            [min_coverage(code, k, budget=charge - 1) for k in range(1, code.n + 1)]
+        with pytest.raises(BudgetExceeded, match=message):
+            coverage_profile(code, budget=charge - 1)
+        prof = coverage_profile(code, budget=charge)
+        assert prof.values == tuple(range(2, 39, 2)) + (code.theta,)
+        assert prof.witnesses == tuple(tuple(range(k)) for k in range(1, 21))
 
 
 # --- coverage profile from the subset table --------------------------------
@@ -271,19 +317,7 @@ def spread_code(seed, n, theta, rho):
 def test_subset_table_matches_oracle(data):
     # Empty nodes, a repeated node set, n > theta, one-packet codes and
     # packets on every node; slices as narrow as one free node.
-    n = data.draw(st.integers(1, 9), label="n")
-    theta = data.draw(st.integers(1, 12), label="theta")
-    full = (1 << theta) - 1
-    masks = data.draw(st.lists(st.integers(0, full), min_size=n, max_size=n), label="masks")
-    for j in data.draw(st.sets(st.integers(0, theta - 1), max_size=2), label="everywhere"):
-        masks = [m | 1 << j for m in masks]
-    placed = 0
-    for m in masks:
-        placed |= m
-    masks[data.draw(st.integers(0, n - 1), label="orphans")] |= full & ~placed
-    if data.draw(st.booleans(), label="repeat"):
-        masks.append(masks[data.draw(st.integers(0, n - 1), label="copied")])
-    code = make_code(len(masks), theta, [packets_from_mask(m) for m in masks])
+    code = data.draw(small_codes(), label="code")
     expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
     bits = data.draw(st.sampled_from([1, 2, 3, _SLICE_BITS]), label="slice bits")
     with mock.patch.object(analysis, "_SLICE_BITS", bits):
@@ -323,10 +357,17 @@ def test_invariant_codes_with_no_arc_order_keep_the_symmetric_walk(monkeypatch):
 
 
 def test_subset_table_keeps_the_refusals_of_the_per_k_loop():
-    # C(19, 9) exceeds the budget, so the loop runs and stops at k = 4.
-    with pytest.raises(BudgetExceeded) as info:
-        coverage_profile(build_prg(PrgSpec(19, 7)), budget=1000)
-    assert str(info.value) == "C(19, 4) = 3876 exceeds budget 1000"
+    # The table on prg(19, 7) is charged 2^19 / 256 = 2048. Below that the
+    # loop runs and refuses at k = 6, whose walk makes 3,259 descents.
+    code = build_prg(PrgSpec(19, 7))
+    message = "^search at k=6 exceeds budget of 2047 descents$"
+    with pytest.raises(BudgetExceeded, match=message):
+        [min_coverage(code, k, budget=2047) for k in range(1, code.n + 1)]
+    with pytest.raises(BudgetExceeded, match=message):
+        coverage_profile(code, budget=2047)
+    per_k = [min_coverage(code, k) for k in range(1, code.n + 1)]
+    prof = coverage_profile(code, budget=2048)
+    assert list(zip(prof.values, prof.witnesses)) == per_k
 
 
 def test_subset_table_memory_stays_under_one_mib():
@@ -375,22 +416,51 @@ def test_wide_code_searches_without_recursion():
 
 
 def test_reconstruction_degree_probes_only_up_to_the_answer():
-    # C(30, 15) exceeds the default budget, but the scan stops at k = 1.
-    code = make_code(30, 2, [{0, 1}] * 30)
-    assert reconstruction_degree(code) == 1
-    with pytest.raises(BudgetExceeded):
-        min_coverage(code, 15)
+    # min_coverage at k = 17 runs away on 34 disjoint pairs, but at M = 4
+    # the scan stops at k = 2.
+    code = disjoint_pairs(34)
+    assert reconstruction_degree(code, 4, budget=100) == 2
+    with pytest.raises(BudgetExceeded, match="^search at k=17 "):
+        min_coverage(code, 17, budget=100)
 
 
 def test_reconstruction_degree_answers_from_the_cheaper_side():
-    # C(30, 13) exceeds the default budget, so the scan alone refuses
-    # ring(30, 30, 3); the transpose at t = 2 has C(30, 2) = 435 pairs.
-    code = build_ring(RingSpec(30, 30, 3))
-    with pytest.raises(BudgetExceeded):
+    # Four packets, each on its own 15 of 60 nodes. At M = 3 the scan
+    # would have to show that no 31 nodes lie within two packets' holders,
+    # which runs away; the transpose at t = 2 has C(4, 2) = 6 pairs.
+    code = make_code(60, 4, [{i // 15} for i in range(60)])
+    with pytest.raises(BudgetExceeded, match="^search at k=31 "):
         for k in range(1, code.n + 1):
-            next(_smaller_unions(code, k, code.theta - 1, 10**8, True), None)
-    assert reconstruction_degree(code) == 27
+            next(_smaller_unions(code, k, 3, 10**4, False), None)
+    assert reconstruction_degree(code, 3, budget=10**4) == 31
+    assert reconstruction_degree(build_ring(RingSpec(30, 30, 3))) == 27
     assert reconstruction_degree(build_t_code(TSpec(26, 4, 2))) == 22
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(max_n=8), st.one_of(st.integers(1, 16), st.integers(1, 10**4)))
+def test_searches_answer_exactly_or_refuse(code, budget):
+    # Whatever the budget, each search equals its oracle or raises
+    # BudgetExceeded, and an answer at a budget stands at twice it.
+    def answer(search):
+        try:
+            found = search(budget)
+        except BudgetExceeded:
+            return None
+        assert search(2 * budget) == found
+        return found
+
+    expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
+    prof = answer(lambda b: coverage_profile(code, budget=b))
+    if prof is not None:
+        assert list(zip(prof.values, prof.witnesses)) == expected
+    for file_size in range(1, code.theta + 1):
+        degree = answer(lambda b: reconstruction_degree(code, file_size, budget=b))
+        assert degree in (None, brute_reconstruction_degree(code, file_size))
+    report = answer(lambda b: goodness_structural(code, budget=b))
+    if report is not None:
+        binding = report.k_evaluated, report.file_size, report.first_failing_k
+        assert binding == brute_structural_goodness(code, report.weak)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
@@ -642,6 +712,12 @@ def test_goodness_arithmetic_failing_point():
     assert report.margin == 9 and report.verdict  # negative rhs passes trivially
     failing = goodness_arithmetic(3, 5, 8, weak=False, file_size=7)
     assert failing.rhs == 12 and failing.margin == -5 and not failing.verdict
+
+
+@pytest.mark.parametrize("file_size", [0, -7])
+def test_goodness_arithmetic_rejects_file_sizes_below_one(file_size):
+    with pytest.raises(KOutOfRange, match=f"^file size must be >= 1, got {file_size}$"):
+        goodness_arithmetic(3, 2, 5, file_size=file_size)
 
 
 def test_goodness_structural_uniform_ring_passes():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,25 @@ def ring_file(tmp_path):
 def bad_code_file(tmp_path):
     path = tmp_path / "bad.json"
     export_code(make_code(3, 3, [{0, 1}, {0, 1}, {2}]), str(path))
+    return str(path)
+
+
+@pytest.fixture
+def blocks_file(tmp_path):
+    """Twenty nodes, each with its own ten packets: every k-union is 10k,
+    so no walk cuts a branch and coverage runs away near k = 10."""
+    path = tmp_path / "blocks.json"
+    export_code(make_code(20, 200, [range(10 * i, 10 * i + 10) for i in range(20)]), str(path))
+    return str(path)
+
+
+@pytest.fixture
+def cover_file(tmp_path):
+    """Node 0 holds the vertices of K_12 and each other node one edge, so
+    repairing node 0 needs six helpers and the walk over fewer runs away."""
+    path = tmp_path / "cover.json"
+    edges = [set(edge) for edge in combinations(range(12), 2)]
+    export_code(make_code(67, 12, [range(12), *edges]), str(path))
     return str(path)
 
 
@@ -163,24 +183,29 @@ def test_analyze_reads_the_degree_off_the_profile(capsys, tmp_path, monkeypatch)
     assert (rc, err) == (1, "Unreachable: file size 6 exceeds theta=5\n")
 
 
-def test_analyze_checks_the_budget_before_the_file_size(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("FRC_BUDGET", raising=False)
-    path = tmp_path / "ring.json"
-    export_code(build_ring(RingSpec(30, 30, 5)), str(path))
-    rc, _, err = run(capsys, "analyze", str(path), "--file-size", "0")
-    assert rc == 1
-    assert err.startswith("BudgetExceeded: C(30, 13)")
+def test_analyze_checks_the_budget_before_the_file_size(capsys, blocks_file, monkeypatch):
+    monkeypatch.setenv("FRC_BUDGET", "1000")
+    rc, _, err = run(capsys, "analyze", blocks_file, "--file-size", "0")
+    assert (rc, err) == (1, "BudgetExceeded: search at k=6 exceeds budget of 1000 descents\n")
 
 
-def test_analyze_refuses_ring_30_30_5_at_the_default_budget(capsys, tmp_path, monkeypatch):
-    # C(30, 15) exceeds the budget, so coverage runs k by k and stops at
-    # the first k whose walk it refuses.
+def test_analyze_answers_ring_30_30_5_at_the_default_budget(
+    capsys, tmp_path, blocks_file, monkeypatch
+):
+    # The C(n, k) estimate refused both rings; the arc DP and first-hit
+    # witness walks answer them in milliseconds.
     monkeypatch.delenv("FRC_BUDGET", raising=False)
-    path = tmp_path / "ring.json"
-    export_code(build_ring(RingSpec(30, 30, 5)), str(path))
-    rc, out, err = run(capsys, "analyze", str(path))
+    for n in (30, 60):
+        path = tmp_path / f"ring-{n}.json"
+        export_code(build_ring(RingSpec(n, n, 5)), str(path))
+        rc, out, err = run(capsys, "analyze", str(path))
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1] == f"reconstruction degree at M={n - 1}: k={n - 5}"
+    # A walk that runs away is still refused, naming its k and the budget.
+    monkeypatch.setenv("FRC_BUDGET", "1000")
+    rc, out, err = run(capsys, "analyze", blocks_file)
     assert (rc, out) == (1, "")
-    assert err == "BudgetExceeded: C(30, 13) = 119759850 exceeds budget 100000000\n"
+    assert err == "BudgetExceeded: search at k=6 exceeds budget of 1000 descents\n"
 
 
 def test_analyze_names_the_accepted_extensions(capsys, tmp_path):
@@ -230,6 +255,14 @@ def test_goodness_wide_code_fails_cleanly(capsys, tmp_path):
     assert rc == 1
     assert out.splitlines()[-1] == "FAIL"
     assert err == ""
+
+
+@pytest.mark.parametrize("file_size", ["0", "2", "99"])
+def test_goodness_structural_takes_no_file_size(capsys, ring_file, file_size):
+    with pytest.raises(SystemExit) as exc:
+        main(["goodness", ring_file, "--structural", "--file-size", file_size])
+    assert exc.value.code == 2
+    assert "argument --file-size: not allowed with argument --structural" in capsys.readouterr().err
 
 
 def test_goodness_weak_flag(capsys, ring_file):
@@ -484,11 +517,15 @@ def test_conjecture_json(capsys):
 # --- plumbing ---------------------------------------------------------------
 
 
-def test_budget_env_override(capsys, ring_file, monkeypatch):
-    monkeypatch.setenv("FRC_BUDGET", "2")
-    rc, _, err = run(capsys, "analyze", ring_file)
-    assert rc == 1
-    assert err.startswith("BudgetExceeded:")
+def test_budget_env_override(capsys, blocks_file, cover_file, monkeypatch):
+    monkeypatch.setenv("FRC_BUDGET", "50")
+    for argv, search in (
+        (("analyze", blocks_file), "search at k=4"),
+        (("goodness", blocks_file, "--structural"), "search at k=4"),
+        (("repair", cover_file, "--fail", "1"), "helper-set search for node 0"),
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert (rc, err) == (1, f"BudgetExceeded: {search} exceeds budget of 50 descents\n")
 
 
 def test_budget_env_must_be_integer(capsys, ring_file, monkeypatch):

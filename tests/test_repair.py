@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frcodes import (
     BudgetExceeded,
@@ -17,6 +19,7 @@ from frcodes import (
     plan_repair_greedy,
 )
 from oracles import brute_lex_least_helpers, brute_min_helper_count
+from strategies import small_codes
 
 
 def random_repairable_code(rng, max_n=9, max_theta=14):
@@ -76,13 +79,40 @@ def test_plan_repair_empty_node():
 
 
 def test_plan_repair_budget():
-    # node 0 shares a packet with twenty candidates, each indispensable,
-    # so the search would have to reach size twenty
-    storage = [set(range(20))] + [{j} for j in range(20)]
-    code = make_code(21, 20, storage)
-    with pytest.raises(BudgetExceeded):
-        plan_repair(code, 0, budget=100)
-    assert plan_repair(code, 0).repair_degree == 20
+    # Node 0 shares a packet with each of 27 candidates, each
+    # indispensable, so the walk must reach size 27. Only the run of
+    # candidates from the first survives the cut, so size s makes s - 1
+    # descents, C(27, 2) = 351 in all.
+    code = make_code(28, 27, [set(range(27))] + [{j} for j in range(27)])
+    assert plan_repair(code, 0).repair_degree == 27
+    assert plan_repair(code, 0, budget=351) == plan_repair(code, 0)
+    message = "^helper-set search for node 0 exceeds budget of 350 descents$"
+    with pytest.raises(BudgetExceeded, match=message):
+        plan_repair(code, 0, budget=350)
+    # Node 0 holds the vertices of K_12 and each other node one edge: a
+    # cover needs six helpers, and the walk over fewer runs away.
+    edges = [set(edge) for edge in combinations(range(12), 2)]
+    with pytest.raises(BudgetExceeded, match="^helper-set search for node 0 "):
+        plan_repair(make_code(67, 12, [range(12), *edges]), 0, budget=10**4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(max_n=8), st.one_of(st.integers(1, 16), st.integers(1, 10**4)))
+def test_plan_repair_answers_exactly_or_refuses(code, budget):
+    # At every node the plan is the oracle's, or the node is unrepairable,
+    # or the walk refuses; a plan found at a budget stands at twice it.
+    for failed in range(code.n):
+        helpers = brute_lex_least_helpers(code, failed)
+        if helpers is None:
+            with pytest.raises(Unrepairable):
+                plan_repair(code, failed, budget=budget)
+            continue
+        try:
+            plan = plan_repair(code, failed, budget=budget)
+        except BudgetExceeded:
+            continue
+        assert plan.helpers == helpers
+        assert plan_repair(code, failed, budget=2 * budget) == plan
 
 
 def test_greedy_can_exceed_minimum():

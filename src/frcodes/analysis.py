@@ -11,14 +11,18 @@ bound becomes the new bound, so the last one found is the minimum with
 its lexicographically least witness, and the first one found shows that
 some k nodes hold fewer packets than the starting bound.
 
-The budget limits the work of one search, counted in descents: each
-extension of a partial subset by one more node costs one, and the
-search raises BudgetExceeded once it would pass the budget. Minimum
-k-union is NP-hard, so some searches must be refused, but a count of
-what a search does refuses it only once it has done that much work,
-where an estimate made up front misses both ways: ring(30,30,3) at
-k = 15 answers in 51,638 descents, though C(30, 15) is 155 million,
-and prg(25,7) at k = 22 needs 9,582, against C(25, 22) = 2,300.
+The budget limits the work of one search, counted in steps: each
+candidate node the walk tries after its first position costs one. A
+descent, the extension of a partial subset by one more node, pays up
+front for every candidate of the level it opens, and the search raises
+BudgetExceeded once it would pass the budget; so a refused search has
+run at most about twice the budget's loop iterations, about 0.3 us
+each. Minimum k-union is NP-hard, so some searches must be refused, but
+a count of what a search does refuses it only once it has done that
+much work, where an estimate made up front misses both ways:
+ring(30,30,3) at k = 15 answers in 239,587 steps, though C(30, 15) is
+155 million, and prg(25,7) at k = 22 needs 11,583, against
+C(25, 22) = 2,300.
 
 Many codes are mapped onto themselves by the node rotation i -> i+1
 (mod n): uniform ring codes, shifted-placement codes, any circulant
@@ -62,11 +66,11 @@ symmetric walk of min_coverage, which beats the table there: t(28,3,1)
 357 against 439 ms, t(24,4,2) 21 against 35 ms. The arc program and the
 table are charged their cost up front in the same unit, since n alone
 fixes it: the program its row entries (about m^3 / 6 for a cut of m
-offsets, over its 1 or n cuts), the table 2^n / 256, which keeps the
-table to n <= 31 at the default budget. A code whose charge passes the
+offsets, over its 1 or n cuts), the table 2^n / 64, which keeps the
+table to n <= 29 at the default budget. A code whose charge passes the
 budget, and every code with neither structure, goes through
 min_coverage one k at a time, and each of those walks counts its
-descents as it goes.
+steps as it goes.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -91,9 +95,9 @@ from .constructions import PrgSpec
 from .core import FrCode, packets_from_mask, profile, single_deficit_shape
 from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable
 
-#: Default work ceiling of one search, in descents: extensions of a
-#: partial subset by one more node. A walk that runs away on 34 nodes
-#: passes 10^7 descents in about 8 s, so it is refused within seconds.
+#: Default work ceiling of one search, in steps: candidates tried after
+#: the first position. A walk that runs away passes 10^7 steps in about
+#: 2-3 s, so it is refused within seconds.
 DEFAULT_BUDGET = 10**7
 
 
@@ -132,7 +136,7 @@ def _smaller_unions(
     depth = 0  # len(chosen)
     limit = limits[0]
     i = 0  # next candidate for position depth
-    left = budget  # descents still allowed
+    left = budget  # steps still allowed
     while True:
         if i > limit:  # too few nodes left to complete the subset
             if not depth:
@@ -149,11 +153,6 @@ def _smaller_unions(
                 bound = size
                 yield size, (*chosen, i)
             else:
-                if not left:
-                    raise BudgetExceeded(
-                        f"search at k={k} exceeds budget of {budget} descents"
-                    )
-                left -= 1
                 if symmetric and depth == 1:  # i is the smallest gap
                     step = i
                     limits[2:] = [n - (k - d) * i for d in range(2, k)]
@@ -162,6 +161,11 @@ def _smaller_unions(
                 depth += 1
                 limit = limits[depth]
                 i += step
+                left -= limit - i + 1  # every candidate of the new level
+                if left < 0:
+                    raise BudgetExceeded(
+                        f"search at k={k} exceeds budget of {budget} steps"
+                    )
                 continue
         i += 1
 
@@ -202,10 +206,10 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
       for a cut of m offsets, over its one cut on a rotation-invariant
       code and its n cuts otherwise.
     - A code with no arc order and no rotation symmetry is read off the
-      subset table, charged 2^n / 256 up front: a subset costs a few
-      ns there against about 1 us for a descent of the walk.
+      subset table, charged 2^n / 64 up front: a subset costs 4-8 ns
+      there against about 0.3 us for a step of the walk.
     - Every other code, and every code whose charge passes the budget,
-      runs min_coverage at each k, which counts its descents as it goes.
+      runs min_coverage at each k, which counts its steps as it goes.
 
     Every walk is one search with the whole budget; BudgetExceeded
     names the k whose walk passed it.
@@ -213,15 +217,17 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
     n = code.n
     arcs = _arc_order(code)
     symmetric = code.rotation_invariant
-    cuts = [n] if symmetric else range(1, n + 1)  # offsets per cut of the DP
-    if arcs is not None and sum((m - 1) * m * (m + 1) // 6 for m in cuts) <= budget:
+    # The arc DP's row entries: C(n + 1, 3) over its one cut of a
+    # rotation-invariant code, C(n + 2, 4) over its n cuts otherwise.
+    rows = (n - 1) * n * (n + 1) * (4 if symmetric else n + 2) // 24
+    if arcs is not None and rows <= budget:
         most = _most_missed(n, arcs, symmetric)
         # The first subset at or below the minimum is its lex-least witness.
         best = [
             next(_smaller_unions(code, k, code.theta - most[k] + 1, budget, symmetric))
             for k in range(1, n + 1)
         ]
-    elif arcs is None and not symmetric and 2**n // 256 <= budget:
+    elif arcs is None and not symmetric and 2**n // 64 <= budget:
         best = _subset_table(code)
     else:
         best = [min_coverage(code, k, budget=budget) for k in range(1, n + 1)]
@@ -432,8 +438,8 @@ def reconstruction_degree(
     the transpose at t), that happens for k <= n - u, so the degree is
     n - u + 1. Once C(n, k) exceeds C(theta, t), one walk on the
     transpose answers instead. The comparison only chooses the side;
-    every walk, on either side, is charged the descents it makes, and
-    the one that passes the budget raises BudgetExceeded.
+    every walk, on either side, is charged the steps it takes, and the
+    one that passes the budget raises BudgetExceeded.
     """
     file_size = _checked_file_size(code.theta, file_size)
     t = code.theta - file_size + 1

@@ -5,7 +5,7 @@ error class name goes to stderr), 2 on usage errors. Human-facing
 output labels nodes U_1..U_n and packets P_1..P_theta (1-based); code
 files and --json output keep the 0-based indices used in memory. The
 FRC_BUDGET environment variable (a positive integer) overrides the work
-budget of each search, counted in descents (analysis.DEFAULT_BUDGET); a
+budget of each search, counted in steps (analysis.DEFAULT_BUDGET); a
 search that passes it exits 1 with BudgetExceeded naming the search.
 
 The argument parser is built on the first main call and reused; each

@@ -57,7 +57,7 @@ class Unreachable(FrcError):
 
 
 class BudgetExceeded(FrcError):
-    """A search would pass its work budget (counted in descents), or a
+    """A search would pass its work budget (counted in steps), or a
     size would pass its cap."""
 
 

@@ -9,12 +9,12 @@ lexicographically within a cardinality, so the reported plan is
 deterministic. The walk cuts a branch once its partial union together
 with all later candidates still misses a lost packet; such a branch
 holds no cover, so the cut never changes which cover is found first.
-The budget counts the walk's descents, the unit of the coverage
-searches (analysis.DEFAULT_BUDGET): each extension of a partial helper
-set by one more candidate costs one, over every size tried for the
-node. plan_repair_greedy gives the no-coordination baseline (each
-packet fetched from its lowest-indexed surviving holder) for
-comparison.
+The budget counts the walk's steps, the unit of the coverage searches
+(analysis.DEFAULT_BUDGET): each extension of a partial helper set by one
+more candidate pays for every candidate of the level it opens, over
+every size tried for the node. plan_repair_greedy gives the
+no-coordination baseline (each packet fetched from its lowest-indexed
+surviving holder) for comparison.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     partial union, joined with every candidate still to come, misses a
     lost packet. Raises Unrepairable when some lost packet has no other
     replica, and BudgetExceeded once the walk, over all sizes, would
-    make more descents than the budget allows.
+    take more steps than the budget allows.
     """
     if not 0 <= failed < code.n:
         raise KOutOfRange(f"failed node {failed} outside [0, {code.n})")
@@ -92,7 +92,7 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     if rest[0] != lost_mask:
         missing = (lost_mask & ~rest[0]).bit_length() - 1
         raise Unrepairable(f"packet {missing} has no replica outside node {failed}")
-    left = budget  # descents still allowed
+    left = budget  # steps still allowed
     for size in range(1, c + 1):
         chosen: list[int] = []
         outer: list[int] = []  # outer[d] is the partial union before chosen[d]
@@ -110,12 +110,13 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
                 continue
             grown = union | restricted[i]
             if depth + 1 < size:
-                if not left:
+                # Pay for every candidate of the level this opens.
+                left -= c - size + depth + 1 - i
+                if left < 0:
                     raise BudgetExceeded(
                         f"helper-set search for node {failed} exceeds budget"
-                        f" of {budget} descents"
+                        f" of {budget} steps"
                     )
-                left -= 1
                 chosen.append(i)
                 outer.append(union)
                 union = grown

@@ -154,30 +154,42 @@ def test_min_coverage_k_range():
 
 
 def test_min_coverage_budget():
-    # The budget counts descents. With no branch cut, the plain walk
-    # descends once into every prefix of 1..k-1 nodes that can still be
-    # completed, C(n, k - 1) - 1 of them.
+    # The budget counts steps: each candidate tried below the first
+    # position. With no branch cut, the plain walk tries every prefix of
+    # j = 2..k nodes that can still be completed, C(n - k + j, j) of
+    # each size, C(n + 1, k) - (n - k + 2) in all.
     code = disjoint_pairs(10)
-    descents = math.comb(10, 4) - 1
-    walk = _smaller_unions(code, 5, code.theta + 1, descents, False)
+    steps = math.comb(11, 5) - 7
+    walk = _smaller_unions(code, 5, code.theta + 1, steps, False)
     assert list(walk)[-1] == (10, (0, 1, 2, 3, 4))
-    message = f"^search at k=5 exceeds budget of {descents - 1} descents$"
+    message = f"^search at k=5 exceeds budget of {steps - 1} steps$"
     with pytest.raises(BudgetExceeded, match=message):
-        list(_smaller_unions(code, 5, code.theta + 1, descents - 1, False))
+        list(_smaller_unions(code, 5, code.theta + 1, steps - 1, False))
     # On 34 pairs, k = 17 would walk C(34, 16) prefixes.
     with pytest.raises(BudgetExceeded, match="^search at k=17 "):
         min_coverage(disjoint_pairs(34), 17, budget=10**4)
 
 
-def test_the_budget_counts_descents_not_subsets():
-    # C(30, 15) is 155 million, but the symmetric walk needs 51,638
-    # descents, so the default budget answers.
+def test_the_budget_counts_steps_not_subsets():
+    # C(30, 15) is 155 million, but the symmetric walk needs 239,587
+    # steps, so the default budget answers.
     code = build_ring(RingSpec(30, 30, 3))
     prof = coverage_profile(code)
     assert min_coverage(code, 15) == (prof.values[14], prof.witnesses[14])
-    assert min_coverage(code, 15, budget=51_638) == min_coverage(code, 15)
-    with pytest.raises(BudgetExceeded, match="^search at k=15 exceeds budget of 51637 "):
-        min_coverage(code, 15, budget=51_637)
+    assert min_coverage(code, 15, budget=239_587) == min_coverage(code, 15)
+    with pytest.raises(BudgetExceeded, match="^search at k=15 exceeds budget of 239586 "):
+        min_coverage(code, 15, budget=239_586)
+
+
+def test_the_budget_counts_leaf_checks():
+    # A descent pays for every candidate of the level it opens, so the
+    # leaves count too: at k = 2 the plain walk on 100 pairs descends
+    # only 99 times but tries all C(100, 2) = 4,950 pairs.
+    code = disjoint_pairs(100)
+    walk = _smaller_unions(code, 2, code.theta + 1, 4950, False)
+    assert list(walk)[-1] == (4, (0, 1))
+    with pytest.raises(BudgetExceeded, match="^search at k=2 exceeds budget of 4949 steps$"):
+        list(_smaller_unions(code, 2, code.theta + 1, 4949, False))
 
 
 def test_min_coverage_matches_oracle_randomized():
@@ -282,11 +294,11 @@ def test_coverage_profile_refuses_as_the_per_k_loop_does():
     # its first hit.
     for code, charge, refused_k in (
         # One cut of 20 offsets: 19 * 20 * 21 / 6 row entries.
-        (disjoint_pairs(20), 1330, 7),
+        (disjoint_pairs(20), 1330, 5),
         # Not rotation invariant: cuts of 1..20 offsets, C(22, 4) in all.
-        (disjoint_pairs(20, extra=[19]), 7315, 6),
+        (disjoint_pairs(20, extra=[19]), 7315, 5),
     ):
-        message = f"^search at k={refused_k} exceeds budget of {charge - 1} descents$"
+        message = f"^search at k={refused_k} exceeds budget of {charge - 1} steps$"
         with pytest.raises(BudgetExceeded, match=message):
             [min_coverage(code, k, budget=charge - 1) for k in range(1, code.n + 1)]
         with pytest.raises(BudgetExceeded, match=message):
@@ -294,6 +306,23 @@ def test_coverage_profile_refuses_as_the_per_k_loop_does():
         prof = coverage_profile(code, budget=charge)
         assert prof.values == tuple(range(2, 39, 2)) + (code.theta,)
         assert prof.witnesses == tuple(tuple(range(k)) for k in range(1, 21))
+
+
+def test_witness_walks_after_the_arc_dp_count_their_steps():
+    # With the extra packet on node 0 the lex-least witnesses avoid it,
+    # and the first-hit walk at M(k) must first try node 0's subtree.
+    # The DP fits its charge, but the walk at k = 6 passes it; the
+    # profile needs 184,845 steps, the costliest of its witness walks.
+    code = disjoint_pairs(20, extra=[0])
+    with pytest.raises(BudgetExceeded, match="^search at k=6 exceeds budget of 7315 steps$"):
+        coverage_profile(code, budget=7315)
+    with pytest.raises(BudgetExceeded, match="^search at k=11 exceeds budget of 184844 "):
+        coverage_profile(code, budget=184_844)
+    prof = coverage_profile(code, budget=184_845)
+    assert prof.values == tuple(range(2, 39, 2)) + (code.theta,)
+    assert prof.witnesses == tuple(tuple(range(1, k + 1)) for k in range(1, 20)) + (
+        tuple(range(20)),
+    )
 
 
 # --- coverage profile from the subset table --------------------------------
@@ -357,16 +386,16 @@ def test_invariant_codes_with_no_arc_order_keep_the_symmetric_walk(monkeypatch):
 
 
 def test_subset_table_keeps_the_refusals_of_the_per_k_loop():
-    # The table on prg(19, 7) is charged 2^19 / 256 = 2048. Below that the
-    # loop runs and refuses at k = 6, whose walk makes 3,259 descents.
+    # The table on prg(19, 7) is charged 2^19 / 64 = 8192. Below that the
+    # loop runs and refuses at k = 6, whose walk takes 12,748 steps.
     code = build_prg(PrgSpec(19, 7))
-    message = "^search at k=6 exceeds budget of 2047 descents$"
+    message = "^search at k=6 exceeds budget of 8191 steps$"
     with pytest.raises(BudgetExceeded, match=message):
-        [min_coverage(code, k, budget=2047) for k in range(1, code.n + 1)]
+        [min_coverage(code, k, budget=8191) for k in range(1, code.n + 1)]
     with pytest.raises(BudgetExceeded, match=message):
-        coverage_profile(code, budget=2047)
+        coverage_profile(code, budget=8191)
     per_k = [min_coverage(code, k) for k in range(1, code.n + 1)]
-    prof = coverage_profile(code, budget=2048)
+    prof = coverage_profile(code, budget=8192)
     assert list(zip(prof.values, prof.witnesses)) == per_k
 
 

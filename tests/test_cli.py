@@ -186,7 +186,7 @@ def test_analyze_reads_the_degree_off_the_profile(capsys, tmp_path, monkeypatch)
 def test_analyze_checks_the_budget_before_the_file_size(capsys, blocks_file, monkeypatch):
     monkeypatch.setenv("FRC_BUDGET", "1000")
     rc, _, err = run(capsys, "analyze", blocks_file, "--file-size", "0")
-    assert (rc, err) == (1, "BudgetExceeded: search at k=6 exceeds budget of 1000 descents\n")
+    assert (rc, err) == (1, "BudgetExceeded: search at k=5 exceeds budget of 1000 steps\n")
 
 
 def test_analyze_answers_ring_30_30_5_at_the_default_budget(
@@ -205,7 +205,7 @@ def test_analyze_answers_ring_30_30_5_at_the_default_budget(
     monkeypatch.setenv("FRC_BUDGET", "1000")
     rc, out, err = run(capsys, "analyze", blocks_file)
     assert (rc, out) == (1, "")
-    assert err == "BudgetExceeded: search at k=6 exceeds budget of 1000 descents\n"
+    assert err == "BudgetExceeded: search at k=5 exceeds budget of 1000 steps\n"
 
 
 def test_analyze_names_the_accepted_extensions(capsys, tmp_path):
@@ -520,12 +520,12 @@ def test_conjecture_json(capsys):
 def test_budget_env_override(capsys, blocks_file, cover_file, monkeypatch):
     monkeypatch.setenv("FRC_BUDGET", "50")
     for argv, search in (
-        (("analyze", blocks_file), "search at k=4"),
-        (("goodness", blocks_file, "--structural"), "search at k=4"),
+        (("analyze", blocks_file), "search at k=3"),
+        (("goodness", blocks_file, "--structural"), "search at k=3"),
         (("repair", cover_file, "--fail", "1"), "helper-set search for node 0"),
     ):
         rc, _, err = run(capsys, *argv)
-        assert (rc, err) == (1, f"BudgetExceeded: {search} exceeds budget of 50 descents\n")
+        assert (rc, err) == (1, f"BudgetExceeded: {search} exceeds budget of 50 steps\n")
 
 
 def test_budget_env_must_be_integer(capsys, ring_file, monkeypatch):

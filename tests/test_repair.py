@@ -82,13 +82,14 @@ def test_plan_repair_budget():
     # Node 0 shares a packet with each of 27 candidates, each
     # indispensable, so the walk must reach size 27. Only the run of
     # candidates from the first survives the cut, so size s makes s - 1
-    # descents, C(27, 2) = 351 in all.
+    # descents, each paying for the 28 - s candidates of the level it
+    # opens: C(28, 3) = 3,276 steps in all.
     code = make_code(28, 27, [set(range(27))] + [{j} for j in range(27)])
     assert plan_repair(code, 0).repair_degree == 27
-    assert plan_repair(code, 0, budget=351) == plan_repair(code, 0)
-    message = "^helper-set search for node 0 exceeds budget of 350 descents$"
+    assert plan_repair(code, 0, budget=3276) == plan_repair(code, 0)
+    message = "^helper-set search for node 0 exceeds budget of 3275 steps$"
     with pytest.raises(BudgetExceeded, match=message):
-        plan_repair(code, 0, budget=350)
+        plan_repair(code, 0, budget=3275)
     # Node 0 holds the vertices of K_12 and each other node one edge: a
     # cover needs six helpers, and the walk over fewer runs away.
     edges = [set(edge) for edge in combinations(range(12), 2)]

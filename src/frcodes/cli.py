@@ -3,7 +3,10 @@
 Exit codes: 0 on success, 1 on failing verdicts or domain errors (the
 error class name goes to stderr), 2 on usage errors. Human-facing
 output labels nodes U_1..U_n and packets P_1..P_theta (1-based); code
-files and --json output keep the 0-based indices used in memory. The
+files and --json output keep the 0-based indices used in memory. --json
+output is the text json.dumps(result, indent=2) gives, byte for byte,
+written by constructions._json_text; audit-table --json prints one
+compact object per row instead. The
 FRC_BUDGET environment variable (a positive integer) overrides the work
 budget of each search, counted in steps (analysis.DEFAULT_BUDGET); a
 search that passes it exits 1 with BudgetExceeded naming the search.
@@ -55,8 +58,10 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _print_json(obj) -> None:
-    """Dataclass results serialize as their fields, in declaration order."""
-    print(json.dumps(obj, indent=2, default=vars))
+    """Print obj as json.dumps(obj, indent=2, default=vars) would, byte
+    for byte (constructions._json_text): dataclass results serialize as
+    their fields, in declaration order."""
+    print(constructions._json_text(obj))
 
 
 def _node_label(i: int) -> str:

@@ -23,6 +23,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, TextIO
 
 from .core import (
@@ -201,6 +203,58 @@ def _infer_format(path: str) -> str:
     )
 
 
+def _json_text(obj: Any, pad: str = "\n") -> str:
+    """Exactly json.dumps(obj, indent=2, default=vars) on what frc
+    writes: dicts with str keys, lists, tuples, str, int, bool, None,
+    and other objects as vars(obj).
+
+    json's C encoder takes no indent, so json.dumps walks indented
+    output in pure Python. This builds each container as one joined
+    string, and joins a list of plain ints, or of non-empty lists of
+    them, in C. pad is a newline and the enclosing indent. A float, a
+    non-str key or a subclass of a JSON type raises TypeError, so
+    nothing outside that set is written unnoticed.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        kinds = {*map(type, obj)}
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds <= {list, tuple} and all(obj) and {*map(type, chain(*obj))} == {int}:
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = [f"[{deeper}{sep.join(map(int.__repr__, item))}{inner}]" for item in obj]
+        else:
+            items = [_json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if {*map(type, obj)} != {str}:
+            raise TypeError("JSON object keys must be str")
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, float, str, list, tuple, dict)):
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    return _json_text(vars(obj), pad)
+
+
 def code_to_dict(code: FrCode) -> dict:
     """The canonical JSON document of a code (0-based indices)."""
     return {
@@ -215,8 +269,7 @@ def export_code(code: FrCode, path: str, fmt: str | None = None) -> None:
     fmt = fmt or _infer_format(path)
     if fmt == FORMAT_JSON:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(code_to_dict(code), fh, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(code_to_dict(code)) + "\n")
     elif fmt == FORMAT_CSV_MATRIX:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(incidence_matrix(code))

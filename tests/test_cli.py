@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -702,3 +703,60 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "audit-table" in proc.stdout
+
+
+# --- JSON text ---------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    first: object
+    second: object
+
+
+# Any code point, lone surrogates too, with the characters json escapes
+# drawn often.
+JSON_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\x00\x1f\x7f\n\té 𐏿\U0001f600'),
+    )
+)
+JSON_INTS = st.one_of(st.integers(-300, 300), st.integers(-(10**80), 10**80))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_INTS, JSON_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+        st.builds(Pair, inner, inner),
+        # The writer's shortcuts: plain ints, and non-empty lists of them.
+        st.lists(st.one_of(JSON_INTS, st.booleans()), max_size=4),
+        st.lists(st.lists(JSON_INTS, max_size=3).map(tuple), max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps_byte_for_byte(value):
+    assert constructions._json_text(value) == json.dumps(value, indent=2, default=vars)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, [0, 2.0], {"a": float("nan")}, {1: 2}, {"a": {None: 0}}, Pair(1, {True: 0})]
+)
+def test_json_text_refuses_floats_and_keys_that_are_not_str(value):
+    with pytest.raises(TypeError):
+        constructions._json_text(value)
+
+
+def test_code_files_are_json_dumps_byte_for_byte(tmp_path):
+    from test_cli_parity import _codes
+
+    for name, code in _codes():
+        path = tmp_path / f"{name}.json"
+        export_code(code, str(path))
+        expected = json.dumps(constructions.code_to_dict(code), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode(), name

@@ -19,3 +19,17 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_no_indented_json_dumps_in_package():
+    # Indented output goes through constructions._json_text, not json's
+    # pure-Python indent path.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert SOURCES and not found, found

@@ -532,27 +532,35 @@ def goodness_structural(
     weak=None picks the form automatically: relaxed for the
     single-deficit shape, strict otherwise. The scan is ascending and
     first_failing_k reports the earliest violated k; when all pass,
-    the point fields describe the tightest (smallest-margin) k.
+    the point fields describe the tightest (smallest-margin) k, the
+    earliest of equals.
+
+    It decides rather than minimises: after k = 1, a later k can only
+    change the report with a union below its rhs plus the least margin
+    so far, so each walk runs to that bound and may find nothing.
     """
     prof = profile(code)
     if weak is None:
         weak = single_deficit_shape(prof)
     alpha = prof.alpha
-    # alpha >= 1 and n >= 1, so at least k = 1 is scanned. Every margin
-    # before the first negative one is >= 0, so min() picks the first
-    # failing k, or else the earliest tightest k.
-    scanned = []
+    theta = code.theta
+    symmetric = code.rotation_invariant
+    # The binding (margin, k, value) so far. k = 1 is always scanned
+    # (alpha >= 1, n >= 1) and its rhs is >= 0, so its walk runs at
+    # theta + 1, above every union, and sets all three.
+    binding_margin = theta + 1
     for k in range(1, min(alpha, code.n) + 1):
-        value, _ = min_coverage(code, k, budget=budget)
-        scanned.append((value - goodness_rhs(k, alpha, weak), k, value))
-        if scanned[-1][0] < 0:
+        rhs = goodness_rhs(k, alpha, weak)
+        bound = min(theta + 1, rhs + binding_margin)
+        for value, _ in _smaller_unions(code, k, bound, budget, symmetric):
+            binding_margin, binding_k, binding_value = value - rhs, k, value
+        if binding_margin < 0:
             break
-    binding_margin, binding_k, binding_value = min(scanned)
     passed = binding_margin >= 0
     rhs = goodness_rhs(binding_k, alpha, weak)
     return GoodnessReport(
         alpha=alpha,
-        theta=code.theta,
+        theta=theta,
         k_evaluated=binding_k,
         file_size=binding_value,
         weak=weak,

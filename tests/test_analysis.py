@@ -809,6 +809,44 @@ def test_structural_pass_implies_arithmetic_pass_everywhere():
             assert point.verdict
 
 
+def per_k_goodness(code, weak):
+    """The goodness report that min_coverage at every k gives: the first
+    failing k binds, else the earliest k of least margin."""
+    prof = profile(code)
+    if weak is None:
+        weak = single_deficit_shape(prof)
+    scanned = []
+    for k in range(1, min(prof.alpha, code.n) + 1):
+        value, _ = min_coverage(code, k)
+        rhs = k * prof.alpha - math.comb(k, 2) - weak
+        scanned.append((value - rhs, k, value, rhs))
+        if value < rhs:
+            break
+    margin, k, value, rhs = min(scanned)
+    passed = margin >= 0
+    return analysis.GoodnessReport(
+        alpha=prof.alpha, theta=code.theta, k_evaluated=k, file_size=value,
+        weak=weak, rhs=rhs, rhs_positive=rhs > 0, margin=margin, verdict=passed,
+        structural_verdict=passed, first_failing_k=None if passed else k,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_codes(max_n=10), st.sampled_from([None, True, False]))
+def test_goodness_structural_matches_the_per_k_minimum(code, weak):
+    assert goodness_structural(code, weak=weak) == per_k_goodness(code, weak)
+
+
+def test_goodness_structural_walks_each_k_only_to_the_binding_margin():
+    # Each k after the first searches only for a union below its rhs plus
+    # the least margin so far; minimising every k needed 26,361 steps.
+    code = build_prg(PrgSpec(19, 7))
+    report = goodness_structural(code, budget=7797)
+    assert report == per_k_goodness(code, None)
+    with pytest.raises(BudgetExceeded, match="^search at k=7 exceeds budget of 7796 steps$"):
+        goodness_structural(code, budget=7796)
+
+
 # --- closed forms ----------------------------------------------------------
 
 

@@ -317,7 +317,7 @@ def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
             else:
                 best[k] = size, a << f | cand.bit_length() - 1
     return [
-        (size, tuple(i for i in range(n) if s >> n - 1 - i & 1))
+        (size, tuple([i for i in range(n) if s >> n - 1 - i & 1]))
         for size, s in best[1:]
     ]
 

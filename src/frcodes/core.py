@@ -175,8 +175,8 @@ def profile(code: FrCode) -> CodeProfile:
     alpha and rho report the maxima of their profiles, which for uniform
     and regular codes coincide with the common value.
     """
-    alpha_per_node = tuple(m.bit_count() for m in code.masks)
-    rho_per_packet = tuple(h.bit_count() for h in code.holders)
+    alpha_per_node = tuple([m.bit_count() for m in code.masks])
+    rho_per_packet = tuple([h.bit_count() for h in code.holders])
     return CodeProfile(
         alpha_per_node=alpha_per_node,
         alpha=max(alpha_per_node),

@@ -122,7 +122,7 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
                 union = grown
             elif grown == lost_mask:
                 return _finish_plan(
-                    code, failed, tuple(candidates[j] for j in (*chosen, i))
+                    code, failed, tuple([candidates[j] for j in (*chosen, i)])
                 )
             i += 1
     raise AssertionError("coverable candidates must admit a cover")
@@ -133,4 +133,4 @@ def plan_repair_greedy(code: FrCode, failed: int) -> RepairPlan:
     surviving holder, with no attempt to share helpers."""
     if not 0 <= failed < code.n:
         raise KOutOfRange(f"failed node {failed} outside [0, {code.n})")
-    return _finish_plan(code, failed, tuple(i for i in range(code.n) if i != failed))
+    return _finish_plan(code, failed, tuple([i for i in range(code.n) if i != failed]))

@@ -33,3 +33,19 @@ def test_no_indented_json_dumps_in_package():
         and any(keyword.arg == "indent" for keyword in node.keywords)
     ]
     assert SOURCES and not found, found
+
+
+def test_no_tuple_of_a_generator_in_package():
+    # tuple() of a generator grows the tuple to its length instead of
+    # taking one of that size off CPython's free list, yet returns it to
+    # that list when freed; only a full collection empties the lists, so
+    # a long-running caller's memory would grow with every such tuple.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "tuple"
+        and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+    ]
+    assert SOURCES and not found, found

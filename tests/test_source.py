@@ -10,29 +10,32 @@ import frcodes
 SOURCES = sorted(Path(frcodes.__file__).parent.glob("*.py"))
 
 
-def test_no_assert_statements_in_package():
-    # `python -O` strips assert statements, so none may carry behaviour.
-    found = [
+def breaches(rule) -> list[str]:
+    """file:line of every syntax node of the package that rule flags."""
+    assert SOURCES
+    return [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if rule(node)
     ]
-    assert SOURCES and not found, found
+
+
+def test_no_assert_statements_in_package():
+    # `python -O` strips assert statements, so none may carry behaviour.
+    found = breaches(lambda node: isinstance(node, ast.Assert))
+    assert not found, found
 
 
 def test_no_indented_json_dumps_in_package():
     # Indented output goes through constructions._json_text, not json's
     # pure-Python indent path.
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
+    found = breaches(
+        lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
         and any(keyword.arg == "indent" for keyword in node.keywords)
-    ]
-    assert SOURCES and not found, found
+    )
+    assert not found, found
 
 
 def test_no_tuple_of_a_generator_in_package():
@@ -40,12 +43,9 @@ def test_no_tuple_of_a_generator_in_package():
     # taking one of that size off CPython's free list, yet returns it to
     # that list when freed; only a full collection empties the lists, so
     # a long-running caller's memory would grow with every such tuple.
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
+    found = breaches(
+        lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "tuple"
         and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
-    ]
-    assert SOURCES and not found, found
+    )
+    assert not found, found

@@ -30,8 +30,8 @@ from typing import Any, Callable, TextIO
 from .core import (
     DEFAULT_THETA_CAP,
     FrCode,
-    _check_theta_cap,
-    code_from_matrix,
+    _check_sizes,
+    _freeze,
     incidence_matrix,
     make_code,
 )
@@ -39,10 +39,24 @@ from .errors import (
     BudgetExceeded,
     DegenerateOffsets,
     DegreeRange,
+    InvariantViolation,
     ParityError,
     ParseError,
     RhoRange,
 )
+
+
+def _check_int_fields(spec: Any) -> None:
+    """Refuse a spec field that is not an int; bool is an int subclass,
+    so test the type itself."""
+    for name, value in vars(spec).items():
+        if type(value) is not int:
+            raise InvariantViolation(f"{name}={value!r} is not an integer")
+
+
+def _rotate(mask: int, r: int, n: int) -> int:
+    """mask rotated left by r (0 <= r < n) within n bits."""
+    return (mask << r | mask >> (n - r)) & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -54,6 +68,7 @@ class PrgSpec:
     d: int
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         if self.n % 2 == 0:
             raise ParityError(f"n must be odd, got {self.n}")
         if self.d % 2 == 0:
@@ -86,19 +101,18 @@ def build_prg(spec: PrgSpec) -> FrCode:
     has rho = 2, alpha_i = d except alpha_{n-1} = d - 1, and
     theta = (n * d - 1) / 2.
     """
-    _check_theta_cap(spec.theta)
     n = spec.n
-    edges: list[tuple[int, int]] = []
-    for off in range(1, spec.q + 1):
-        for v in range(n):
-            edges.append((v, (v + off) % n))
-    for j in range(spec.p):
-        edges.append((j, j + spec.p))
-    storage: list[set[int]] = [set() for _ in range(n)]
+    _check_sizes(n, spec.theta)
+    edges = [(v, (v + off) % n) for off in range(1, spec.q + 1) for v in range(n)]
+    edges += [(j, j + spec.p) for j in range(spec.p)]
+    masks = [0] * n
+    holders = []
     for packet, (u, v) in enumerate(edges):
-        storage[u].add(packet)
-        storage[v].add(packet)
-    return make_code(n, len(edges), storage)
+        bit = 1 << packet
+        masks[u] |= bit
+        masks[v] |= bit
+        holders.append(1 << u | 1 << v)
+    return _freeze(n, len(edges), masks, holders)
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,7 @@ class RingSpec:
     rho: int
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         if self.n < 1 or self.theta < 1:
             raise DegreeRange(f"need n >= 1 and theta >= 1, got {self.n}, {self.theta}")
         if not 2 <= self.rho <= self.n - 1:
@@ -127,14 +142,21 @@ def build_ring(spec: RingSpec) -> FrCode:
     once n exceeds theta + rho - 1. Like theta, n may not exceed
     DEFAULT_THETA_CAP; a wider spec fails before any node is placed.
     """
-    _check_theta_cap(spec.theta)
-    if spec.n > DEFAULT_THETA_CAP:
-        raise BudgetExceeded(f"n={spec.n} exceeds cap {DEFAULT_THETA_CAP}")
-    storage: list[set[int]] = [set() for _ in range(spec.n)]
-    for j in range(spec.theta):
-        for i in range(spec.rho):
-            storage[(j + i) % spec.n].add(j)
-    return make_code(spec.n, spec.theta, storage)
+    n, theta, rho = spec.n, spec.theta, spec.rho
+    _check_sizes(n, theta)
+    if n > DEFAULT_THETA_CAP:
+        raise BudgetExceeded(f"n={n} exceeds cap {DEFAULT_THETA_CAP}")
+    # arcs[r]: the nodes holding a packet j = r (mod n).
+    arcs = [_rotate((1 << rho) - 1, r, n) for r in range(n)]
+    rounds = theta // n + 1
+    # Bit k*n set for every round k: multiplying an n-bit window by it
+    # copies the window into each round, with no carries.
+    comb = ((1 << rounds * n) - 1) // ((1 << n) - 1)
+    full = (1 << theta) - 1
+    # Node i holds the packets whose residue lies in the rho-node arc
+    # ending at i, which as a window of residues is arcs[i - rho + 1].
+    masks = [arcs[(i - rho + 1) % n] * comb & full for i in range(n)]
+    return _freeze(n, theta, masks, (arcs * rounds)[:theta])
 
 
 @dataclass(frozen=True)
@@ -147,6 +169,7 @@ class TSpec:
     t: int
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         if self.n < 2:
             raise DegreeRange(f"need n >= 2, got {self.n}")
         if self.d < 2:
@@ -173,12 +196,16 @@ def build_t_code(spec: TSpec) -> FrCode:
     module); those listings are treated as data, never as assertions
     about this builder.
     """
-    _check_theta_cap(spec.n)
-    step = spec.t + 1
-    storage = [
-        {(i - j * step) % spec.n for j in range(spec.d)} for i in range(spec.n)
-    ]
-    return make_code(spec.n, spec.n, storage)
+    n, step = spec.n, spec.t + 1
+    _check_sizes(n, n)
+    node0 = packet0 = 0
+    for j in range(spec.d):
+        node0 |= 1 << (-j * step) % n
+        packet0 |= 1 << j * step % n
+    # Adding 1 to every node and packet index maps the code onto itself.
+    masks = [_rotate(node0, i, n) for i in range(n)]
+    holders = [_rotate(packet0, p, n) for p in range(n)]
+    return _freeze(n, n, masks, holders)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +328,9 @@ def read_csv_records(path: str) -> list[list[str]]:
 
 def import_code(path: str) -> FrCode:
     """Read a code file in the format its extension names; structural
-    validation is delegated to make_code, so invalid contents raise the
-    same errors as building by hand."""
+    validation is delegated to make_code, or for CSV to its parts
+    _check_sizes and _freeze, so invalid contents raise the same errors
+    as building by hand."""
     if _infer_format(path) == FORMAT_JSON:
         try:
             doc = _read_file(path, json.load)
@@ -325,22 +353,26 @@ def import_code(path: str) -> FrCode:
         if any(type(v) is not int for s in nodes for v in s):
             raise ParseError(f"{path}: packet indices must be integers")
         return make_code(n, theta, nodes)
-    rows: list[list[int]] = []
+    masks: list[int] = []
+    widths = set()
     for lineno, record in enumerate(read_csv_records(path), start=1):
         if not record:
             continue
-        if _BINARY_ENTRIES.issuperset(record):  # as export_code writes it
-            row = [v == "1" for v in record]
-        else:
+        if not _BINARY_ENTRIES.issuperset(record):  # not as export_code writes it
             try:
                 row = [int(v) for v in record]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
             if any(v not in (0, 1) for v in row):
                 raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
-        rows.append(row)
-    if not rows:
+            record = [str(v) for v in row]
+        # Column j is bit j, so the reversed row is the mask in binary.
+        masks.append(int("".join(record)[::-1], 2))
+        widths.add(len(record))
+    if not masks:
         raise ParseError(f"{path}: empty incidence matrix")
-    if len({len(r) for r in rows}) != 1:
+    if len(widths) != 1:
         raise ParseError(f"{path}: ragged incidence matrix")
-    return code_from_matrix(rows)
+    theta = widths.pop()
+    _check_sizes(len(masks), theta)
+    return _freeze(len(masks), theta, masks)

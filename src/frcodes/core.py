@@ -34,13 +34,6 @@ from .errors import (
 DEFAULT_THETA_CAP = 4096
 
 
-def _check_theta_cap(theta: int) -> None:
-    """Refuse a code wider than the cap. The builders call this before
-    they place any packet, so an oversized spec fails at once."""
-    if theta > DEFAULT_THETA_CAP:
-        raise BudgetExceeded(f"theta={theta} exceeds cap {DEFAULT_THETA_CAP}")
-
-
 def mask_from_packets(packets: Iterable[int], theta: int) -> int:
     """Fold packet indices into a bitmask, validating type and range."""
     mask = 0
@@ -70,7 +63,8 @@ class FrCode:
 
     Instances compare by value: two codes are equal only when node i holds
     exactly the same packet set in both, for every i. Construct through
-    make_code, which validates the triple.
+    make_code, or through _check_sizes and then _freeze, which validate
+    the triple.
     """
 
     n: int
@@ -119,6 +113,41 @@ class FrCode:
         return sorted(self.holders) == sorted(rotated)
 
 
+def _check_sizes(n: int, theta: int) -> None:
+    """make_code's checks on the sizes, in its order: n and theta ints
+    (not bools); n >= 1 and theta >= 1; theta within the cap. The
+    builders call this before they place any packet, so an oversized
+    spec fails at once."""
+    for name, value in (("n", n), ("theta", theta)):
+        if type(value) is not int:
+            raise InvariantViolation(f"{name}={value!r} is not an integer")
+    if n < 1:
+        raise EmptySystem(f"need at least one node, got n={n}")
+    if theta < 1:
+        raise EmptySystem(f"need at least one packet, got theta={theta}")
+    if theta > DEFAULT_THETA_CAP:
+        raise BudgetExceeded(f"theta={theta} exceeds cap {DEFAULT_THETA_CAP}")
+
+
+def _freeze(
+    n: int, theta: int, masks: list[int], holders: list[int] | None = None
+) -> FrCode:
+    """make_code's last check, then the code: every packet of the n
+    in-range node masks stored somewhere. holders, when given, must be
+    the incidence read by packet; it is stored as the code's holders,
+    as transpose stores one."""
+    placed = 0
+    for m in masks:
+        placed |= m
+    if placed != (1 << theta) - 1:
+        missing = next(j for j in range(theta) if not placed >> j & 1)
+        raise OrphanPacket(f"packet {missing} is stored on no node")
+    code = FrCode(n=n, theta=theta, masks=tuple(masks))
+    if holders is not None:
+        code.__dict__["holders"] = tuple(holders)  # what cached_property stores
+    return code
+
+
 def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
     """Validate and freeze a code from per-node packet collections.
 
@@ -128,14 +157,7 @@ def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
     somewhere. Duplicate indices within one node collapse silently (node
     contents are sets).
     """
-    for name, value in (("n", n), ("theta", theta)):
-        if type(value) is not int:
-            raise InvariantViolation(f"{name}={value!r} is not an integer")
-    if n < 1:
-        raise EmptySystem(f"need at least one node, got n={n}")
-    if theta < 1:
-        raise EmptySystem(f"need at least one packet, got theta={theta}")
-    _check_theta_cap(theta)
+    _check_sizes(n, theta)
     node_sets = list(storage)
     if len(node_sets) != n:
         raise InvariantViolation(f"expected {n} node sets, got {len(node_sets)}")
@@ -148,13 +170,7 @@ def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
                 f"node {s!r} is not a collection of packet indices"
             ) from None
         masks.append(mask_from_packets(packets, theta))
-    placed = 0
-    for m in masks:
-        placed |= m
-    if placed != (1 << theta) - 1:
-        missing = next(j for j in range(theta) if not placed >> j & 1)
-        raise OrphanPacket(f"packet {missing} is stored on no node")
-    return FrCode(n=n, theta=theta, masks=tuple(masks))
+    return _freeze(n, theta, masks)
 
 
 @dataclass(frozen=True)

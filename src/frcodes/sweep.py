@@ -55,6 +55,11 @@ class TableRow:
     provenance: str = PROVENANCE_GENERATED
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, so test the type itself.
+        for name in ("n", "k", "d", "rho", "theta", "t"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "t" and value is None):
+                raise MalformedRow(f"{name}={value!r} is not an integer")
         for name in ("n", "k", "d", "rho", "theta"):
             value = getattr(self, name)
             if value < 1:

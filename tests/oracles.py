@@ -3,8 +3,9 @@ package's optimized paths.
 
 These deliberately avoid the bitmask representation and every pruning
 trick: coverage is full enumeration over frozenset unions, and the
-repair oracle walks the entire power set of surviving nodes. Slow and
-boring on purpose.
+repair oracle walks the entire power set of surviving nodes. The
+reference builders place packets one by one into per-node sets and
+hand them to make_code. Slow and boring on purpose.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import itertools
 from collections import Counter
 
 from frcodes.constructions import read_csv_records
-from frcodes.core import code_from_matrix
-from frcodes.errors import ParseError
+from frcodes.core import DEFAULT_THETA_CAP, code_from_matrix, make_code
+from frcodes.errors import BudgetExceeded, ParseError
 
 
 def brute_min_coverage(code, k):
@@ -128,3 +129,47 @@ def brute_import_csv_matrix(path):
     if len({len(r) for r in rows}) != 1:
         raise ParseError(f"{path}: ragged incidence matrix")
     return code_from_matrix(rows)
+
+
+def _check_theta_cap(theta):
+    if theta > DEFAULT_THETA_CAP:
+        raise BudgetExceeded(f"theta={theta} exceeds cap {DEFAULT_THETA_CAP}")
+
+
+def set_build_prg(spec):
+    """build_prg by per-packet node sets and make_code."""
+    _check_theta_cap(spec.theta)
+    n = spec.n
+    edges = []
+    for off in range(1, spec.q + 1):
+        for v in range(n):
+            edges.append((v, (v + off) % n))
+    for j in range(spec.p):
+        edges.append((j, j + spec.p))
+    storage = [set() for _ in range(n)]
+    for packet, (u, v) in enumerate(edges):
+        storage[u].add(packet)
+        storage[v].add(packet)
+    return make_code(n, len(edges), storage)
+
+
+def set_build_ring(spec):
+    """build_ring by per-packet node sets and make_code."""
+    _check_theta_cap(spec.theta)
+    if spec.n > DEFAULT_THETA_CAP:
+        raise BudgetExceeded(f"n={spec.n} exceeds cap {DEFAULT_THETA_CAP}")
+    storage = [set() for _ in range(spec.n)]
+    for j in range(spec.theta):
+        for i in range(spec.rho):
+            storage[(j + i) % spec.n].add(j)
+    return make_code(spec.n, spec.theta, storage)
+
+
+def set_build_t_code(spec):
+    """build_t_code by per-node packet sets and make_code."""
+    _check_theta_cap(spec.n)
+    step = spec.t + 1
+    storage = [
+        {(i - j * step) % spec.n for j in range(spec.d)} for i in range(spec.n)
+    ]
+    return make_code(spec.n, spec.n, storage)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from frcodes import (
     DegreeRange,
     FrCode,
     FrcError,
+    InvariantViolation,
+    MalformedRow,
     OrphanPacket,
     ParityError,
     ParseError,
@@ -27,7 +30,15 @@ from frcodes import (
     incidence_matrix,
     profile,
 )
-from oracles import brute_import_csv_matrix
+from frcodes.core import packets_from_mask
+from frcodes.sweep import TableRow
+from oracles import (
+    brute_holders,
+    brute_import_csv_matrix,
+    set_build_prg,
+    set_build_ring,
+    set_build_t_code,
+)
 
 # The published 5x5 one-round block and its two-round double.
 BLOCK_5 = [
@@ -301,10 +312,10 @@ def test_import_rejects_integer_literal_over_the_digit_limit(tmp_path):
 CSV_ENTRIES = ["0", "1", " 1", "1 ", "+1", "01", "-0", "2", "x", ""]
 
 
-def outcome(read, path):
-    """The code read from path, or the class and message of its error."""
+def outcome(make, *args):
+    """make(*args), or the class and message of its error."""
     try:
-        return read(path)
+        return make(*args)
     except FrcError as exc:
         return type(exc), str(exc)
 
@@ -322,6 +333,175 @@ def test_csv_matrix_import_matches_int_parse_oracle(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("csv") / "code.csv"
     path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
     assert outcome(import_code, str(path)) == outcome(brute_import_csv_matrix, str(path))
+
+
+def binary_row(theta):
+    """theta "0"/"1" entries, drawn as one integer so that wide rows
+    are cheap to draw."""
+    return st.integers(0, (1 << theta) - 1).map(lambda m: list(f"{m:0{theta}b}"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_wide_csv_matrix_import_matches_int_parse_oracle(tmp_path_factory, data):
+    # Masks wider than a machine word, orphan columns far past bit 64,
+    # and now and then an entry in another spelling or a ragged row.
+    theta = data.draw(st.integers(1, 300), label="theta")
+    rows = data.draw(st.lists(binary_row(theta), min_size=1, max_size=8), label="rows")
+    if data.draw(st.booleans(), label="cover"):
+        # Cover every column but one, or none, so the code is often valid.
+        rows.append(["1"] * theta)
+        gap = data.draw(st.integers(-1, theta - 1), label="gap")
+        for row in rows:
+            if gap >= 0:
+                row[gap] = "0"
+    if data.draw(st.booleans(), label="edit"):
+        row = data.draw(st.sampled_from(rows), label="row")
+        column = data.draw(st.integers(0, theta - 1), label="column")
+        row[column] = data.draw(st.sampled_from(CSV_ENTRIES), label="entry")
+    if data.draw(st.booleans(), label="ragged"):
+        rows.append(data.draw(binary_row(data.draw(st.integers(1, 301)))))
+    path = tmp_path_factory.mktemp("csv") / "code.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    assert outcome(import_code, str(path)) == outcome(brute_import_csv_matrix, str(path))
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([["1"] * 4097], (BudgetExceeded, "theta=4097 exceeds cap 4096")),
+        ([["1"] * 70 + ["0"] + ["1"] * 9, ["0"] * 80], (OrphanPacket, "packet 70 is stored on no node")),
+        ([["1"] * 200 + ["0"] * 100] * 3, (OrphanPacket, "packet 200 is stored on no node")),
+    ],
+    ids=["row-4097-wide", "orphan-bit-70", "orphan-bit-200"],
+)
+def test_wide_csv_matrix_errors_match_oracle(tmp_path, rows, error):
+    path = tmp_path / "code.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    assert outcome(import_code, str(path)) == error
+    assert outcome(brute_import_csv_matrix, str(path)) == error
+
+
+# --- builders against the set-built reference ------------------------------
+
+BUILDS = {
+    "ring": (RingSpec, build_ring, set_build_ring),
+    "t": (TSpec, build_t_code, set_build_t_code),
+    "prg": (PrgSpec, build_prg, set_build_prg),
+}
+
+
+def assert_builds_like_reference(family, args):
+    """The builder and its set-built reference give the same code, or
+    the same error class and message; the builder seeds holders, which
+    must be the incidence read by packet."""
+    spec_class, build, reference = BUILDS[family]
+    got = outcome(lambda: build(spec_class(*args)))
+    want = outcome(lambda: reference(spec_class(*args)))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.masks == want.masks and got == want
+    assert "holders" in got.__dict__  # seeded, not transposed on first use
+    assert got.holders == FrCode(got.n, got.theta, got.masks).holders == want.holders
+    assert [set(packets_from_mask(h)) for h in got.holders] == brute_holders(want)
+    assert got.rotation_invariant == want.rotation_invariant
+
+
+# Every ring with 3 <= n <= 12 and theta <= 3n + 2, empty nodes
+# included; every t code with n <= 13 and t <= n, gcd(t + 1, n) > 1
+# and degenerate offsets included; every prg code with n <= 17; and
+# specs that are out of range or over the cap.
+BUILD_GRID = (
+    [("ring", (n, theta, rho)) for n in range(1, 13) for rho in range(1, n + 1)
+     for theta in range(0, 3 * n + 3)]
+    + [("t", (n, d, t)) for n in range(1, 14) for d in range(1, n + 2)
+       for t in range(-1, n + 1)]
+    + [("prg", (n, d)) for n in range(1, 18) for d in range(1, n + 1)]
+    + [
+        ("ring", (3, 4097, 2)),
+        ("ring", (4097, 5, 2)),
+        ("ring", (4097, 4097, 2)),
+        ("ring", (5000, 10**9, 3)),
+        ("t", (4097, 2, 0)),
+        ("t", (10**9, 3, 4)),
+        ("prg", (2733, 3)),
+        ("prg", (666_666_667, 3)),
+    ]
+)
+
+
+def test_builders_match_set_built_reference_on_grid():
+    for family, args in BUILD_GRID:
+        assert_builds_like_reference(family, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_builders_match_set_built_reference(data):
+    family = data.draw(st.sampled_from(sorted(BUILDS)), label="family")
+    n = data.draw(st.integers(1, 41), label="n")
+    size = st.integers(-1, 2 * n + 2) | st.integers(0, 130)
+    args = data.draw(st.tuples(size, size) if family != "prg" else st.tuples(size), label="args")
+    assert_builds_like_reference(family, (n, *args))
+
+
+ODD_FIELDS = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_specs_and_builders_raise_only_toolkit_errors(data):
+    family = data.draw(st.sampled_from(sorted(BUILDS)), label="family")
+    spec_class, build, _ = BUILDS[family]
+    args = data.draw(st.tuples(*[ODD_FIELDS] * (2 if family == "prg" else 3)), label="args")
+    try:
+        build(spec_class(*args))
+    except FrcError:
+        pass
+    row = data.draw(st.tuples(*[ODD_FIELDS] * 6), label="row")
+    try:
+        TableRow(*row)
+    except FrcError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: build_ring(RingSpec(10.0, 10, 3)), "n=10.0 is not an integer"),
+        (lambda: build_prg(PrgSpec(21.0, 5)), "n=21.0 is not an integer"),
+        (lambda: build_t_code(TSpec(10, 3, 1.0)), "t=1.0 is not an integer"),
+        (lambda: RingSpec(None, 10, 3), "n=None is not an integer"),
+        (lambda: RingSpec(5, 5, True), "rho=True is not an integer"),
+        (lambda: PrgSpec(7, "5"), "d='5' is not an integer"),
+    ],
+    ids=["ring-float", "prg-float", "t-float", "ring-none", "ring-bool", "prg-str"],
+)
+def test_specs_refuse_non_int_fields(make, message):
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("1", 1, 1, 1, 1), "n='1' is not an integer"),
+        ((1, 1, 1, 1, 1.0), "theta=1.0 is not an integer"),
+        ((1, 1, 1, 1, 1, True), "t=True is not an integer"),
+    ],
+)
+def test_table_row_refuses_non_int_fields(fields, message):
+    with pytest.raises(MalformedRow, match=f"^{re.escape(message)}$"):
+        TableRow(*fields)
+    assert TableRow(1, 1, 1, 1, 1, None).t is None
 
 
 class Digits(str):

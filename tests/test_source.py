@@ -49,3 +49,15 @@ def test_no_tuple_of_a_generator_in_package():
         and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
     )
     assert not found, found
+
+
+def test_codes_are_frozen_only_in_core():
+    # make_code and _freeze check every code before it is constructed,
+    # and only core seeds a cached property by writing __dict__.
+    def constructs_or_seeds(node):
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "id", getattr(node.func, "attr", None)) == "FrCode"
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+    found = [site for site in breaches(constructs_or_seeds) if not site.startswith("core.py:")]
+    assert not found, found

@@ -132,6 +132,7 @@ def brute_import_csv_matrix(path):
 
 
 def _check_theta_cap(theta):
+    """The builders' cap check, made before any packet is placed."""
     if theta > DEFAULT_THETA_CAP:
         raise BudgetExceeded(f"theta={theta} exceeds cap {DEFAULT_THETA_CAP}")
 

@@ -349,11 +349,12 @@ def test_wide_csv_matrix_import_matches_int_parse_oracle(tmp_path_factory, data)
     theta = data.draw(st.integers(1, 300), label="theta")
     rows = data.draw(st.lists(binary_row(theta), min_size=1, max_size=8), label="rows")
     if data.draw(st.booleans(), label="cover"):
-        # Cover every column but one, or none, so the code is often valid.
+        # Cover every column, or every column but one, so the code is
+        # often valid and an orphan can sit anywhere.
         rows.append(["1"] * theta)
         gap = data.draw(st.integers(-1, theta - 1), label="gap")
-        for row in rows:
-            if gap >= 0:
+        if gap >= 0:
+            for row in rows:
                 row[gap] = "0"
     if data.draw(st.booleans(), label="edit"):
         row = data.draw(st.sampled_from(rows), label="row")

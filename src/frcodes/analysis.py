@@ -60,10 +60,9 @@ smaller is the larger number: the lex-least witness of M(k) is the
 highest s at the minimum. The table is bit-sliced over slices of 2^16
 subsets, so each AND or XOR of CPython's big ints handles 64 subsets
 per machine word. It is exhaustive, as any exact method must be for
-minimum k-union, which is NP-hard, but it cut prg(21,5) from about 250
-to about 10 ms. Rotation-invariant codes with no arc order keep the
-symmetric walk of min_coverage, which beats the table there: t(28,3,1)
-357 against 439 ms, t(24,4,2) 21 against 35 ms. The arc program and the
+minimum k-union, which is NP-hard. Rotation-invariant codes with no
+arc order keep the symmetric walk of min_coverage, which beats the
+table there: t(28,3,1) 357 against 439 ms, t(24,4,2) 21 against 35 ms. The arc program and the
 table are charged their cost up front in the same unit, since n alone
 fixes it: the program its row entries (about m^3 / 6 for a cut of m
 offsets, over its 1 or n cuts), the table 2^n / 64, which keeps the

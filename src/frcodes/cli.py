@@ -212,6 +212,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit_table(args) -> int:
+    if args.table and args.bundled:
+        raise FrcError("pass a CSV path or --bundled NAME, not both")
     if args.bundled:
         rows = sweep.load_bundled_table(args.bundled)
         family = args.family or sweep.bundled_table_family(args.bundled)

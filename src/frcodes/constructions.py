@@ -30,6 +30,7 @@ from typing import Any, Callable, TextIO
 from .core import (
     DEFAULT_THETA_CAP,
     FrCode,
+    _check_ints,
     _check_sizes,
     _freeze,
     incidence_matrix,
@@ -39,19 +40,11 @@ from .errors import (
     BudgetExceeded,
     DegenerateOffsets,
     DegreeRange,
-    InvariantViolation,
+    FrcError,
     ParityError,
     ParseError,
     RhoRange,
 )
-
-
-def _check_int_fields(spec: Any) -> None:
-    """Refuse a spec field that is not an int; bool is an int subclass,
-    so test the type itself."""
-    for name, value in vars(spec).items():
-        if type(value) is not int:
-            raise InvariantViolation(f"{name}={value!r} is not an integer")
 
 
 def _rotate(mask: int, r: int, n: int) -> int:
@@ -68,7 +61,7 @@ class PrgSpec:
     d: int
 
     def __post_init__(self) -> None:
-        _check_int_fields(self)
+        _check_ints(vars(self).items())
         if self.n % 2 == 0:
             raise ParityError(f"n must be odd, got {self.n}")
         if self.d % 2 == 0:
@@ -125,7 +118,7 @@ class RingSpec:
     rho: int
 
     def __post_init__(self) -> None:
-        _check_int_fields(self)
+        _check_ints(vars(self).items())
         if self.n < 1 or self.theta < 1:
             raise DegreeRange(f"need n >= 1 and theta >= 1, got {self.n}, {self.theta}")
         if not 2 <= self.rho <= self.n - 1:
@@ -169,7 +162,7 @@ class TSpec:
     t: int
 
     def __post_init__(self) -> None:
-        _check_int_fields(self)
+        _check_ints(vars(self).items())
         if self.n < 2:
             raise DegreeRange(f"need n >= 2, got {self.n}")
         if self.d < 2:
@@ -295,11 +288,9 @@ def export_code(code: FrCode, path: str, fmt: str | None = None) -> None:
     """Write a code to disk in canonical form (0-based indices)."""
     fmt = fmt or _infer_format(path)
     if fmt == FORMAT_JSON:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(code_to_dict(code)) + "\n")
+        _write_file(path, lambda fh: fh.write(_json_text(code_to_dict(code)) + "\n"))
     elif fmt == FORMAT_CSV_MATRIX:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(incidence_matrix(code))
+        _write_file(path, lambda fh: csv.writer(fh).writerows(incidence_matrix(code)))
     else:
         raise ParseError(f"unknown code format {fmt!r}")
 
@@ -314,6 +305,17 @@ def _read_file(path: str, parse: Callable[[TextIO], Any]) -> Any:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
+def _write_file(path: str, write: Callable[[TextIO], Any]) -> None:
+    """write(fh) on path opened for writing as UTF-8 text, with line
+    ends written as given. A file that cannot be opened or written
+    raises FrcError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise FrcError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def read_csv_records(path: str) -> list[list[str]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -32,19 +32,6 @@ from .errors import (
 
 #: Widest code the toolkit will build; guards the brute-force layers.
 DEFAULT_THETA_CAP = 4096
-
-
-def mask_from_packets(packets: Iterable[int], theta: int) -> int:
-    """Fold packet indices into a bitmask, validating type and range."""
-    mask = 0
-    for p in packets:
-        # bool is an int subclass, so test the type itself.
-        if type(p) is not int:
-            raise InvariantViolation(f"packet index {p!r} is not an integer")
-        if not 0 <= p < theta:
-            raise IndexOutOfRange(f"packet {p} outside [0, {theta})")
-        mask |= 1 << p
-    return mask
 
 
 def packets_from_mask(mask: int) -> tuple[int, ...]:
@@ -113,14 +100,20 @@ class FrCode:
         return sorted(self.holders) == sorted(rotated)
 
 
+def _check_ints(fields: Iterable[tuple[str, Any]], error=InvariantViolation) -> None:
+    """Raise error for the first (name, value) whose value is not an
+    int; bool is an int subclass, so test the type itself."""
+    for name, value in fields:
+        if type(value) is not int:
+            raise error(f"{name}={value!r} is not an integer")
+
+
 def _check_sizes(n: int, theta: int) -> None:
     """make_code's checks on the sizes, in its order: n and theta ints
     (not bools); n >= 1 and theta >= 1; theta within the cap. The
     builders call this before they place any packet, so an oversized
     spec fails at once."""
-    for name, value in (("n", n), ("theta", theta)):
-        if type(value) is not int:
-            raise InvariantViolation(f"{name}={value!r} is not an integer")
+    _check_ints((("n", n), ("theta", theta)))
     if n < 1:
         raise EmptySystem(f"need at least one node, got n={n}")
     if theta < 1:
@@ -169,7 +162,14 @@ def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
             raise InvariantViolation(
                 f"node {s!r} is not a collection of packet indices"
             ) from None
-        masks.append(mask_from_packets(packets, theta))
+        mask = 0
+        for p in packets:
+            if type(p) is not int:
+                raise InvariantViolation(f"packet index {p!r} is not an integer")
+            if not 0 <= p < theta:
+                raise IndexOutOfRange(f"packet {p} outside [0, {theta})")
+            mask |= 1 << p
+        masks.append(mask)
     return _freeze(n, theta, masks)
 
 

@@ -5,9 +5,9 @@ scratch: it builds each candidate code, brute-forces the reconstruction
 degree at file size theta - 1, and keeps the row only if the strict
 goodness bound holds there. audit_table re-checks rows arriving as data
 (for example the bundled reference tables) arithmetically, without
-trusting how they were produced. The bundled tables were transcribed
-from published listings and carry provenance "transcribed"; rows this
-package computes carry "generated".
+trusting how they were produced. Rows read from a CSV file, the bundled
+tables included, carry provenance "transcribed"; rows this package
+computes carry "generated".
 
 conjecture_harness compares brute-forced reconstruction degrees of
 heterogeneous ring codes against the conjectured closed form and
@@ -30,8 +30,8 @@ from .analysis import (
     predicted_k_ring,
     reconstruction_degree,
 )
-from .constructions import RingSpec, build_ring, read_csv_records
-from .core import DEFAULT_THETA_CAP, profile
+from .constructions import RingSpec, _write_file, build_ring, read_csv_records
+from .core import DEFAULT_THETA_CAP, _check_ints, profile
 from .errors import MalformedRow, ParseError, RhoRange
 
 PROVENANCE_GENERATED = "generated"
@@ -55,21 +55,18 @@ class TableRow:
     provenance: str = PROVENANCE_GENERATED
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, so test the type itself.
-        for name in ("n", "k", "d", "rho", "theta", "t"):
-            value = getattr(self, name)
-            if type(value) is not int and not (name == "t" and value is None):
-                raise MalformedRow(f"{name}={value!r} is not an integer")
-        for name in ("n", "k", "d", "rho", "theta"):
-            value = getattr(self, name)
+        # (name, value) of n, k, d, rho, theta, and of t when it is set.
+        fields = list(vars(self).items())[: 5 if self.t is None else 6]
+        _check_ints(fields, MalformedRow)
+        for name, value in fields[:5]:
             if value < 1:
                 raise MalformedRow(f"{name}={value} must be positive")
         if self.t is not None and self.t < 0:
             raise MalformedRow(f"t={self.t} must be nonnegative")
         # No code is wider than the cap. The audit numbers built from a
         # larger value can be too long to print, so it is not printed.
-        for name in ("n", "k", "d", "rho", "theta", "t"):
-            if (getattr(self, name) or 0) > DEFAULT_THETA_CAP:
+        for name, value in fields:
+            if value > DEFAULT_THETA_CAP:
                 raise MalformedRow(f"{name} exceeds cap {DEFAULT_THETA_CAP}")
 
     def key(self) -> tuple:
@@ -308,24 +305,23 @@ _BASE_HEADER = ["n", "k", "d", "rho", "theta"]
 def write_rows_csv(rows: Iterable[TableRow], path: str) -> None:
     rows = list(rows)
     with_t = any(row.t is not None for row in rows)
-    header = _BASE_HEADER + (["t"] if with_t else [])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            record = [row.n, row.k, row.d, row.rho, row.theta]
-            if with_t:
-                if row.t is None:
-                    raise MalformedRow(f"row {record} lacks t in a t-column table")
-                record.append(row.t)
-            writer.writerow(record)
+    records = [_BASE_HEADER + (["t"] if with_t else [])]
+    for row in rows:
+        record = [row.n, row.k, row.d, row.rho, row.theta]
+        if with_t:
+            if row.t is None:
+                raise MalformedRow(f"row {record} lacks t in a t-column table")
+            record.append(row.t)
+        records.append(record)
+    _write_file(path, lambda fh: csv.writer(fh).writerows(records))
 
 
-def read_rows_csv(path: str, provenance: str = PROVENANCE_TRANSCRIBED) -> list[TableRow]:
-    return _parse_rows(read_csv_records(path), path, provenance)
+def read_rows_csv(path: str) -> list[TableRow]:
+    """The rows of a row CSV file, each with provenance "transcribed"."""
+    return _parse_rows(read_csv_records(path), path)
 
 
-def _parse_rows(records: Iterable[list[str]], origin: str, provenance: str) -> list[TableRow]:
+def _parse_rows(records: Iterable[list[str]], origin: str) -> list[TableRow]:
     records = [rec for rec in records if rec]
     if not records:
         raise ParseError(f"{origin}: empty table")
@@ -343,41 +339,37 @@ def _parse_rows(records: Iterable[list[str]], origin: str, provenance: str) -> l
             raise MalformedRow(f"{origin}:{lineno}: non-integer field") from exc
         n, k, d, rho, theta = values[:5]
         t = values[5] if with_t else None
-        rows.append(
-            TableRow(n=n, k=k, d=d, rho=rho, theta=theta, t=t, provenance=provenance)
-        )
+        rows.append(TableRow(n, k, d, rho, theta, t, PROVENANCE_TRANSCRIBED))
     return rows
 
 
-#: Bundled reference tables: name -> (resource file, family).
-BUNDLED_TABLES: dict[str, tuple[str, str]] = {
-    "ring_rho4": ("ring_rho4.csv", FAMILY_RING),
-    "ring_rho3": ("ring_rho3.csv", FAMILY_RING),
-    "ring_rho2": ("ring_rho2.csv", FAMILY_RING),
-    "t_all_n4_11": ("t_all_n4_11.csv", FAMILY_T),
-    "t_all_n12_18": ("t_all_n12_18.csv", FAMILY_T),
-    "t_rhs_positive": ("t_rhs_positive.csv", FAMILY_T),
-    "t_dedup": ("t_dedup.csv", FAMILY_T),
-    "t_dedup_rho2": ("t_dedup_rho2.csv", FAMILY_T),
-    "t_dedup_rho3": ("t_dedup_rho3.csv", FAMILY_T),
+#: Bundled reference tables, each read from data/<name>.csv: name -> family.
+BUNDLED_TABLES: dict[str, str] = {
+    "ring_rho4": FAMILY_RING,
+    "ring_rho3": FAMILY_RING,
+    "ring_rho2": FAMILY_RING,
+    "t_all_n4_11": FAMILY_T,
+    "t_all_n12_18": FAMILY_T,
+    "t_rhs_positive": FAMILY_T,
+    "t_dedup": FAMILY_T,
+    "t_dedup_rho2": FAMILY_T,
+    "t_dedup_rho3": FAMILY_T,
 }
 
 
 def load_bundled_table(name: str) -> list[TableRow]:
     """Load one bundled reference table by name; see BUNDLED_TABLES."""
-    try:
-        filename, _family = BUNDLED_TABLES[name]
-    except KeyError:
+    if name not in BUNDLED_TABLES:
         raise ParseError(
             f"unknown bundled table {name!r}; choose from {sorted(BUNDLED_TABLES)}"
-        ) from None
-    text = resources.files("frcodes").joinpath("data", filename).read_text("utf-8")
-    return _parse_rows(list(csv.reader(text.splitlines())), name, PROVENANCE_TRANSCRIBED)
+        )
+    text = resources.files("frcodes").joinpath("data", f"{name}.csv").read_text("utf-8")
+    return _parse_rows(list(csv.reader(text.splitlines())), name)
 
 
 def bundled_table_family(name: str) -> str:
     try:
-        return BUNDLED_TABLES[name][1]
+        return BUNDLED_TABLES[name]
     except KeyError:
         raise ParseError(f"unknown bundled table {name!r}") from None
 

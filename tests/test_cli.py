@@ -393,6 +393,15 @@ def test_audit_usage_errors(capsys, tmp_path):
     assert rc == 1 and "--family" in err
 
 
+def test_audit_refuses_path_and_bundled_together(capsys, tmp_path):
+    path = tmp_path / "mine.csv"
+    path.write_text("n,k,d,rho,theta\n6,4,4,2,12\n")
+    for extra in ((), ("--json",)):
+        rc, out, err = run(capsys, "audit-table", str(path), "--bundled", "ring_rho2", *extra)
+        assert (rc, out) == (1, "")
+        assert err == "FrcError: pass a CSV path or --bundled NAME, not both\n"
+
+
 def test_audit_row_above_the_cap_is_a_malformed_row(capsys, tmp_path):
     # The audit of a 4,000-digit k has numbers too long to print.
     path = tmp_path / "rows.csv"
@@ -555,6 +564,24 @@ def test_missing_code_file(capsys, tmp_path):
                      "--family", "ring")
     assert rc == 1
     assert err.startswith("ParseError:")
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (("generate", "ring", "--n", "5", "--theta", "5", "--rho", "2"), "missing/x.json"),
+        (("generate", "prg", "--n", "7", "--d", "5"), "d.json"),
+        (("sweep", "ring", "--n", "5", "--rho", "2", "--m", "1"), "missing/x.csv"),
+    ],
+    ids=["generate-missing-dir", "generate-onto-dir", "sweep-missing-dir"],
+)
+def test_unwritable_output_file(capsys, tmp_path, command, name):
+    (tmp_path / "d.json").mkdir()
+    path = tmp_path / name
+    for extra in ((), ("--json",)):
+        rc, out, err = run(capsys, *command, "-o", str(path), *extra)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"FrcError: {path}: ")
 
 
 def test_undecodable_input_file(capsys, tmp_path):

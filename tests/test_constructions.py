@@ -235,6 +235,16 @@ def test_csv_matrix_round_trip(tmp_path):
     assert import_code(str(path)) == code
 
 
+@pytest.mark.parametrize("name", ["code.json", "code.csv"])
+def test_export_code_unwritable_path_is_frc_error(tmp_path, name):
+    code = build_ring(RingSpec(5, 5, 2))
+    (tmp_path / "dir" / name).mkdir(parents=True)
+    for path in (tmp_path / "missing" / name, tmp_path / "dir" / name):
+        with pytest.raises(FrcError) as exc:
+            export_code(code, str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_import_rejects_orphan_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,0,0\n1,0,1\n")
@@ -503,6 +513,23 @@ def test_table_row_refuses_non_int_fields(fields, message):
     with pytest.raises(MalformedRow, match=f"^{re.escape(message)}$"):
         TableRow(*fields)
     assert TableRow(1, 1, 1, 1, 1, None).t is None
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0, 1, 1, 1, 1.0), "theta=1.0 is not an integer"),
+        ((5000, 0, 1, 1, 1), "k=0 must be positive"),
+        ((1, 0, 1, 1, 1, -1), "k=0 must be positive"),
+        ((1, 1, 1, 1, 5000, -1), "t=-1 must be nonnegative"),
+        ((1, 5000, 1, 1, 1, 5000), "k exceeds cap 4096"),
+        ((1, 1, 1, 1, 1, 5000), "t exceeds cap 4096"),
+    ],
+)
+def test_table_row_reports_first_fault_in_phase_order(fields, message):
+    # Types first, then signs, then the cap, each in field order.
+    with pytest.raises(MalformedRow, match=f"^{re.escape(message)}$"):
+        TableRow(*fields)
 
 
 class Digits(str):

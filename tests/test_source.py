@@ -61,3 +61,24 @@ def test_codes_are_frozen_only_in_core():
 
     found = [site for site in breaches(constructs_or_seeds) if not site.startswith("core.py:")]
     assert not found, found
+
+
+def test_files_are_opened_only_by_the_file_helpers():
+    # constructions._read_file and _write_file turn OSError into toolkit
+    # errors, so a reader or writer that skipped them could end in a
+    # traceback.
+    constructions = Path(frcodes.__file__).with_name("constructions.py")
+    tree = ast.parse(constructions.read_text(encoding="utf-8"))
+    helpers = {
+        f"constructions.py:{line}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_read_file", "_write_file")
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    found = breaches(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
+    )
+    assert found
+    outside = [site for site in found if site not in helpers]
+    assert not outside, outside

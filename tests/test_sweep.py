@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import csv
+from importlib import resources
+
 import pytest
 
 from frcodes import (
+    BUNDLED_TABLES,
     FAMILY_RING,
     FAMILY_T,
+    FrcError,
     MalformedRow,
     ParseError,
     TableRow,
@@ -211,8 +216,9 @@ def test_rows_csv_round_trip(tmp_path):
     rows = sweep_ring(range(4, 9), [2], [1, 2])
     path = tmp_path / "rows.csv"
     write_rows_csv(rows, str(path))
-    back = read_rows_csv(str(path), provenance="generated")
-    assert back == rows
+    back = read_rows_csv(str(path))
+    assert [row.key() for row in back] == [row.key() for row in rows]
+    assert all(row.provenance == "transcribed" for row in back)
     assert path.read_text().splitlines()[0] == "n,k,d,rho,theta"
 
 
@@ -234,6 +240,16 @@ def test_rows_csv_mixed_t_rejected(tmp_path):
     ]
     with pytest.raises(MalformedRow):
         write_rows_csv(rows, str(tmp_path / "bad.csv"))
+    # The table is refused before the file is opened, so none is left.
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_write_rows_csv_unwritable_path_is_frc_error(tmp_path):
+    rows = [TableRow(n=5, k=3, d=2, rho=2, theta=5)]
+    for path in (tmp_path / "missing" / "rows.csv", tmp_path):
+        with pytest.raises(FrcError) as exc:
+            write_rows_csv(rows, str(path))
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_read_rows_csv_errors(tmp_path):
@@ -285,7 +301,9 @@ def test_read_rows_csv_accepts_byte_order_mark(tmp_path):
     write_rows_csv(rows, str(plain))
     marked = tmp_path / "marked.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    assert read_rows_csv(str(marked), provenance="generated") == rows
+    back = read_rows_csv(str(marked))
+    assert [row.key() for row in back] == [row.key() for row in rows]
+    assert all(row.provenance == "transcribed" for row in back)
 
 
 def test_load_bundled_table_errors_and_family():
@@ -327,3 +345,13 @@ def test_conjecture_harness_fields_and_example():
 
 def test_conjecture_harness_skips_invalid_rho():
     assert conjecture_harness([3], [5]) == []
+
+
+def test_bundled_tables_registry_matches_data_files():
+    data = resources.files("frcodes").joinpath("data")
+    stems = {f.name[:-4] for f in data.iterdir() if f.name.endswith(".csv")}
+    assert set(BUNDLED_TABLES) == stems
+    for name, family in BUNDLED_TABLES.items():
+        text = data.joinpath(f"{name}.csv").read_text("utf-8")
+        header = next(csv.reader(text.splitlines()))
+        assert (family == FAMILY_T) == (header[-1] == "t"), name

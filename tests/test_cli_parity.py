@@ -123,15 +123,23 @@ def _runaway_invocations(directory: str):
     """analyze, goodness --structural and repair on codes whose searches
     run away. In the blocks code every node holds its own ten packets, so
     every k-union is 10k and no branch is ever cut; its arc DP is charged
-    more than the budget. In the cover code node 0 holds the vertices of
-    K_12 and each of the 66 others holds one edge: a cover needs six."""
+    more than the budget. The overlap code is 50 such blocks, except that
+    the last one is shifted down by two packets, so it shares two with
+    node 48: its goodness walk at k = 2 runs away, and two nodes' overlap
+    of two keeps the pairwise-overlap bound from settling that k. In the
+    cover code node 0 holds the vertices of K_12 and each of the 66
+    others holds one edge: a cover needs six."""
     blocks = os.path.join(directory, "runaway-blocks.json")
     export_code(make_code(20, 200, [range(10 * i, 10 * i + 10) for i in range(20)]), blocks)
+    overlap = os.path.join(directory, "runaway-overlap.json")
+    windows = [range(10 * i, 10 * i + 10) for i in range(49)] + [range(488, 498)]
+    export_code(make_code(50, 498, windows), overlap)
     cover = os.path.join(directory, "runaway-cover.json")
     edges = [set(edge) for edge in combinations(range(12), 2)]
     export_code(make_code(67, 12, [range(12), *edges]), cover)
     yield ("analyze", blocks)
     yield ("goodness", blocks, "--structural")
+    yield ("goodness", overlap, "--structural")
     yield ("repair", cover, "--fail", "1")
 
 

@@ -544,6 +544,15 @@ def goodness_structural(
     alpha = prof.alpha
     theta = code.theta
     symmetric = code.rotation_invariant
+    # smallest[k] is the sum of the k smallest node sizes.
+    smallest = [0, *accumulate(sorted(prof.alpha_per_node))]
+    masks = code.masks
+    # Two nodes' overlaps, read only as far as a skip needs; most is the
+    # largest read so far, which is lambda once they are all read.
+    overlaps = (
+        (a & b).bit_count() for i, a in enumerate(masks) for b in masks[i + 1 :]
+    )
+    most = 0
     # The binding (margin, k, value) so far. k = 1 is always scanned
     # (alpha >= 1, n >= 1) and its rhs is >= 0, so its walk runs at
     # theta + 1, above every union, and sets all three.
@@ -551,6 +560,18 @@ def goodness_structural(
     for k in range(1, min(alpha, code.n) + 1):
         rhs = goodness_rhs(k, alpha, weak)
         bound = min(theta + 1, rhs + binding_margin)
+        if k > 1 and smallest[k] >= bound:
+            # Every k-union holds at least smallest[k] - C(k, 2) * lambda
+            # packets, which reaches bound when lambda <= cap.
+            cap = (smallest[k] - bound) // math.comb(k, 2)
+            if most <= cap:
+                for overlap in overlaps:
+                    if overlap > most:
+                        most = overlap
+                        if most > cap:
+                            break
+                else:
+                    continue  # no k-union lies below bound
         for value, _ in _smaller_unions(code, k, bound, budget, symmetric):
             binding_margin, binding_k, binding_value = value - rhs, k, value
         if binding_margin < 0:

@@ -809,15 +809,16 @@ def test_structural_pass_implies_arithmetic_pass_everywhere():
             assert point.verdict
 
 
-def per_k_goodness(code, weak):
+def per_k_goodness(code, weak, coverage=None):
     """The goodness report that min_coverage at every k gives: the first
-    failing k binds, else the earliest k of least margin."""
+    failing k binds, else the earliest k of least margin. coverage(k),
+    when given, supplies M(k) instead."""
     prof = profile(code)
     if weak is None:
         weak = single_deficit_shape(prof)
     scanned = []
     for k in range(1, min(prof.alpha, code.n) + 1):
-        value, _ = min_coverage(code, k)
+        value = coverage(k) if coverage else min_coverage(code, k)[0]
         rhs = k * prof.alpha - math.comb(k, 2) - weak
         scanned.append((value - rhs, k, value, rhs))
         if value < rhs:
@@ -837,14 +838,136 @@ def test_goodness_structural_matches_the_per_k_minimum(code, weak):
     assert goodness_structural(code, weak=weak) == per_k_goodness(code, weak)
 
 
+def largest_overlap(code):
+    """lambda: the most packets two nodes share."""
+    return max(
+        ((a & b).bit_count() for a, b in itertools.combinations(code.masks, 2)), default=0
+    )
+
+
+def prg_with_a_double_edge():
+    """prg(19, 7) with its packet on edge (0, 1) moved onto (0, 18), beside
+    the edge (18, 0) it has already. Node 1 becomes the one node short of
+    alpha, so the code keeps the prg shape and stays weakly universally
+    good; but nodes 0 and 18 share two packets, and with lambda = 2 the
+    pairwise-overlap bound settles no k."""
+    code = build_prg(PrgSpec(19, 7))
+    storage = [set(code.packets(i)) for i in range(code.n)]
+    storage[1].remove(0)
+    storage[18].add(0)
+    return make_code(code.n, code.theta, storage)
+
+
+def relabeled(code, rng):
+    """code under a random node relabeling and a random packet relabeling."""
+    nodes = rng.sample(range(code.n), code.n)
+    packets = rng.sample(range(code.theta), code.theta)
+    return make_code(code.n, code.theta, [[packets[p] for p in code.packets(i)] for i in nodes])
+
+
+@st.composite
+def graph_codes(draw):
+    """Codes whose packets are the edges of a simple graph, so two nodes
+    share at most one packet (rho = 2, lambda <= 1), under a random node
+    and packet labeling. The graph is any graph, a circulant (every node
+    of one degree), or on odd n a circulant plus a matching that misses
+    one node: the prg shape, with one deficit node."""
+    kind = draw(st.sampled_from(["any", "circulant", "deficit"]), label="kind")
+    if kind == "deficit":
+        p = draw(st.integers(1, 5), label="p")
+        n = 2 * p + 1
+        offsets = draw(st.sets(st.integers(1, p - 1)) if p > 1 else st.just(set()), label="offsets")
+        edges = {frozenset((v, (v + o) % n)) for o in offsets for v in range(n)}
+        edges |= {frozenset((j, j + p)) for j in range(p)}
+    elif kind == "circulant":
+        n = draw(st.integers(3, 11), label="n")
+        offsets = draw(st.sets(st.integers(1, n // 2), min_size=1), label="offsets")
+        edges = {frozenset((v, (v + o) % n)) for o in offsets for v in range(n)}
+    else:
+        n = draw(st.integers(2, 10), label="n")
+        pairs = [frozenset(pair) for pair in itertools.combinations(range(n), 2)]
+        edges = set(draw(st.lists(st.sampled_from(pairs), min_size=1), label="edges"))
+    code = make_code(n, len(edges), [[j for j, e in enumerate(edges) if i in e] for i in range(n)])
+    return relabeled(code, random.Random(draw(st.integers(0, 2**32), label="seed")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_codes(), st.sampled_from([None, True, False]))
+def test_goodness_structural_matches_the_per_k_minimum_on_graph_codes(code, weak):
+    assert largest_overlap(code) <= 1
+    assert goodness_structural(code, weak=weak) == per_k_goodness(code, weak)
+
+
+def test_the_pair_bound_settles_every_k_after_the_first_on_prg_codes(monkeypatch):
+    walked = []
+    walk = analysis._smaller_unions
+
+    def counting(code, k, *args):
+        walked.append(k)
+        return walk(code, k, *args)
+
+    monkeypatch.setattr(analysis, "_smaller_unions", counting)
+    prg = build_prg(PrgSpec(19, 7))
+    for code in (build_prg(PrgSpec(21, 17)), prg, relabeled(prg, random.Random(19))):
+        walked.clear()
+        assert goodness_structural(code).structural_verdict
+        assert walked == [1]
+    # With lambda = 2 every k still walks.
+    code = prg_with_a_double_edge()
+    walked.clear()
+    assert goodness_structural(code).structural_verdict
+    assert largest_overlap(code) == 2 and walked == list(range(1, 8))
+
+
+def test_goodness_structural_answers_prg_41_11_at_the_default_budget():
+    # The walks refused it at k = 9 after about 5 s. The deficit node
+    # binds at k = 1 with margin 0, and the pair bound settles every
+    # later k.
+    report = goodness_structural(build_prg(PrgSpec(41, 11)))
+    assert report == analysis.GoodnessReport(
+        alpha=11, theta=225, k_evaluated=1, file_size=10, weak=True, rhs=10,
+        rhs_positive=True, margin=0, verdict=True, structural_verdict=True,
+        first_failing_k=None,
+    )
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        build_prg(PrgSpec(19, 7)),
+        build_prg(PrgSpec(21, 5)),
+        build_prg(PrgSpec(25, 7)),
+        build_t_code(TSpec(22, 4, 2)),
+        build_t_code(TSpec(25, 4, 1)),
+        build_ring(RingSpec(20, 30, 3)),
+        build_ring(RingSpec(23, 23, 2)),
+        build_ring(RingSpec(24, 36, 3)),
+    ],
+    ids=str,
+)
+def test_goodness_structural_is_unchanged_by_relabeling(code):
+    # Node relabeling takes ring and t codes off the arc DP and the
+    # symmetric walk, and prg codes to other node orders; both keep the
+    # report, which must equal the one read off the coverage profile.
+    report = goodness_structural(code)
+    for seed in (1, 2):
+        other = relabeled(code, random.Random(seed))
+        values = coverage_profile(other).values
+        assert goodness_structural(other) == report
+        assert per_k_goodness(other, None, lambda k: values[k - 1]) == report
+
+
 def test_goodness_structural_walks_each_k_only_to_the_binding_margin():
     # Each k after the first searches only for a union below its rhs plus
-    # the least margin so far; minimising every k needed 26,361 steps.
-    code = build_prg(PrgSpec(19, 7))
-    report = goodness_structural(code, budget=7797)
+    # the least margin so far.
+    code = prg_with_a_double_edge()
+    report = goodness_structural(code, budget=8324)
     assert report == per_k_goodness(code, None)
-    with pytest.raises(BudgetExceeded, match="^search at k=7 exceeds budget of 7796 steps$"):
-        goodness_structural(code, budget=7796)
+    with pytest.raises(BudgetExceeded, match="^search at k=6 exceeds budget of 8323 steps$"):
+        goodness_structural(code, budget=8323)
+    # On prg(19, 7) only k = 1 walks, and that walk takes no step.
+    prg = build_prg(PrgSpec(19, 7))
+    assert goodness_structural(prg, budget=1) == per_k_goodness(prg, None)
 
 
 # --- closed forms ----------------------------------------------------------

@@ -63,6 +63,17 @@ def blocks_file(tmp_path):
 
 
 @pytest.fixture
+def overlap_file(tmp_path):
+    """Fifty such blocks, but the last one shifted down by two packets, so
+    nodes 48 and 49 share two: the pairwise-overlap bound cannot settle
+    goodness at k = 2, whose walk runs away."""
+    path = tmp_path / "overlap.json"
+    windows = [range(10 * i, 10 * i + 10) for i in range(49)] + [range(488, 498)]
+    export_code(make_code(50, 498, windows), str(path))
+    return str(path)
+
+
+@pytest.fixture
 def cover_file(tmp_path):
     """Node 0 holds the vertices of K_12 and each other node one edge, so
     repairing node 0 needs six helpers and the walk over fewer runs away."""
@@ -527,11 +538,11 @@ def test_conjecture_json(capsys):
 # --- plumbing ---------------------------------------------------------------
 
 
-def test_budget_env_override(capsys, blocks_file, cover_file, monkeypatch):
+def test_budget_env_override(capsys, blocks_file, overlap_file, cover_file, monkeypatch):
     monkeypatch.setenv("FRC_BUDGET", "50")
     for argv, search in (
         (("analyze", blocks_file), "search at k=3"),
-        (("goodness", blocks_file, "--structural"), "search at k=3"),
+        (("goodness", overlap_file, "--structural"), "search at k=2"),
         (("repair", cover_file, "--fail", "1"), "helper-set search for node 0"),
     ):
         rc, _, err = run(capsys, *argv)

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate
 from operator import add, or_
 from typing import Iterator, NamedTuple
@@ -263,18 +263,7 @@ def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
     f = min(n, _SLICE_BITS)
     fixed = n - f
     full = (1 << (1 << f)) - 1
-    # columns[b] marks the positions p with bit b set: 2^b zeros, then
-    # 2^b ones, repeated by doubling.
-    columns = []
-    for b in range(f):
-        column = ((1 << (1 << b)) - 1) << (1 << b)
-        for shift in range(b + 1, f):
-            column |= column << (1 << shift)
-        columns.append(column)
-    # classes[j] marks the positions of popcount j.
-    classes = [1]
-    for b in range(f):
-        classes = [x | y << (1 << b) for x, y in zip(classes + [0], [0] + classes)]
+    columns, classes = _slice_constants(f)
     base: list[int] = []  # the counter of the packets with no fixed holder
     tied = []  # (fixed holders, free holders' columns) of the others
     for h in code.holders:
@@ -319,6 +308,24 @@ def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
         (size, tuple([i for i in range(n) if s >> n - 1 - i & 1]))
         for size, s in best[1:]
     ]
+
+
+@cache
+def _slice_constants(f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(columns, classes) of a slice of 2^f subsets, built once per f:
+    columns[b] marks the positions p with bit b set, classes[j] those of
+    popcount j."""
+    columns = []
+    for b in range(f):
+        # 2^b zeros, then 2^b ones, repeated by doubling.
+        column = ((1 << (1 << b)) - 1) << (1 << b)
+        for shift in range(b + 1, f):
+            column |= column << (1 << shift)
+        columns.append(column)
+    classes = [1]
+    for b in range(f):
+        classes = [x | y << (1 << b) for x, y in zip(classes + [0], [0] + classes)]
+    return tuple(columns), tuple(classes)
 
 
 def _add_bits(counter: list[int], x: int) -> None:

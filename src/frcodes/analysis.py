@@ -92,7 +92,7 @@ from typing import Iterator, NamedTuple
 
 from .constructions import PrgSpec
 from .core import FrCode, packets_from_mask, profile, single_deficit_shape
-from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable
+from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable, _shown
 
 #: Default work ceiling of one search, in steps: candidates tried after
 #: the first position. A walk that runs away passes 10^7 steps in about
@@ -119,7 +119,7 @@ def _smaller_unions(
     """
     n = code.n
     if not 1 <= k <= n:
-        raise KOutOfRange(f"k={k} outside [1, {n}]")
+        raise KOutOfRange(f"k={_shown(k)} outside [1, {n}]")
     masks = code.masks
     # limits[d] is the last candidate for position d: the k - 1 - d later
     # picks and the gap back to node 0 each need step more nodes.
@@ -163,7 +163,7 @@ def _smaller_unions(
                 left -= limit - i + 1  # every candidate of the new level
                 if left < 0:
                     raise BudgetExceeded(
-                        f"search at k={k} exceeds budget of {budget} steps"
+                        f"search at k={_shown(k)} exceeds budget of {_shown(budget)} steps"
                     )
                 continue
         i += 1
@@ -422,9 +422,9 @@ def _checked_file_size(theta: int, file_size: int | None) -> int:
     if file_size is None:
         file_size = default_file_size(theta)
     if file_size < 1:
-        raise KOutOfRange(f"file size must be >= 1, got {file_size}")
+        raise KOutOfRange(f"file size must be >= 1, got {_shown(file_size)}")
     if file_size > theta:
-        raise Unreachable(f"file size {file_size} exceeds theta={theta}")
+        raise Unreachable(f"file size {_shown(file_size)} exceeds theta={_shown(theta)}")
     return file_size
 
 
@@ -492,7 +492,9 @@ class GoodnessReport:
 
 def goodness_rhs(k: int, alpha: int, weak: bool = False) -> int:
     """Right side of the goodness bound: k*alpha - C(k, 2), one less in
-    the weak form."""
+    the weak form. C(k, 2) needs k >= 0."""
+    if k < 0:
+        raise KOutOfRange(f"k must be >= 0, got {_shown(k)}")
     return k * alpha - math.comb(k, 2) - (1 if weak else 0)
 
 
@@ -510,7 +512,9 @@ def goodness_arithmetic(
     weak); margin is the slack.
     """
     if k < 1 or alpha < 1 or theta < 1:
-        raise KOutOfRange(f"need k, alpha, theta >= 1, got {k}, {alpha}, {theta}")
+        raise KOutOfRange(
+            f"need k, alpha, theta >= 1, got {_shown(k)}, {_shown(alpha)}, {_shown(theta)}"
+        )
     file_size = _checked_file_size(theta, file_size)
     rhs = goodness_rhs(k, alpha, weak)
     margin = file_size - rhs
@@ -681,9 +685,9 @@ def predicted_k_ring(n: int, theta: int, rho: int) -> KPrediction:
     nodes, so any two differ and u >= rho + 1; packets 0 and 1 reach it.
     """
     if not 2 <= rho <= n - 1:
-        raise RhoRange(f"need 2 <= rho <= n - 1, got rho={rho}, n={n}")
+        raise RhoRange(f"need 2 <= rho <= n - 1, got rho={_shown(rho)}, n={_shown(n)}")
     if theta < 1:
-        raise KOutOfRange(f"theta must be >= 1, got {theta}")
+        raise KOutOfRange(f"theta must be >= 1, got {_shown(theta)}")
     if theta == n:
         return KPrediction(n - rho, "theorem")
     if theta % n == 0:

@@ -27,7 +27,7 @@ import sys
 
 from . import analysis, constructions, repair, sweep
 from .core import DEFAULT_THETA_CAP, check_identities, profile, single_deficit_shape
-from .errors import FrcError
+from .errors import FrcError, _shown
 
 
 def _budget() -> int:
@@ -50,9 +50,9 @@ def _parse_range(text: str) -> list[int]:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
-            raise ValueError(f"empty range {text!r}")
+            raise ValueError(f"empty range {_shown(text)!r}")
         if hi - lo >= DEFAULT_THETA_CAP:
-            raise ValueError(f"range {text!r} spans more than {DEFAULT_THETA_CAP} values")
+            raise ValueError(f"range {_shown(text)!r} spans more than {DEFAULT_THETA_CAP} values")
         return list(range(lo, hi + 1))
     return [int(text)]
 

@@ -44,6 +44,7 @@ from .errors import (
     ParityError,
     ParseError,
     RhoRange,
+    _shown,
 )
 
 
@@ -63,11 +64,11 @@ class PrgSpec:
     def __post_init__(self) -> None:
         _check_ints(vars(self).items())
         if self.n % 2 == 0:
-            raise ParityError(f"n must be odd, got {self.n}")
+            raise ParityError(f"n must be odd, got {_shown(self.n)}")
         if self.d % 2 == 0:
-            raise ParityError(f"d must be odd, got {self.d}")
+            raise ParityError(f"d must be odd, got {_shown(self.d)}")
         if not 3 <= self.d <= self.n - 2:
-            raise DegreeRange(f"need 3 <= d <= n - 2, got d={self.d}, n={self.n}")
+            raise DegreeRange(f"need 3 <= d <= n - 2, got d={_shown(self.d)}, n={_shown(self.n)}")
 
     @property
     def p(self) -> int:
@@ -120,9 +121,13 @@ class RingSpec:
     def __post_init__(self) -> None:
         _check_ints(vars(self).items())
         if self.n < 1 or self.theta < 1:
-            raise DegreeRange(f"need n >= 1 and theta >= 1, got {self.n}, {self.theta}")
+            raise DegreeRange(
+                f"need n >= 1 and theta >= 1, got {_shown(self.n)}, {_shown(self.theta)}"
+            )
         if not 2 <= self.rho <= self.n - 1:
-            raise RhoRange(f"need 2 <= rho <= n - 1, got rho={self.rho}, n={self.n}")
+            raise RhoRange(
+                f"need 2 <= rho <= n - 1, got rho={_shown(self.rho)}, n={_shown(self.n)}"
+            )
 
 
 def build_ring(spec: RingSpec) -> FrCode:
@@ -138,7 +143,7 @@ def build_ring(spec: RingSpec) -> FrCode:
     n, theta, rho = spec.n, spec.theta, spec.rho
     _check_sizes(n, theta)
     if n > DEFAULT_THETA_CAP:
-        raise BudgetExceeded(f"n={n} exceeds cap {DEFAULT_THETA_CAP}")
+        raise BudgetExceeded(f"n={_shown(n)} exceeds cap {DEFAULT_THETA_CAP}")
     # arcs[r]: the nodes holding a packet j = r (mod n).
     arcs = [_rotate((1 << rho) - 1, r, n) for r in range(n)]
     rounds = theta // n + 1
@@ -164,15 +169,16 @@ class TSpec:
     def __post_init__(self) -> None:
         _check_ints(vars(self).items())
         if self.n < 2:
-            raise DegreeRange(f"need n >= 2, got {self.n}")
+            raise DegreeRange(f"need n >= 2, got {_shown(self.n)}")
         if self.d < 2:
-            raise DegreeRange(f"need d >= 2, got {self.d}")
+            raise DegreeRange(f"need d >= 2, got {_shown(self.d)}")
         if self.t < 0:
-            raise DegreeRange(f"need t >= 0, got {self.t}")
+            raise DegreeRange(f"need t >= 0, got {_shown(self.t)}")
         if self.n // math.gcd(self.t + 1, self.n) < self.d:
+            offsets = self.n // math.gcd(self.t + 1, self.n)
             raise DegenerateOffsets(
-                f"step {self.t + 1} yields only {self.n // math.gcd(self.t + 1, self.n)}"
-                f" distinct offsets mod {self.n}, need {self.d}"
+                f"step {_shown(self.t + 1)} yields only {_shown(offsets)}"
+                f" distinct offsets mod {_shown(self.n)}, need {_shown(self.d)}"
             )
 
 
@@ -219,7 +225,7 @@ def _infer_format(path: str) -> str:
     if ext == ".csv":
         return FORMAT_CSV_MATRIX
     raise ParseError(
-        f"cannot infer code format from {path!r}; expected a .json or .csv extension"
+        f"cannot infer code format from {_shown(path)!r}; expected a .json or .csv extension"
     )
 
 
@@ -292,7 +298,7 @@ def export_code(code: FrCode, path: str, fmt: str | None = None) -> None:
     elif fmt == FORMAT_CSV_MATRIX:
         _write_file(path, lambda fh: csv.writer(fh).writerows(incidence_matrix(code)))
     else:
-        raise ParseError(f"unknown code format {fmt!r}")
+        raise ParseError(f"unknown code format {_shown(fmt)!r}")
 
 
 def _read_file(path: str, parse: Callable[[TextIO], Any]) -> Any:
@@ -302,9 +308,9 @@ def _read_file(path: str, parse: Callable[[TextIO], Any]) -> Any:
         with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             return parse(fh)
     except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+        raise ParseError(f"{_shown(path)}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+        raise ParseError(f"{_shown(path)}: not valid UTF-8 ({exc})") from exc
 
 
 def _write_file(path: str, write: Callable[[TextIO], Any]) -> None:
@@ -315,7 +321,7 @@ def _write_file(path: str, write: Callable[[TextIO], Any]) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             write(fh)
     except OSError as exc:
-        raise FrcError(f"{path}: {exc.strerror or exc}") from exc
+        raise FrcError(f"{_shown(path)}: {exc.strerror or exc}") from exc
 
 
 def read_csv_records(path: str) -> list[list[str]]:
@@ -325,7 +331,7 @@ def read_csv_records(path: str) -> list[list[str]]:
     try:
         return _read_file(path, lambda fh: list(csv.reader(fh)))
     except csv.Error as exc:
-        raise ParseError(f"{path}: not valid CSV ({exc})") from exc
+        raise ParseError(f"{_shown(path)}: not valid CSV ({exc})") from exc
 
 
 def import_code(path: str) -> FrCode:
@@ -340,20 +346,20 @@ def import_code(path: str) -> FrCode:
             # ValueError also covers an integer literal longer than the
             # interpreter's digit limit; RecursionError, nesting deeper
             # than it allows.
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+            raise ParseError(f"{_shown(path)}: not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
-            raise ParseError(f"{path}: expected a JSON object")
+            raise ParseError(f"{_shown(path)}: expected a JSON object")
         try:
             n, theta, nodes = doc["n"], doc["theta"], doc["nodes"]
         except KeyError as exc:
-            raise ParseError(f"{path}: missing or non-numeric n/theta/nodes") from exc
+            raise ParseError(f"{_shown(path)}: missing or non-numeric n/theta/nodes") from exc
         # JSON integers load as int; bool is an int subclass, so test the type.
         if type(n) is not int or type(theta) is not int:
-            raise ParseError(f"{path}: n and theta must be integers")
+            raise ParseError(f"{_shown(path)}: n and theta must be integers")
         if not isinstance(nodes, list) or not all(isinstance(s, list) for s in nodes):
-            raise ParseError(f"{path}: nodes must be a list of lists")
+            raise ParseError(f"{_shown(path)}: nodes must be a list of lists")
         if any(type(v) is not int for s in nodes for v in s):
-            raise ParseError(f"{path}: packet indices must be integers")
+            raise ParseError(f"{_shown(path)}: packet indices must be integers")
         return make_code(n, theta, nodes)
     masks: list[int] = []
     widths = set()
@@ -364,17 +370,17 @@ def import_code(path: str) -> FrCode:
             try:
                 row = [int(v) for v in record]
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer entry") from exc
+                raise ParseError(f"{_shown(path)}:{lineno}: non-integer entry") from exc
             if any(v not in (0, 1) for v in row):
-                raise ParseError(f"{path}:{lineno}: entries must be 0 or 1")
+                raise ParseError(f"{_shown(path)}:{lineno}: entries must be 0 or 1")
             record = [str(v) for v in row]
         # Column j is bit j, so the reversed row is the mask in binary.
         masks.append(int("".join(record)[::-1], 2))
         widths.add(len(record))
     if not masks:
-        raise ParseError(f"{path}: empty incidence matrix")
+        raise ParseError(f"{_shown(path)}: empty incidence matrix")
     if len(widths) != 1:
-        raise ParseError(f"{path}: ragged incidence matrix")
+        raise ParseError(f"{_shown(path)}: ragged incidence matrix")
     theta = widths.pop()
     _check_sizes(len(masks), theta)
     return _freeze(len(masks), theta, masks)

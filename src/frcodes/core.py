@@ -28,6 +28,7 @@ from .errors import (
     IndexOutOfRange,
     InvariantViolation,
     OrphanPacket,
+    _shown,
 )
 
 #: Widest code the toolkit will build; guards the brute-force layers.
@@ -105,7 +106,7 @@ def _check_ints(fields: Iterable[tuple[str, Any]], error=InvariantViolation) -> 
     int; bool is an int subclass, so test the type itself."""
     for name, value in fields:
         if type(value) is not int:
-            raise error(f"{name}={value!r} is not an integer")
+            raise error(f"{name}={_shown(value)!r} is not an integer")
 
 
 def _check_sizes(n: int, theta: int) -> None:
@@ -115,11 +116,11 @@ def _check_sizes(n: int, theta: int) -> None:
     spec fails at once."""
     _check_ints((("n", n), ("theta", theta)))
     if n < 1:
-        raise EmptySystem(f"need at least one node, got n={n}")
+        raise EmptySystem(f"need at least one node, got n={_shown(n)}")
     if theta < 1:
-        raise EmptySystem(f"need at least one packet, got theta={theta}")
+        raise EmptySystem(f"need at least one packet, got theta={_shown(theta)}")
     if theta > DEFAULT_THETA_CAP:
-        raise BudgetExceeded(f"theta={theta} exceeds cap {DEFAULT_THETA_CAP}")
+        raise BudgetExceeded(f"theta={_shown(theta)} exceeds cap {DEFAULT_THETA_CAP}")
 
 
 def _freeze(
@@ -153,21 +154,21 @@ def make_code(n: int, theta: int, storage: Iterable[Iterable[int]]) -> FrCode:
     _check_sizes(n, theta)
     node_sets = list(storage)
     if len(node_sets) != n:
-        raise InvariantViolation(f"expected {n} node sets, got {len(node_sets)}")
+        raise InvariantViolation(f"expected {_shown(n)} node sets, got {len(node_sets)}")
     masks = []
     for s in node_sets:
         try:
             packets = iter(s)
         except TypeError:
             raise InvariantViolation(
-                f"node {s!r} is not a collection of packet indices"
+                f"node {_shown(s)!r} is not a collection of packet indices"
             ) from None
         mask = 0
         for p in packets:
             if type(p) is not int:
-                raise InvariantViolation(f"packet index {p!r} is not an integer")
+                raise InvariantViolation(f"packet index {_shown(p)!r} is not an integer")
             if not 0 <= p < theta:
-                raise IndexOutOfRange(f"packet {p} outside [0, {theta})")
+                raise IndexOutOfRange(f"packet {_shown(p)} outside [0, {_shown(theta)})")
             mask |= 1 << p
         masks.append(mask)
     return _freeze(n, theta, masks)

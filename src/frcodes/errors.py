@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one rule for
+showing a caller's value in their messages.
 
 Every domain error derives from FrcError so callers (and the command line
 front end) can catch a single base class. The concrete class name doubles
@@ -6,6 +7,35 @@ as the stable error code printed on stderr.
 """
 
 from __future__ import annotations
+
+import math
+import sys
+
+
+class _Phrase(str):
+    """Message text that prints as itself under !r as well."""
+
+    __repr__ = str.__str__
+
+
+def _shown(value: object) -> object:
+    """value as an error message interpolates it: value itself, except an
+    int with more digits than the interpreter turns into text
+    (sys.get_int_max_str_digits), which becomes a phrase giving its sign
+    and digit count. Printing that int would raise ValueError in place of
+    the error the message belongs to."""
+    limit = sys.get_int_max_str_digits()
+    # More than limit digits needs more than 3 * limit bits.
+    if isinstance(value, int) and limit and value.bit_length() > 3 * limit:
+        size = abs(value)
+        # 2^(b-1) <= size < 2^b leaves two digit counts; take the right one.
+        digits = int(size.bit_length() * math.log10(2)) + 1
+        if size < 10 ** (digits - 1):
+            digits -= 1
+        if digits > limit:
+            sign = "a negative" if value < 0 else "an"
+            return _Phrase(f"{sign} int of {digits:,} digits")
+    return value
 
 
 class FrcError(Exception):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import DEFAULT_BUDGET
 from .core import FrCode
-from .errors import BudgetExceeded, KOutOfRange, Unrepairable
+from .errors import BudgetExceeded, KOutOfRange, Unrepairable, _shown
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _finish_plan(
     for packet in lost:
         helper = next((h for h in survivors if code.masks[h] >> packet & 1), None)
         if helper is None:
-            raise Unrepairable(f"packet {packet} has no replica outside node {failed}")
+            raise Unrepairable(f"packet {packet} has no replica outside node {_shown(failed)}")
         assignments.append((packet, helper))
     helpers = tuple(sorted({h for _, h in assignments}))
     return RepairPlan(
@@ -77,7 +77,7 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     take more steps than the budget allows.
     """
     if not 0 <= failed < code.n:
-        raise KOutOfRange(f"failed node {failed} outside [0, {code.n})")
+        raise KOutOfRange(f"failed node {_shown(failed)} outside [0, {_shown(code.n)})")
     lost_mask = code.masks[failed]
     if lost_mask == 0:
         return _finish_plan(code, failed, ())
@@ -91,7 +91,7 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
         rest[i] = rest[i + 1] | restricted[i]
     if rest[0] != lost_mask:
         missing = (lost_mask & ~rest[0]).bit_length() - 1
-        raise Unrepairable(f"packet {missing} has no replica outside node {failed}")
+        raise Unrepairable(f"packet {missing} has no replica outside node {_shown(failed)}")
     left = budget  # steps still allowed
     for size in range(1, c + 1):
         chosen: list[int] = []
@@ -114,8 +114,8 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
                 left -= c - size + depth + 1 - i
                 if left < 0:
                     raise BudgetExceeded(
-                        f"helper-set search for node {failed} exceeds budget"
-                        f" of {budget} steps"
+                        f"helper-set search for node {_shown(failed)} exceeds budget"
+                        f" of {_shown(budget)} steps"
                     )
                 chosen.append(i)
                 outer.append(union)
@@ -132,5 +132,5 @@ def plan_repair_greedy(code: FrCode, failed: int) -> RepairPlan:
     """Baseline plan: fetch each lost packet from its lowest-indexed
     surviving holder, with no attempt to share helpers."""
     if not 0 <= failed < code.n:
-        raise KOutOfRange(f"failed node {failed} outside [0, {code.n})")
+        raise KOutOfRange(f"failed node {_shown(failed)} outside [0, {_shown(code.n)})")
     return _finish_plan(code, failed, tuple([i for i in range(code.n) if i != failed]))

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .constructions import RingSpec, _write_file, build_ring, read_csv_records
 from .core import DEFAULT_THETA_CAP, _check_ints, profile
-from .errors import MalformedRow, ParseError, RhoRange
+from .errors import MalformedRow, ParseError, RhoRange, _shown
 
 PROVENANCE_GENERATED = "generated"
 PROVENANCE_TRANSCRIBED = "transcribed"
@@ -60,9 +60,9 @@ class TableRow:
         _check_ints(fields, MalformedRow)
         for name, value in fields[:5]:
             if value < 1:
-                raise MalformedRow(f"{name}={value} must be positive")
+                raise MalformedRow(f"{name}={_shown(value)} must be positive")
         if self.t is not None and self.t < 0:
-            raise MalformedRow(f"t={self.t} must be nonnegative")
+            raise MalformedRow(f"t={_shown(self.t)} must be nonnegative")
         # No code is wider than the cap. The audit numbers built from a
         # larger value can be too long to print, so it is not printed.
         for name, value in fields:
@@ -152,7 +152,7 @@ class AuditFinding:
 def audit_table(rows: Iterable[TableRow], family: str) -> list[AuditFinding]:
     """Re-check every row arithmetically; see AuditFinding."""
     if family not in (FAMILY_RING, FAMILY_T):
-        raise ParseError(f"unknown table family {family!r}")
+        raise ParseError(f"unknown table family {_shown(family)!r}")
     findings = []
     first_seen: dict[tuple, int] = {}
     for index, row in enumerate(rows):
@@ -324,19 +324,19 @@ def read_rows_csv(path: str) -> list[TableRow]:
 def _parse_rows(records: Iterable[list[str]], origin: str) -> list[TableRow]:
     records = [rec for rec in records if rec]
     if not records:
-        raise ParseError(f"{origin}: empty table")
+        raise ParseError(f"{_shown(origin)}: empty table")
     header = [cell.strip() for cell in records[0]]
     if header not in (_BASE_HEADER, _BASE_HEADER + ["t"]):
-        raise ParseError(f"{origin}: bad header {header}")
+        raise ParseError(f"{_shown(origin)}: bad header {header}")
     with_t = header[-1] == "t"
     rows = []
     for lineno, rec in enumerate(records[1:], start=2):
         if len(rec) != len(header):
-            raise MalformedRow(f"{origin}:{lineno}: expected {len(header)} fields")
+            raise MalformedRow(f"{_shown(origin)}:{lineno}: expected {len(header)} fields")
         try:
             values = [int(cell) for cell in rec]
         except ValueError as exc:
-            raise MalformedRow(f"{origin}:{lineno}: non-integer field") from exc
+            raise MalformedRow(f"{_shown(origin)}:{lineno}: non-integer field") from exc
         n, k, d, rho, theta = values[:5]
         t = values[5] if with_t else None
         rows.append(TableRow(n, k, d, rho, theta, t, PROVENANCE_TRANSCRIBED))
@@ -361,7 +361,7 @@ def load_bundled_table(name: str) -> list[TableRow]:
     """Load one bundled reference table by name; see BUNDLED_TABLES."""
     if name not in BUNDLED_TABLES:
         raise ParseError(
-            f"unknown bundled table {name!r}; choose from {sorted(BUNDLED_TABLES)}"
+            f"unknown bundled table {_shown(name)!r}; choose from {sorted(BUNDLED_TABLES)}"
         )
     text = resources.files("frcodes").joinpath("data", f"{name}.csv").read_text("utf-8")
     return _parse_rows(list(csv.reader(text.splitlines())), name)
@@ -371,7 +371,7 @@ def bundled_table_family(name: str) -> str:
     try:
         return BUNDLED_TABLES[name]
     except KeyError:
-        raise ParseError(f"unknown bundled table {name!r}") from None
+        raise ParseError(f"unknown bundled table {_shown(name)!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -876,7 +876,8 @@ def graph_codes(draw):
     if kind == "deficit":
         p = draw(st.integers(1, 5), label="p")
         n = 2 * p + 1
-        offsets = draw(st.sets(st.integers(1, p - 1)) if p > 1 else st.just(set()), label="offsets")
+        below = st.sets(st.integers(1, p - 1)) if p > 1 else st.just(set())
+        offsets = draw(below, label="offsets")
         edges = {frozenset((v, (v + o) % n)) for o in offsets for v in range(n)}
         edges |= {frozenset((j, j + p)) for j in range(p)}
     elif kind == "circulant":

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import frcodes
 
 from frcodes import (
     BudgetExceeded,
@@ -237,3 +242,135 @@ def test_code_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         code.n = 5
     assert code in {code}
+
+
+# --- caller values in error messages --------------------------------------
+
+RING = build_ring(RingSpec(5, 5, 2))
+
+#: Valid arguments of every public function with an int parameter.
+CALLS = {
+    "conjecture_harness": dict(n_values=[5], rho_values=[2], budget=100),
+    "coverage_profile": dict(code=RING, budget=100),
+    "default_theta_rule": dict(n=5),
+    "goodness_arithmetic": dict(k=2, alpha=2, theta=5, file_size=4),
+    "goodness_rhs": dict(k=2, alpha=2),
+    "goodness_structural": dict(code=RING, budget=100),
+    "make_code": dict(n=1, theta=1, storage=[[0]]),
+    "code_from_matrix": dict(rows=[[1]]),
+    "min_coverage": dict(code=RING, k=2, budget=100),
+    "plan_repair": dict(code=RING, failed=0, budget=100),
+    "plan_repair_greedy": dict(code=RING, failed=0),
+    "predicted_k_ring": dict(n=5, theta=5, rho=2),
+    "prg_margin": dict(n=7, d=3),
+    "reconstruction_degree": dict(code=RING, file_size=4, budget=100),
+    "restrict_rho": dict(rows=[frcodes.TableRow(5, 3, 2, 2, 5)], rho=2),
+    "ring_margin_case1": dict(rho=2, theta=5),
+    "ring_margin_case2": dict(m=2, rho=2, theta=5),
+    "sweep_ring": dict(n_values=[5], rho_values=[2], m_values=[1], budget=100),
+}
+
+#: An instance of every public dataclass and named tuple with an int
+#: field; specs are built as well.
+INSTANCES = [
+    RING,
+    PrgSpec(7, 3),
+    RingSpec(5, 5, 2),
+    frcodes.TSpec(7, 3, 1),
+    frcodes.TableRow(5, 3, 2, 2, 5, 1),
+    profile(RING),
+    check_identities(RING),
+    frcodes.goodness_structural(RING),
+    frcodes.plan_repair(RING, 0),
+    frcodes.prg_margin(7, 3),
+    frcodes.predicted_k_ring(5, 5, 2),
+    *frcodes.audit_table(frcodes.load_bundled_table("ring_rho2")[:1], "ring"),
+    *frcodes.conjecture_harness([5], [2])[:1],
+]
+BUILDERS = {PrgSpec: build_prg, RingSpec: build_ring, frcodes.TSpec: frcodes.build_t_code}
+
+#: default_theta_rule(n) lists about 3n values, and conjecture_harness
+#: builds that list for each n before its builder refuses n past the
+#: cap, so a huge positive n never returns from either.
+RUNAWAY = {("default_theta_rule", "n"), ("conjecture_harness", "n_values")}
+
+
+def int_parameters():
+    """(name, parameter, shape) of every int parameter of the public
+    functions and every int field of the public dataclasses and named
+    tuples; shape wraps a value as the parameter takes it."""
+    shapes = {
+        "int": lambda v: v,
+        "int | None": lambda v: v,
+        "Iterable[int]": lambda v: [v],
+        "Iterable[Iterable[int]]": lambda v: [[v]],
+        "Sequence[Sequence[int]]": lambda v: [[v]],
+    }
+    found = []
+    for name in sorted(vars(frcodes)):
+        obj = getattr(frcodes, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.items()
+            types = {param: str(arg.annotation) for param, arg in params}
+        elif dataclasses.is_dataclass(obj):
+            types = {field.name: str(field.type) for field in dataclasses.fields(obj)}
+        elif hasattr(obj, "_fields"):  # a named tuple
+            types = {field: typ.__forward_arg__ for field, typ in obj.__annotations__.items()}
+        else:
+            continue
+        found += [(name, param, shapes[typ]) for param, typ in types.items() if typ in shapes]
+    return found
+
+
+INT_PARAMETERS = int_parameters()
+
+
+def test_every_int_parameter_has_valid_arguments():
+    names = {name for name, _, _ in INT_PARAMETERS}
+    kinds = {type(instance).__name__ for instance in INSTANCES}
+    assert names == set(CALLS) | kinds
+    for name, kwargs in CALLS.items():
+        getattr(frcodes, name)(**kwargs)
+
+
+def call_with(name, param, value):
+    """name called with valid arguments, or its instance rebuilt with
+    valid fields, but param set to value; a spec is also built."""
+    if name in CALLS:
+        return getattr(frcodes, name)(**{**CALLS[name], param: value})
+    instance = next(i for i in INSTANCES if type(i).__name__ == name)
+    if dataclasses.is_dataclass(instance):
+        changed = dataclasses.replace(instance, **{param: value})
+    else:
+        changed = instance._replace(**{param: value})
+    return BUILDERS[type(changed)](changed) if type(changed) in BUILDERS else changed
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4301, 5001), st.sampled_from([1, -1]), st.sampled_from([0, 1]))
+@example(5001, 1, 0)
+@example(5001, -1, 0)
+def test_ints_past_the_digit_limit_give_a_result_or_a_toolkit_error(digits, sign, odd):
+    # str() refuses an int of more than 4,300 digits, so an error message
+    # that printed one raised ValueError in place of the toolkit error.
+    # Odd values pass the prg parity checks to the range checks.
+    value = sign * (10 ** (digits - 1) + odd)
+    for name, param, shape in INT_PARAMETERS:
+        if (name, param) in RUNAWAY and value > 0:
+            continue
+        try:
+            call_with(name, param, shape(value))
+        except FrcError as exc:
+            assert str(exc), (name, param)
+
+
+@pytest.mark.parametrize("sign, phrase", [(1, "an int"), (-1, "a negative int")])
+def test_huge_ints_are_named_by_their_digit_count(sign, phrase):
+    value = sign * 10**5000
+    message = f"need 2 <= rho <= n - 1, got rho={phrase} of 5,001 digits, n=5"
+    with pytest.raises(frcodes.RhoRange, match=f"^{message}$"):
+        RingSpec(5, 5, value)
+    with pytest.raises(frcodes.KOutOfRange, match=f"^k={phrase} of 5,001 digits outside"):
+        frcodes.min_coverage(RING, value)

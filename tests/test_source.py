@@ -82,3 +82,29 @@ def test_files_are_opened_only_by_the_file_helpers():
     assert found
     outside = [site for site in found if site not in helpers]
     assert not outside, outside
+
+
+def test_raise_messages_show_parameters_only_through_the_formatter():
+    # errors._shown abbreviates an int too long for str(), which would
+    # otherwise raise ValueError while a toolkit error's message is
+    # built. So an f-string in a raise reads a parameter of its function
+    # only through it; the breach is reported at the function's line.
+    def unshown(func):
+        args = func.args
+        params = {
+            arg.arg
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            if arg is not None
+        }
+        return [
+            part
+            for raised in ast.walk(func)
+            if isinstance(raised, ast.Raise) and raised.exc is not None
+            for part in ast.walk(raised.exc)
+            if isinstance(part, ast.FormattedValue)
+            and getattr(getattr(part.value, "func", None), "id", None) != "_shown"
+            and any(isinstance(name, ast.Name) and name.id in params for name in ast.walk(part.value))
+        ]
+
+    found = breaches(lambda node: isinstance(node, ast.FunctionDef) and bool(unshown(node)))
+    assert not found, found

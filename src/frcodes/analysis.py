@@ -79,6 +79,18 @@ and weakly universally good when the right side is lowered by one. The
 relaxed form is applied to codes in which exactly one node stores
 alpha - 1 packets and the rest store alpha with regular replication;
 everything else is held to the strict bound.
+
+goodness_structural settles a k without a walk where the nodes overlap
+little. By Bonferroni's inequality any k nodes hold at least
+sum |A_i| - sum over pairs |A_i & A_j| packets, so at least the sum of
+the k smallest alpha_i less C(k, 2) * lambda, where lambda is the most
+packets two nodes share. Where that reaches the bound the walk at k
+would search below, no k nodes lie below it. This is the source paper's
+reason why partial regular graph codes are universally good: their
+packets are the edges of a simple graph, so two nodes share at most the
+edge between them, lambda = 1, and the bound is k * alpha - C(k, 2)
+less one for the node one packet short, the weak form's right side
+itself. On those codes only k = 1 is walked.
 """
 
 from __future__ import annotations
@@ -235,7 +247,8 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
 
 
 #: Free nodes per slice of the subset table. A slice is a 2**16-bit int
-#: (8 KiB); the table keeps a few dozen live, about 490 KiB on prg(21,5).
+#: (8 KiB); the table keeps a few dozen live, about 490 KiB on prg(21,5),
+#: and the 2f + 1 constant slices of each width f stay cached.
 _SLICE_BITS = 16
 
 
@@ -547,7 +560,13 @@ def goodness_structural(
 
     It decides rather than minimises: after k = 1, a later k can only
     change the report with a union below its rhs plus the least margin
-    so far, so each walk runs to that bound and may find nothing.
+    so far, so each walk runs to that bound and may find nothing. A k
+    whose pairwise-overlap bound (the sum of the k smallest alpha_i
+    less C(k, 2) * lambda; see the module notes) already reaches that
+    bound is not walked at all: no union lies below it. lambda is read
+    pair by pair only when the k smallest alpha_i alone reach the bound,
+    and only until some pair rules the skip out, so codes the bound
+    cannot help pay little for it.
     """
     prof = profile(code)
     if weak is None:

@@ -38,7 +38,6 @@ from .core import (
     FrCode,
     IdentityReport,
     check_identities,
-    code_from_matrix,
     incidence_matrix,
     make_code,
     profile,
@@ -80,7 +79,6 @@ from .sweep import (
     audit_dedup,
     audit_rhs_filter,
     audit_table,
-    bundled_table_family,
     conjecture_harness,
     dedup_rows,
     default_theta_rule,

@@ -90,7 +90,7 @@ reason why partial regular graph codes are universally good: their
 packets are the edges of a simple graph, so two nodes share at most the
 edge between them, lambda = 1, and the bound is k * alpha - C(k, 2)
 less one for the node one packet short, the weak form's right side
-itself. On those codes only k = 1 is walked.
+itself. On those codes no k is walked: M(1) is the smallest alpha_i.
 """
 
 from __future__ import annotations
@@ -113,26 +113,27 @@ DEFAULT_BUDGET = 10**7
 
 
 def _smaller_unions(
-    code: FrCode, k: int, bound: int, budget: int, symmetric: bool
+    code: FrCode, k: int, bound: int, budget: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (union size, subset) for each k-subset, in lex order, whose
     union is smaller than bound and than every earlier yield.
 
-    symmetric says the code is rotation invariant, which is detected
-    once per code (FrCode.rotation_invariant). Then only subsets that
-    start at node 0 and whose first gap g is the smallest circular gap
-    are walked: the second pick is at most n // k, each later pick is
-    at least g after the previous one, and the last pick leaves at least
-    g before node 0 comes round again. Every subset rotates into that
-    form with its union size unchanged, and the lexicographically least
-    subset of any size is already in it (a rotation that starts at a
-    smaller gap would be smaller), so the minimum, its witness and the
-    existence of a subset below the bound are those of the full walk.
+    On a rotation-invariant code, which is detected once per code
+    (FrCode.rotation_invariant), only subsets that start at node 0 and
+    whose first gap g is the smallest circular gap are walked: the
+    second pick is at most n // k, each later pick is at least g after
+    the previous one, and the last pick leaves at least g before node 0
+    comes round again. Every subset rotates into that form with its
+    union size unchanged, and the lexicographically least subset of any
+    size is already in it (a rotation that starts at a smaller gap would
+    be smaller), so the minimum, its witness and the existence of a
+    subset below the bound are those of the full walk.
     """
     n = code.n
     if not 1 <= k <= n:
         raise KOutOfRange(f"k={_shown(k)} outside [1, {n}]")
     masks = code.masks
+    symmetric = code.rotation_invariant
     # limits[d] is the last candidate for position d: the k - 1 - d later
     # picks and the gap back to node 0 each need step more nodes.
     limits = [n - k + d for d in range(k)]
@@ -190,7 +191,7 @@ def min_coverage(
     least subset achieving the value, as a sorted tuple of node indices.
     """
     # Every union is at most theta, so the first subset always yields.
-    *_, best = _smaller_unions(code, k, code.theta + 1, budget, code.rotation_invariant)
+    *_, best = _smaller_unions(code, k, code.theta + 1, budget)
     return best
 
 
@@ -235,7 +236,7 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
         most = _most_missed(n, arcs, symmetric)
         # The first subset at or below the minimum is its lex-least witness.
         best = [
-            next(_smaller_unions(code, k, code.theta - most[k] + 1, budget, symmetric))
+            next(_smaller_unions(code, k, code.theta - most[k] + 1, budget))
             for k in range(1, n + 1)
         ]
     elif arcs is None and not symmetric and 2**n // 64 <= budget:
@@ -468,11 +469,9 @@ def reconstruction_degree(
         if math.comb(code.n, k) > dual_cost:
             dual = code.transpose
             # Every packet has a holder, so 1 <= u <= n.
-            *_, (u, _) = _smaller_unions(
-                dual, t, dual.theta + 1, budget, dual.rotation_invariant
-            )
+            *_, (u, _) = _smaller_unions(dual, t, dual.theta + 1, budget)
             return code.n - u + 1
-        below = _smaller_unions(code, k, file_size, budget, code.rotation_invariant)
+        below = _smaller_unions(code, k, file_size, budget)
         if next(below, None) is None:
             return k
 
@@ -558,22 +557,21 @@ def goodness_structural(
     the point fields describe the tightest (smallest-margin) k, the
     earliest of equals.
 
-    It decides rather than minimises: after k = 1, a later k can only
-    change the report with a union below its rhs plus the least margin
-    so far, so each walk runs to that bound and may find nothing. A k
-    whose pairwise-overlap bound (the sum of the k smallest alpha_i
-    less C(k, 2) * lambda; see the module notes) already reaches that
-    bound is not walked at all: no union lies below it. lambda is read
-    pair by pair only when the k smallest alpha_i alone reach the bound,
-    and only until some pair rules the skip out, so codes the bound
-    cannot help pay little for it.
+    M(1) is the smallest node size, so k = 1 needs no walk. The scan
+    then decides rather than minimises: a later k can only change the
+    report with a union below its rhs plus the least margin so far, so
+    each walk runs to that bound and may find nothing. A k whose
+    pairwise-overlap bound (the sum of the k smallest alpha_i less
+    C(k, 2) * lambda; see the module notes) already reaches that bound
+    is not walked at all: no union lies below it. lambda is read pair
+    by pair only when the k smallest alpha_i alone reach the bound, and
+    only until some pair rules the skip out, so codes the bound cannot
+    help pay little for it.
     """
     prof = profile(code)
     if weak is None:
         weak = single_deficit_shape(prof)
     alpha = prof.alpha
-    theta = code.theta
-    symmetric = code.rotation_invariant
     # smallest[k] is the sum of the k smallest node sizes.
     smallest = [0, *accumulate(sorted(prof.alpha_per_node))]
     masks = code.masks
@@ -583,14 +581,16 @@ def goodness_structural(
         (a & b).bit_count() for i, a in enumerate(masks) for b in masks[i + 1 :]
     )
     most = 0
-    # The binding (margin, k, value) so far. k = 1 is always scanned
-    # (alpha >= 1, n >= 1) and its rhs is >= 0, so its walk runs at
-    # theta + 1, above every union, and sets all three.
-    binding_margin = theta + 1
-    for k in range(1, min(alpha, code.n) + 1):
+    # The binding (margin, k, value) so far, from k = 1 (alpha >= 1,
+    # n >= 1), where the value is M(1) = smallest[1].
+    binding_k, binding_value = 1, smallest[1]
+    binding_margin = binding_value - goodness_rhs(1, alpha, weak)
+    for k in range(2, min(alpha, code.n) + 1):
+        if binding_margin < 0:
+            break
         rhs = goodness_rhs(k, alpha, weak)
-        bound = min(theta + 1, rhs + binding_margin)
-        if k > 1 and smallest[k] >= bound:
+        bound = rhs + binding_margin
+        if smallest[k] >= bound:
             # Every k-union holds at least smallest[k] - C(k, 2) * lambda
             # packets, which reaches bound when lambda <= cap.
             cap = (smallest[k] - bound) // math.comb(k, 2)
@@ -602,15 +602,13 @@ def goodness_structural(
                             break
                 else:
                     continue  # no k-union lies below bound
-        for value, _ in _smaller_unions(code, k, bound, budget, symmetric):
+        for value, _ in _smaller_unions(code, k, bound, budget):
             binding_margin, binding_k, binding_value = value - rhs, k, value
-        if binding_margin < 0:
-            break
     passed = binding_margin >= 0
     rhs = goodness_rhs(binding_k, alpha, weak)
     return GoodnessReport(
         alpha=alpha,
-        theta=theta,
+        theta=code.theta,
         k_evaluated=binding_k,
         file_size=binding_value,
         weak=weak,

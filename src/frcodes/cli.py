@@ -216,7 +216,7 @@ def _cmd_audit_table(args) -> int:
         raise FrcError("pass a CSV path or --bundled NAME, not both")
     if args.bundled:
         rows = sweep.load_bundled_table(args.bundled)
-        family = args.family or sweep.bundled_table_family(args.bundled)
+        family = args.family or sweep.BUNDLED_TABLES[args.bundled]
     else:
         if not args.table:
             raise FrcError("pass a CSV path or --bundled NAME")

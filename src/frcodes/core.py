@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -224,21 +224,6 @@ def incidence_matrix(code: FrCode) -> list[list[int]]:
     Returns fresh lists; mutating them does not touch the code.
     """
     return [[(m >> j) & 1 for j in range(code.theta)] for m in code.masks]
-
-
-def code_from_matrix(rows: Sequence[Sequence[int]]) -> FrCode:
-    """Rebuild a code from a binary incidence matrix (inverse of
-    incidence_matrix up to validation)."""
-    if not rows:
-        raise EmptySystem("incidence matrix has no rows")
-    theta = len(rows[0])
-    for row in rows:
-        if len(row) != theta:
-            raise InvariantViolation("ragged incidence matrix")
-    storage = [
-        {j for j, v in enumerate(row) if v} for row in rows
-    ]
-    return make_code(len(rows), theta, storage)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .constructions import RingSpec, _write_file, build_ring, read_csv_records
 from .core import DEFAULT_THETA_CAP, _check_ints, profile
-from .errors import MalformedRow, ParseError, RhoRange, _shown
+from .errors import BudgetExceeded, MalformedRow, ParseError, RhoRange, _shown
 
 PROVENANCE_GENERATED = "generated"
 PROVENANCE_TRANSCRIBED = "transcribed"
@@ -251,12 +251,6 @@ class FilterAudit:
     zero_rhs: tuple[TableRow, ...]
     not_in_source: tuple[TableRow, ...]
 
-    @property
-    def consistent_nonneg(self) -> bool:
-        """True when claimed = {source rows with rhs >= 0} up to the
-        flagged negative-rhs extras."""
-        return not self.missing_nonneg and not self.not_in_source
-
 
 def audit_rhs_filter(
     source: Iterable[TableRow], claimed: Iterable[TableRow]
@@ -358,20 +352,15 @@ BUNDLED_TABLES: dict[str, str] = {
 
 
 def load_bundled_table(name: str) -> list[TableRow]:
-    """Load one bundled reference table by name; see BUNDLED_TABLES."""
+    """Load one bundled reference table by name; see BUNDLED_TABLES. It
+    is decoded as read_rows_csv decodes a user's table."""
     if name not in BUNDLED_TABLES:
         raise ParseError(
             f"unknown bundled table {_shown(name)!r}; choose from {sorted(BUNDLED_TABLES)}"
         )
-    text = resources.files("frcodes").joinpath("data", f"{name}.csv").read_text("utf-8")
-    return _parse_rows(list(csv.reader(text.splitlines())), name)
-
-
-def bundled_table_family(name: str) -> str:
-    try:
-        return BUNDLED_TABLES[name]
-    except KeyError:
-        raise ParseError(f"unknown bundled table {_shown(name)!r}") from None
+    table = resources.files("frcodes").joinpath("data", f"{name}.csv")
+    with resources.as_file(table) as path:
+        return _parse_rows(read_csv_records(str(path)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +385,11 @@ class ConjectureFinding:
 def default_theta_rule(n: int) -> list[int]:
     """Heterogeneous theta values tried per n: every theta in [2, 3n]
     that is not a multiple of n. Mirrors the sweep scale (up to three
-    rounds) while keeping file size theta - 1 positive."""
+    rounds) while keeping file size theta - 1 positive. An n past
+    DEFAULT_THETA_CAP, which no builder takes, is refused before the
+    list is made."""
+    if n > DEFAULT_THETA_CAP:
+        raise BudgetExceeded(f"n={_shown(n)} exceeds cap {DEFAULT_THETA_CAP}")
     return [theta for theta in range(2, 3 * n + 1) if theta % n != 0]
 
 

@@ -14,8 +14,8 @@ import itertools
 from collections import Counter
 
 from frcodes.constructions import read_csv_records
-from frcodes.core import DEFAULT_THETA_CAP, code_from_matrix, make_code
-from frcodes.errors import BudgetExceeded, ParseError
+from frcodes.core import DEFAULT_THETA_CAP, make_code
+from frcodes.errors import BudgetExceeded, EmptySystem, InvariantViolation, ParseError
 
 
 def brute_min_coverage(code, k):
@@ -107,6 +107,21 @@ def brute_lex_least_helpers(code, failed):
             if lost <= union:
                 return members
     return None
+
+
+def code_from_matrix(rows):
+    """Rebuild a code from a binary incidence matrix (inverse of
+    incidence_matrix up to validation)."""
+    if not rows:
+        raise EmptySystem("incidence matrix has no rows")
+    theta = len(rows[0])
+    for row in rows:
+        if len(row) != theta:
+            raise InvariantViolation("ragged incidence matrix")
+    storage = [
+        {j for j, v in enumerate(row) if v} for row in rows
+    ]
+    return make_code(len(rows), theta, storage)
 
 
 def brute_import_csv_matrix(path):

@@ -4,6 +4,8 @@ import itertools
 import math
 import random
 import tracemalloc
+from functools import reduce
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -103,6 +105,15 @@ def swap_nodes(code, a, b):
     return FrCode(n=code.n, theta=code.theta, masks=tuple(masks))
 
 
+def seeded_walk(code, k, bound, budget, symmetric):
+    """_smaller_unions on an equal code whose cached rotation_invariant
+    is seeded as symmetric: True walks only the rotation representatives,
+    False every subset."""
+    seeded = FrCode(n=code.n, theta=code.theta, masks=code.masks)
+    seeded.__dict__["rotation_invariant"] = symmetric
+    return _smaller_unions(seeded, k, bound, budget)
+
+
 #: The transpose is also searched directly at each file size whose walk
 #: has at most this many subsets: every file size when theta <= 15.
 DUAL_CHECK_SUBSETS = 10**4
@@ -160,11 +171,11 @@ def test_min_coverage_budget():
     # each size, C(n + 1, k) - (n - k + 2) in all.
     code = disjoint_pairs(10)
     steps = math.comb(11, 5) - 7
-    walk = _smaller_unions(code, 5, code.theta + 1, steps, False)
+    walk = seeded_walk(code, 5, code.theta + 1, steps, False)
     assert list(walk)[-1] == (10, (0, 1, 2, 3, 4))
     message = f"^search at k=5 exceeds budget of {steps - 1} steps$"
     with pytest.raises(BudgetExceeded, match=message):
-        list(_smaller_unions(code, 5, code.theta + 1, steps - 1, False))
+        list(seeded_walk(code, 5, code.theta + 1, steps - 1, False))
     # On 34 pairs, k = 17 would walk C(34, 16) prefixes.
     with pytest.raises(BudgetExceeded, match="^search at k=17 "):
         min_coverage(disjoint_pairs(34), 17, budget=10**4)
@@ -186,10 +197,10 @@ def test_the_budget_counts_leaf_checks():
     # leaves count too: at k = 2 the plain walk on 100 pairs descends
     # only 99 times but tries all C(100, 2) = 4,950 pairs.
     code = disjoint_pairs(100)
-    walk = _smaller_unions(code, 2, code.theta + 1, 4950, False)
+    walk = seeded_walk(code, 2, code.theta + 1, 4950, False)
     assert list(walk)[-1] == (4, (0, 1))
     with pytest.raises(BudgetExceeded, match="^search at k=2 exceeds budget of 4949 steps$"):
-        list(_smaller_unions(code, 2, code.theta + 1, 4949, False))
+        list(seeded_walk(code, 2, code.theta + 1, 4949, False))
 
 
 def test_min_coverage_matches_oracle_randomized():
@@ -460,7 +471,7 @@ def test_reconstruction_degree_answers_from_the_cheaper_side():
     code = make_code(60, 4, [{i // 15} for i in range(60)])
     with pytest.raises(BudgetExceeded, match="^search at k=31 "):
         for k in range(1, code.n + 1):
-            next(_smaller_unions(code, k, 3, 10**4, False), None)
+            next(seeded_walk(code, k, 3, 10**4, False), None)
     assert reconstruction_degree(code, 3, budget=10**4) == 31
     assert reconstruction_degree(build_ring(RingSpec(30, 30, 3))) == 27
     assert reconstruction_degree(build_t_code(TSpec(26, 4, 2))) == 22
@@ -505,7 +516,7 @@ def test_single_packet_codes_on_every_search_path(n, holding):
         assert min_coverage(code, k) == expected
         # The symmetric walk holds on rotation-invariant codes and at k = n.
         for symmetric in {False, code.rotation_invariant or k == n}:
-            walk = _smaller_unions(code, k, code.theta + 1, 10**8, symmetric)
+            walk = seeded_walk(code, k, code.theta + 1, 10**8, symmetric)
             assert list(walk)[-1] == expected, symmetric
 
 
@@ -644,14 +655,14 @@ def count_reads(code, search):
 
 
 def full_walk(k):
-    return lambda code: list(_smaller_unions(code, k, code.theta + 1, 10**8, False))
+    return lambda code: list(seeded_walk(code, k, code.theta + 1, 10**8, False))
 
 
 def test_symmetric_search_engages_on_invariant_codes_only():
     invariant = build_t_code(TSpec(13, 3, 1))
     full_reads = symmetric_reads = 0
     for k in range(2, invariant.n):
-        walk = list(_smaller_unions(invariant, k, invariant.theta + 1, 10**8, True))
+        walk = list(seeded_walk(invariant, k, invariant.theta + 1, 10**8, True))
         for _, subset in walk:
             gaps = [b - a for a, b in zip(subset, subset[1:] + (invariant.n,))]
             assert subset[0] == 0 and gaps[0] == min(gaps)
@@ -669,7 +680,7 @@ def test_symmetric_search_engages_on_invariant_codes_only():
     decision_reads = sum(
         count_reads(
             invariant,
-            lambda code: next(_smaller_unions(code, k, file_size, 10**8, False), None),
+            lambda code: next(seeded_walk(code, k, file_size, 10**8, False), None),
         )[1]
         for k in range(1, degree + 1)
     )
@@ -912,12 +923,12 @@ def test_the_pair_bound_settles_every_k_after_the_first_on_prg_codes(monkeypatch
     for code in (build_prg(PrgSpec(21, 17)), prg, relabeled(prg, random.Random(19))):
         walked.clear()
         assert goodness_structural(code).structural_verdict
-        assert walked == [1]
+        assert walked == []
     # With lambda = 2 every k still walks.
     code = prg_with_a_double_edge()
     walked.clear()
     assert goodness_structural(code).structural_verdict
-    assert largest_overlap(code) == 2 and walked == list(range(1, 8))
+    assert largest_overlap(code) == 2 and walked == list(range(2, 8))
 
 
 def test_goodness_structural_answers_prg_41_11_at_the_default_budget():
@@ -958,6 +969,49 @@ def test_goodness_structural_is_unchanged_by_relabeling(code):
         assert per_k_goodness(other, None, lambda k: values[k - 1]) == report
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RingSpec(24, 36, 3),
+        RingSpec(26, 26, 4),
+        RingSpec(20, 30, 3),
+        RingSpec(22, 22, 3),
+        TSpec(22, 4, 2),
+        TSpec(25, 4, 1),
+        TSpec(26, 4, 2),
+    ],
+    ids=str,
+)
+def test_coverage_is_unchanged_by_relabeling_above_the_oracles_reach(spec):
+    # A node relabeling moves a ring or t code off the arc DP and the
+    # symmetric walk onto the subset table, so each kernel checks the
+    # other where the brute-force oracles cannot run.
+    code = {RingSpec: build_ring, TSpec: build_t_code}[type(spec)](spec)
+    prof = coverage_profile(code)
+    rng = random.Random(12)
+    nodes = rng.sample(range(code.n), code.n)
+    other = make_code(code.n, code.theta, [code.packets(i) for i in nodes])
+    assert _arc_order(other) is None and not other.rotation_invariant
+    moved = coverage_profile(other)
+    assert moved.values == prof.values
+    for k, (value, witness) in enumerate(zip(moved.values, moved.witnesses), start=1):
+        assert len(witness) == k and list(witness) == sorted(set(witness))
+        assert reduce(or_, [other.masks[i] for i in witness]).bit_count() == value
+    # A packet relabeling keeps the witnesses as well.
+    packets = rng.sample(range(code.theta), code.theta)
+    shuffled = make_code(
+        code.n, code.theta, [[packets[p] for p in code.packets(i)] for i in range(code.n)]
+    )
+    assert coverage_profile(shuffled) == prof
+    # Each degree is read off the profile and off the transpose, on the
+    # code and on its node relabeling, whose walks have no symmetry.
+    for file_size in range(1, code.theta + 1):
+        least = next(k for k, value in enumerate(prof.values, start=1) if value >= file_size)
+        for c in (code, other):
+            u, _ = min_coverage(c.transpose, c.theta - file_size + 1)
+            assert reconstruction_degree(c, file_size) == least == c.n - u + 1, file_size
+
+
 def test_goodness_structural_walks_each_k_only_to_the_binding_margin():
     # Each k after the first searches only for a union below its rhs plus
     # the least margin so far.
@@ -966,7 +1020,7 @@ def test_goodness_structural_walks_each_k_only_to_the_binding_margin():
     assert report == per_k_goodness(code, None)
     with pytest.raises(BudgetExceeded, match="^search at k=6 exceeds budget of 8323 steps$"):
         goodness_structural(code, budget=8323)
-    # On prg(19, 7) only k = 1 walks, and that walk takes no step.
+    # On prg(19, 7) no k walks.
     prg = build_prg(PrgSpec(19, 7))
     assert goodness_structural(prg, budget=1) == per_k_goodness(prg, None)
 

@@ -713,6 +713,14 @@ def test_generate_refuses_ring_with_too_many_nodes_at_once():
     assert proc.stderr == "BudgetExceeded: n=2000000 exceeds cap 4096\n"
 
 
+def test_conjecture_refuses_n_past_the_cap_before_listing_thetas():
+    # The theta rule would list about 3 * 10^8 values before build_ring
+    # refused n.
+    proc = run_limited("conjecture", "--n", "100000000", "--rho", "2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "BudgetExceeded: n=100000000 exceeds cap 4096\n"
+
+
 def test_ranges_wider_than_the_cap_are_usage_errors():
     for argv in (
         ("sweep", "ring", "--n", "1..1000000000", "--rho", "2", "--m", "1"),

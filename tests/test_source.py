@@ -108,3 +108,42 @@ def test_raise_messages_show_parameters_only_through_the_formatter():
 
     found = breaches(lambda node: isinstance(node, ast.FunctionDef) and bool(unshown(node)))
     assert not found, found
+
+
+#: Exported names that nothing in the package calls: the paper's closed
+#: forms and the listing relations the acceptance criteria check.
+UNCALLED_EXPORTS = {
+    "prg_margin",
+    "ring_margin_case1",
+    "ring_margin_case2",
+    "restrict_rho",
+    "audit_rhs_filter",
+    "audit_dedup",
+}
+
+
+def test_every_export_is_used_by_the_package():
+    # A public name that nothing in the package reads, as a name, an
+    # attribute or a string (the CLI looks builders up by name), is a
+    # helper nobody calls.
+    init = Path(frcodes.__file__)
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for path in SOURCES:
+        if path == init:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unused = sorted(exported - read - UNCALLED_EXPORTS)
+    assert not unused, unused
+    assert UNCALLED_EXPORTS <= exported - read

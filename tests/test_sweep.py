@@ -16,7 +16,6 @@ from frcodes import (
     audit_dedup,
     audit_rhs_filter,
     audit_table,
-    bundled_table_family,
     conjecture_harness,
     dedup_rows,
     default_theta_rule,
@@ -173,7 +172,6 @@ def test_rhs_filter_audit_of_bundled_tables():
     assert audit.missing_strict == ()
     assert audit.missing_nonneg == ()
     assert audit.not_in_source == ()
-    assert audit.consistent_nonneg
     assert len(audit.zero_rhs) == 22
     assert sorted(r.key() for r in audit.negative_rhs) == [
         (14, 13, 2, 2, 14, 1),
@@ -309,10 +307,9 @@ def test_read_rows_csv_accepts_byte_order_mark(tmp_path):
 def test_load_bundled_table_errors_and_family():
     with pytest.raises(ParseError):
         load_bundled_table("nope")
-    with pytest.raises(ParseError):
-        bundled_table_family("nope")
-    assert bundled_table_family("ring_rho3") == FAMILY_RING
-    assert bundled_table_family("t_dedup") == FAMILY_T
+    assert "nope" not in BUNDLED_TABLES
+    assert BUNDLED_TABLES["ring_rho3"] == FAMILY_RING
+    assert BUNDLED_TABLES["t_dedup"] == FAMILY_T
     table = load_bundled_table("ring_rho3")
     assert len(table) == 14
     assert all(r.provenance == "transcribed" for r in table)

@@ -59,6 +59,7 @@ TABLES = (
     ("sweep", "ring", "--n", "4..6", "--rho", "2..3", "--m", "1..2"),
     ("conjecture", "--n", "3..6", "--rho", "2..3"),
     ("conjecture", "--n", "4097", "--rho", "2"),
+    ("conjecture", "--n", "1400", "--rho", "5000"),
     ("audit-table", "--bundled", "ring_rho2"),
     ("audit-table", "--bundled", "t_dedup"),
     ("audit-table", "--bundled", "t_rhs_positive"),

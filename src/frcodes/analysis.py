@@ -233,7 +233,7 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
     # rotation-invariant code, C(n + 2, 4) over its n cuts otherwise.
     rows = (n - 1) * n * (n + 1) * (4 if symmetric else n + 2) // 24
     if arcs is not None and rows <= budget:
-        most = _most_missed(n, arcs, symmetric)
+        most = _most_missed(code, arcs)
         # The first subset at or below the minimum is its lex-least witness.
         best = [
             next(_smaller_unions(code, k, code.theta - most[k] + 1, budget))
@@ -378,10 +378,9 @@ def _arc_order(code: FrCode) -> list[tuple[int, int]] | None:
     return None
 
 
-def _most_missed(
-    n: int, arcs: list[tuple[int, int]], symmetric: bool
-) -> list[int]:
-    """most[k]: the most arcs that k chosen nodes miss, for k in 0..n.
+def _most_missed(code: FrCode, arcs: list[tuple[int, int]]) -> list[int]:
+    """most[k]: the most arcs of code (_arc_order) that k chosen nodes
+    miss, for k in 0..n.
 
     An arc is missed exactly when it fits in a gap between chosen nodes.
     Cut the cycle at the first chosen node c and let the chosen nodes
@@ -389,12 +388,15 @@ def _most_missed(
     last one closing at offset n. W[a][b], the arcs inside the gap
     between offsets a and b, is a 2-D prefix count of each arc's two
     flanking offsets, and f_j[b], the most arcs missed by j chosen nodes
-    ending at offset b, is max over a < b of f_{j-1}[a] + W[a][b]. A
-    rotation-invariant code needs only the cut at node 0; others take
-    the best over every cut.
+    ending at offset b, is max over a < b of f_{j-1}[a] + W[a][b]. On a
+    rotation-invariant code (code.rotation_invariant) the cut at node 0
+    alone is exact, also after the unit relabeling i -> s*i: that turns
+    the rotation i -> i+1 into i -> i+s, which generates every rotation.
+    Other codes take the best over every cut.
     """
+    n = code.n
     most = [0] * (n + 1)
-    for c in range(1 if symmetric else n):
+    for c in range(1 if code.rotation_invariant else n):
         m = n - c  # offsets 0..m-1 may be chosen
         # flanks[right][left] counts arcs by flanking offsets. Offsets
         # past m - 1 cannot be chosen, so a right flank there is the gap
@@ -454,9 +456,9 @@ def reconstruction_degree(
 
     Some k nodes hold fewer than M packets exactly when the other n - k
     nodes hold every copy of some t = theta - M + 1 packets. With u the
-    fewest nodes holding every copy of some t packets (min_coverage of
-    the transpose at t), that happens for k <= n - u, so the degree is
-    n - u + 1. Once C(n, k) exceeds C(theta, t), one walk on the
+    fewest nodes holding every copy of some t packets, min_coverage of
+    code.transpose at t, that happens for k <= n - u, so the degree is
+    n - u + 1. Once C(n, k) exceeds C(theta, t), that one walk on the
     transpose answers instead. The comparison only chooses the side;
     every walk, on either side, is charged the steps it takes, and the
     one that passes the budget raises BudgetExceeded.
@@ -467,12 +469,10 @@ def reconstruction_degree(
     # All n nodes hold theta >= file_size packets, so k = n returns.
     for k in range(1, code.n + 1):
         if math.comb(code.n, k) > dual_cost:
-            dual = code.transpose
             # Every packet has a holder, so 1 <= u <= n.
-            *_, (u, _) = _smaller_unions(dual, t, dual.theta + 1, budget)
+            u, _ = min_coverage(code.transpose, t, budget)
             return code.n - u + 1
-        below = _smaller_unions(code, k, file_size, budget)
-        if next(below, None) is None:
+        if next(_smaller_unions(code, k, file_size, budget), None) is None:
             return k
 
 

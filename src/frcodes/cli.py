@@ -57,13 +57,6 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _print_json(obj) -> None:
-    """Print obj as json.dumps(obj, indent=2, default=vars) would, byte
-    for byte (constructions._json_text): dataclass results serialize as
-    their fields, in declaration order."""
-    print(constructions._json_text(obj))
-
-
 def _node_label(i: int) -> str:
     return f"U_{i + 1}"
 
@@ -74,7 +67,7 @@ def _packet_labels(packets) -> str:
 
 def _show_code(code, as_json: bool) -> None:
     if as_json:
-        _print_json(constructions.code_to_dict(code))
+        print(constructions._json_text(constructions.code_to_dict(code)))
         return
     prof = profile(code)
     print(f"n={code.n} theta={code.theta} alpha={prof.alpha} rho={prof.rho}")
@@ -111,7 +104,7 @@ def _cmd_analyze(args) -> int:
     # M(n) = theta, so there is one.
     k = next(k for k, value in enumerate(cov.values, start=1) if value >= file_size)
     if args.json:
-        _print_json(
+        print(constructions._json_text(
             {
                 "n": code.n,
                 "theta": code.theta,
@@ -127,7 +120,7 @@ def _cmd_analyze(args) -> int:
                 "file_size": file_size,
                 "reconstruction_degree": k,
             }
-        )
+        ))
         return 0
     print(f"n={code.n} theta={code.theta} alpha={prof.alpha} rho={prof.rho}")
     print(f"storage profile: {' '.join(str(a) for a in prof.alpha_per_node)}")
@@ -155,7 +148,7 @@ def _cmd_goodness(args) -> int:
             k, prof.alpha, code.theta, weak=weak, file_size=args.file_size
         )
     if args.json:
-        _print_json(report)
+        print(constructions._json_text(report))
     else:
         form = "weak" if report.weak else "strict"
         mode = "structural" if args.structural else "arithmetic"
@@ -178,7 +171,7 @@ def _cmd_repair(args) -> int:
     plan = repair.plan_repair(code, failed, budget=_budget())
     greedy = repair.plan_repair_greedy(code, failed)
     if args.json:
-        _print_json({"plan": plan, "greedy": greedy})
+        print(constructions._json_text({"plan": plan, "greedy": greedy}))
         return 0
     print(f"failed node: {_node_label(failed)}")
     print(f"lost packets: {_packet_labels(code.packets(failed))}")
@@ -200,7 +193,7 @@ def _cmd_sweep(args) -> int:
     if args.output:
         sweep.write_rows_csv(rows, args.output)
     if args.json:
-        _print_json({"rows": [row.to_dict() for row in rows]})
+        print(constructions._json_text({"rows": [row.to_dict() for row in rows]}))
     else:
         print("  n   k   d rho theta")
         for row in rows:
@@ -255,13 +248,13 @@ def _cmd_conjecture(args) -> int:
     )
     agree = sum(1 for f in findings if f.agree)
     if args.json:
-        _print_json(
+        print(constructions._json_text(
             {
                 "instances": findings,
                 "agree": agree,
                 "disagree": len(findings) - agree,
             }
-        )
+        ))
         return 0
     for f in findings:
         mark = "=" if f.agree else "!"

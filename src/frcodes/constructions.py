@@ -28,8 +28,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, TextIO
 
 from .core import (
-    DEFAULT_THETA_CAP,
     FrCode,
+    _check_cap,
     _check_ints,
     _check_sizes,
     _freeze,
@@ -37,7 +37,6 @@ from .core import (
     make_code,
 )
 from .errors import (
-    BudgetExceeded,
     DegenerateOffsets,
     DegreeRange,
     FrcError,
@@ -142,8 +141,7 @@ def build_ring(spec: RingSpec) -> FrCode:
     """
     n, theta, rho = spec.n, spec.theta, spec.rho
     _check_sizes(n, theta)
-    if n > DEFAULT_THETA_CAP:
-        raise BudgetExceeded(f"n={_shown(n)} exceeds cap {DEFAULT_THETA_CAP}")
+    _check_cap("n", n)
     # arcs[r]: the nodes holding a packet j = r (mod n).
     arcs = [_rotate((1 << rho) - 1, r, n) for r in range(n)]
     rounds = theta // n + 1

@@ -119,8 +119,13 @@ def _check_sizes(n: int, theta: int) -> None:
         raise EmptySystem(f"need at least one node, got n={_shown(n)}")
     if theta < 1:
         raise EmptySystem(f"need at least one packet, got theta={_shown(theta)}")
-    if theta > DEFAULT_THETA_CAP:
-        raise BudgetExceeded(f"theta={_shown(theta)} exceeds cap {DEFAULT_THETA_CAP}")
+    _check_cap("theta", theta)
+
+
+def _check_cap(name: str, value: int) -> None:
+    """Refuse a size past DEFAULT_THETA_CAP, naming it."""
+    if value > DEFAULT_THETA_CAP:
+        raise BudgetExceeded(f"{_shown(name)}={_shown(value)} exceeds cap {DEFAULT_THETA_CAP}")
 
 
 def _freeze(

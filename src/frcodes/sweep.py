@@ -31,8 +31,8 @@ from .analysis import (
     reconstruction_degree,
 )
 from .constructions import RingSpec, _write_file, build_ring, read_csv_records
-from .core import DEFAULT_THETA_CAP, _check_ints, profile
-from .errors import BudgetExceeded, MalformedRow, ParseError, RhoRange, _shown
+from .core import DEFAULT_THETA_CAP, _check_cap, _check_ints, profile
+from .errors import MalformedRow, ParseError, RhoRange, _shown
 
 PROVENANCE_GENERATED = "generated"
 PROVENANCE_TRANSCRIBED = "transcribed"
@@ -388,8 +388,7 @@ def default_theta_rule(n: int) -> list[int]:
     rounds) while keeping file size theta - 1 positive. An n past
     DEFAULT_THETA_CAP, which no builder takes, is refused before the
     list is made."""
-    if n > DEFAULT_THETA_CAP:
-        raise BudgetExceeded(f"n={_shown(n)} exceeds cap {DEFAULT_THETA_CAP}")
+    _check_cap("n", n)
     return [theta for theta in range(2, 3 * n + 1) if theta % n != 0]
 
 

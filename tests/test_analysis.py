@@ -37,7 +37,13 @@ from frcodes import (
     single_deficit_shape,
 )
 from frcodes import analysis
-from frcodes.analysis import _SLICE_BITS, _arc_order, _smaller_unions, _subset_table
+from frcodes.analysis import (
+    _SLICE_BITS,
+    _arc_order,
+    _most_missed,
+    _smaller_unions,
+    _subset_table,
+)
 from frcodes.core import FrCode
 from frcodes.sweep import default_theta_rule
 from oracles import (
@@ -105,13 +111,18 @@ def swap_nodes(code, a, b):
     return FrCode(n=code.n, theta=code.theta, masks=tuple(masks))
 
 
+def seeded(code, symmetric):
+    """An equal code whose cached rotation_invariant is seeded as
+    symmetric."""
+    copy = FrCode(n=code.n, theta=code.theta, masks=code.masks)
+    copy.__dict__["rotation_invariant"] = symmetric
+    return copy
+
+
 def seeded_walk(code, k, bound, budget, symmetric):
-    """_smaller_unions on an equal code whose cached rotation_invariant
-    is seeded as symmetric: True walks only the rotation representatives,
-    False every subset."""
-    seeded = FrCode(n=code.n, theta=code.theta, masks=code.masks)
-    seeded.__dict__["rotation_invariant"] = symmetric
-    return _smaller_unions(seeded, k, bound, budget)
+    """_smaller_unions on seeded(code, symmetric): True walks only the
+    rotation representatives, False every subset."""
+    return _smaller_unions(seeded(code, symmetric), k, bound, budget)
 
 
 #: The transpose is also searched directly at each file size whose walk
@@ -297,6 +308,29 @@ def test_arc_dp_engages_on_ring_and_t_codes(code):
     )
     assert list(zip(prof.values, prof.witnesses)) == per_k
     assert reads * 3 < loop_reads
+
+
+def test_arc_dp_single_cut_matches_every_cut_on_invariant_codes():
+    # Above the oracles' reach: the one cut at node 0 that the arc DP
+    # takes on a rotation-invariant code gives what all n cuts give, on
+    # ring codes in label order and on t codes relabeled by a unit.
+    codes = [
+        build_ring(RingSpec(n, m * n, rho))
+        for n in range(11, 27)
+        for m in (1, 2, 3)
+        for rho in (2, 3, 4)
+    ]
+    codes += [
+        build_t_code(TSpec(n, d, t))
+        for n in range(11, 27)
+        for t in (1, 2, 3)
+        for d in (2, 3, 4)
+        if math.gcd(t + 1, n) == 1
+    ]
+    for code in codes:
+        arcs = _arc_order(code)
+        assert code.rotation_invariant and arcs is not None
+        assert _most_missed(code, arcs) == _most_missed(seeded(code, False), arcs), code
 
 
 def test_coverage_profile_refuses_as_the_per_k_loop_does():

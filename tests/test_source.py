@@ -110,6 +110,27 @@ def test_raise_messages_show_parameters_only_through_the_formatter():
     assert not found, found
 
 
+def test_the_walk_is_exhausted_only_by_min_coverage():
+    # `*_, best = _smaller_unions(...)` runs the walk to its minimum,
+    # which is min_coverage; any other caller should call it instead.
+    analysis = Path(frcodes.__file__).with_name("analysis.py")
+    tree = ast.parse(analysis.read_text(encoding="utf-8"))
+    owner = {
+        f"analysis.py:{line}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "min_coverage"
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    found = breaches(
+        lambda node: isinstance(node, ast.Assign)
+        and any(isinstance(part, ast.Starred) for part in ast.walk(node.targets[0]))
+        and getattr(getattr(node.value, "func", None), "id", None) == "_smaller_unions"
+    )
+    assert found
+    outside = [site for site in found if site not in owner]
+    assert not outside, outside
+
+
 #: Exported names that nothing in the package calls: the paper's closed
 #: forms and the listing relations the acceptance criteria check.
 UNCALLED_EXPORTS = {

@@ -400,10 +400,25 @@ def conjecture_harness(
     """Compare conjectured and brute-forced k over heterogeneous ring
     codes. Deterministic order: ascending (n, rho, theta). The result
     reports agreement; callers must not turn disagreement into an
-    error, the conjecture is unproven either way."""
+    error, the conjecture is unproven either way.
+
+    The first n that some rho fits and whose largest theta, 3n - 1,
+    passes the cap is refused before any search, with the refusal
+    build_ring would give after every search before it: the theta
+    rule's for an n past the cap, else its first theta past the cap."""
+    n_values = sorted(set(n_values))
+    rho_values = sorted(set(rho_values))
+    # rho fits n when 2 <= rho <= n - 1: the least rho >= 2 fits every
+    # n past it.
+    least = next((rho for rho in rho_values if rho >= 2), None)
+    if least is not None:
+        for n in n_values:
+            if n > least and 3 * n - 1 > DEFAULT_THETA_CAP:
+                past = [t for t in default_theta_rule(n) if t > DEFAULT_THETA_CAP]
+                _check_cap("theta", past[0])
     findings = []
-    for n in sorted(set(n_values)):
-        for rho in sorted(set(rho_values)):
+    for n in n_values:
+        for rho in rho_values:
             if not 2 <= rho <= n - 1:
                 continue
             for theta in default_theta_rule(n):

@@ -721,6 +721,16 @@ def test_conjecture_refuses_n_past_the_cap_before_listing_thetas():
     assert proc.stderr == "BudgetExceeded: n=100000000 exceeds cap 4096\n"
 
 
+@pytest.mark.parametrize("n", ["1400", "4..1400"])
+def test_conjecture_refuses_thetas_past_the_cap_before_any_search(n):
+    # From n = 1366 on the theta rule lists 4097 > the cap, which
+    # build_ring refuses; the refusal comes before the searches of every
+    # smaller theta and n, which would take minutes.
+    proc = run_limited("conjecture", "--n", n, "--rho", "2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "BudgetExceeded: theta=4097 exceeds cap 4096\n"
+
+
 def test_ranges_wider_than_the_cap_are_usage_errors():
     for argv in (
         ("sweep", "ring", "--n", "1..1000000000", "--rho", "2", "--m", "1"),

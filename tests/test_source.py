@@ -21,6 +21,17 @@ def breaches(rule) -> list[str]:
     ]
 
 
+def lines_of(module: str, functions: set[str]) -> set[str]:
+    """file:line of every line of the named functions of one module."""
+    path = Path(frcodes.__file__).with_name(module)
+    return {
+        f"{module}:{line}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements, so none may carry behaviour.
     found = breaches(lambda node: isinstance(node, ast.Assert))
@@ -67,14 +78,7 @@ def test_files_are_opened_only_by_the_file_helpers():
     # constructions._read_file and _write_file turn OSError into toolkit
     # errors, so a reader or writer that skipped them could end in a
     # traceback.
-    constructions = Path(frcodes.__file__).with_name("constructions.py")
-    tree = ast.parse(constructions.read_text(encoding="utf-8"))
-    helpers = {
-        f"constructions.py:{line}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name in ("_read_file", "_write_file")
-        for line in range(node.lineno, node.end_lineno + 1)
-    }
+    helpers = lines_of("constructions.py", {"_read_file", "_write_file"})
     found = breaches(
         lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
@@ -113,14 +117,7 @@ def test_raise_messages_show_parameters_only_through_the_formatter():
 def test_the_walk_is_exhausted_only_by_min_coverage():
     # `*_, best = _smaller_unions(...)` runs the walk to its minimum,
     # which is min_coverage; any other caller should call it instead.
-    analysis = Path(frcodes.__file__).with_name("analysis.py")
-    tree = ast.parse(analysis.read_text(encoding="utf-8"))
-    owner = {
-        f"analysis.py:{line}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "min_coverage"
-        for line in range(node.lineno, node.end_lineno + 1)
-    }
+    owner = lines_of("analysis.py", {"min_coverage"})
     found = breaches(
         lambda node: isinstance(node, ast.Assign)
         and any(isinstance(part, ast.Starred) for part in ast.walk(node.targets[0]))

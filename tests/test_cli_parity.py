@@ -60,6 +60,8 @@ TABLES = (
     ("conjecture", "--n", "3..6", "--rho", "2..3"),
     ("conjecture", "--n", "4097", "--rho", "2"),
     ("conjecture", "--n", "1400", "--rho", "5000"),
+    ("sweep", "ring", "--n", "1365..1366", "--rho", "2", "--m", "3"),
+    ("sweep", "ring", "--n", "1400", "--rho", "5000", "--m", "3"),
     ("audit-table", "--bundled", "ring_rho2"),
     ("audit-table", "--bundled", "t_dedup"),
     ("audit-table", "--bundled", "t_rhs_positive"),

@@ -62,14 +62,14 @@ subsets, so each AND or XOR of CPython's big ints handles 64 subsets
 per machine word. It is exhaustive, as any exact method must be for
 minimum k-union, which is NP-hard. Rotation-invariant codes with no
 arc order keep the symmetric walk of min_coverage, which beats the
-table there: t(28,3,1) 357 against 439 ms, t(24,4,2) 21 against 35 ms. The arc program and the
-table are charged their cost up front in the same unit, since n alone
-fixes it: the program its row entries (about m^3 / 6 for a cut of m
-offsets, over its 1 or n cuts), the table 2^n / 64, which keeps the
-table to n <= 29 at the default budget. A code whose charge passes the
-budget, and every code with neither structure, goes through
-min_coverage one k at a time, and each of those walks counts its
-steps as it goes.
+table there: t(28,3,1) 357 against 439 ms, t(24,4,2) 21 against 35 ms.
+n alone fixes the cost of the arc program and of the table, so each
+charges itself up front, in steps, and declines a code whose charge
+passes the budget: the program its row entries (about m^3 / 6 for a
+cut of m offsets, over its 1 or n cuts), the table 2^n / 64, which
+keeps it to n <= 29 at the default budget. A declined code, and every
+code with neither structure, goes through min_coverage one k at a
+time, and each of those walks counts its steps as it goes.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -213,35 +213,30 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
     Three paths, chosen from the code's structure, give the same answer:
 
     - A code whose holder sets are arcs (_arc_order) takes its values
-      from the arc DP and each witness from a first-hit walk at M(k).
-      The DP is charged its row entries up front, (m - 1) m (m + 1) / 6
-      for a cut of m offsets, over its one cut on a rotation-invariant
-      code and its n cuts otherwise.
+      from the arc DP (_most_missed) and each witness from a first-hit
+      walk at M(k).
     - A code with no arc order and no rotation symmetry is read off the
-      subset table, charged 2^n / 64 up front: a subset costs 4-8 ns
-      there against about 0.3 us for a step of the walk.
-    - Every other code, and every code whose charge passes the budget,
-      runs min_coverage at each k, which counts its steps as it goes.
+      subset table (_subset_table).
+    - Every other code, and every code whose kernel's charge passes the
+      budget, runs min_coverage at each k, counting steps as it goes.
 
     Every walk is one search with the whole budget; BudgetExceeded
     names the k whose walk passed it.
     """
     n = code.n
     arcs = _arc_order(code)
-    symmetric = code.rotation_invariant
-    # The arc DP's row entries: C(n + 1, 3) over its one cut of a
-    # rotation-invariant code, C(n + 2, 4) over its n cuts otherwise.
-    rows = (n - 1) * n * (n + 1) * (4 if symmetric else n + 2) // 24
-    if arcs is not None and rows <= budget:
-        most = _most_missed(code, arcs)
-        # The first subset at or below the minimum is its lex-least witness.
-        best = [
-            next(_smaller_unions(code, k, code.theta - most[k] + 1, budget))
-            for k in range(1, n + 1)
-        ]
-    elif arcs is None and not symmetric and 2**n // 64 <= budget:
-        best = _subset_table(code)
-    else:
+    best = None
+    if arcs is not None:
+        most = _most_missed(code, arcs, budget)
+        if most is not None:
+            # The first subset at or below the minimum is its lex-least witness.
+            best = [
+                next(_smaller_unions(code, k, code.theta - most[k] + 1, budget))
+                for k in range(1, n + 1)
+            ]
+    elif not code.rotation_invariant:
+        best = _subset_table(code, budget)
+    if best is None:
         best = [min_coverage(code, k, budget=budget) for k in range(1, n + 1)]
     values, witnesses = zip(*best)
     return CoverageProfile(values=values, witnesses=witnesses)
@@ -253,9 +248,11 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
 _SLICE_BITS = 16
 
 
-def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
+def _subset_table(code: FrCode, budget: int) -> list[tuple[int, tuple[int, ...]]] | None:
     """(M(k), lex-least witness) for every k in 1..n, read off a
-    bit-sliced table of the union sizes of all 2^n node subsets.
+    bit-sliced table of the union sizes of all 2^n node subsets; None
+    when 2^n / 64 steps pass budget (a subset costs 4-8 ns here, a step
+    of the walk about 0.3 us).
 
     Subset s holds node i when its bit n - 1 - i is set, so of two
     subsets of one size the lexicographically smaller is the larger
@@ -274,6 +271,8 @@ def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
     smaller, so ties keep the highest subset.
     """
     n = code.n
+    if 2**n // 64 > budget:
+        return None
     f = min(n, _SLICE_BITS)
     fixed = n - f
     full = (1 << (1 << f)) - 1
@@ -378,9 +377,9 @@ def _arc_order(code: FrCode) -> list[tuple[int, int]] | None:
     return None
 
 
-def _most_missed(code: FrCode, arcs: list[tuple[int, int]]) -> list[int]:
+def _most_missed(code: FrCode, arcs: list[tuple[int, int]], budget: int) -> list[int] | None:
     """most[k]: the most arcs of code (_arc_order) that k chosen nodes
-    miss, for k in 0..n.
+    miss, for k in 0..n; None when its charge passes budget.
 
     An arc is missed exactly when it fits in a gap between chosen nodes.
     Cut the cycle at the first chosen node c and let the chosen nodes
@@ -392,9 +391,12 @@ def _most_missed(code: FrCode, arcs: list[tuple[int, int]]) -> list[int]:
     rotation-invariant code (code.rotation_invariant) the cut at node 0
     alone is exact, also after the unit relabeling i -> s*i: that turns
     the rotation i -> i+1 into i -> i+s, which generates every rotation.
-    Other codes take the best over every cut.
+    Other codes take the best over every cut. The charge is the row
+    entries: C(n + 1, 3) for the one cut, C(n + 2, 4) over all n.
     """
     n = code.n
+    if (math.comb(n + 1, 3) if code.rotation_invariant else math.comb(n + 2, 4)) > budget:
+        return None
     most = [0] * (n + 1)
     for c in range(1 if code.rotation_invariant else n):
         m = n - c  # offsets 0..m-1 may be chosen
@@ -426,17 +428,11 @@ def _most_missed(code: FrCode, arcs: list[tuple[int, int]]) -> list[int]:
     return most
 
 
-def default_file_size(theta: int) -> int:
-    """The outer-layer size of the bundled tables, theta - 1, but at
-    least 1 so that a one-packet code has one."""
-    return max(theta - 1, 1)
-
-
 def _checked_file_size(theta: int, file_size: int | None) -> int:
-    """file_size, or default_file_size(theta) when None, once it is
+    """file_size, or theta - 1 but at least 1 when None, once it is
     known to lie in 1..theta."""
     if file_size is None:
-        file_size = default_file_size(theta)
+        file_size = max(theta - 1, 1)
     if file_size < 1:
         raise KOutOfRange(f"file size must be >= 1, got {_shown(file_size)}")
     if file_size > theta:
@@ -449,7 +445,7 @@ def reconstruction_degree(
 ) -> int:
     """Least k such that min_coverage(code, k) >= file_size.
 
-    file_size (M) defaults to default_file_size(code.theta). k is
+    file_size (M) defaults to theta - 1, but at least 1. k is
     scanned upward from 1, and each step only asks whether some k nodes
     hold fewer than M packets: the search stops at the first such
     subset instead of minimising.
@@ -519,7 +515,7 @@ def goodness_arithmetic(
 ) -> GoodnessReport:
     """Point check of the goodness bound at one k.
 
-    file_size defaults to default_file_size(theta). The verdict is
+    file_size defaults to theta - 1, but at least 1. The verdict is
     file_size >= k*alpha - C(k, 2) (right side lowered by one when
     weak); margin is the slack.
     """
@@ -527,9 +523,17 @@ def goodness_arithmetic(
         raise KOutOfRange(
             f"need k, alpha, theta >= 1, got {_shown(k)}, {_shown(alpha)}, {_shown(theta)}"
         )
-    file_size = _checked_file_size(theta, file_size)
+    return _goodness_report(k, alpha, theta, _checked_file_size(theta, file_size), weak)
+
+
+def _goodness_report(
+    k: int, alpha: int, theta: int, file_size: int, weak: bool, structural: bool = False
+) -> GoodnessReport:
+    """The goodness bound's report at k for file_size packets; a
+    structural check reports at its binding k, whose verdict is all k's."""
     rhs = goodness_rhs(k, alpha, weak)
     margin = file_size - rhs
+    verdict = margin >= 0
     return GoodnessReport(
         alpha=alpha,
         theta=theta,
@@ -539,7 +543,9 @@ def goodness_arithmetic(
         rhs=rhs,
         rhs_positive=rhs > 0,
         margin=margin,
-        verdict=margin >= 0,
+        verdict=verdict,
+        structural_verdict=verdict if structural else None,
+        first_failing_k=k if structural and not verdict else None,
     )
 
 
@@ -604,21 +610,7 @@ def goodness_structural(
                     continue  # no k-union lies below bound
         for value, _ in _smaller_unions(code, k, bound, budget):
             binding_margin, binding_k, binding_value = value - rhs, k, value
-    passed = binding_margin >= 0
-    rhs = goodness_rhs(binding_k, alpha, weak)
-    return GoodnessReport(
-        alpha=alpha,
-        theta=code.theta,
-        k_evaluated=binding_k,
-        file_size=binding_value,
-        weak=weak,
-        rhs=rhs,
-        rhs_positive=rhs > 0,
-        margin=binding_margin,
-        verdict=passed,
-        structural_verdict=passed,
-        first_failing_k=None if passed else binding_k,
-    )
+    return _goodness_report(binding_k, alpha, code.theta, binding_value, weak, structural=True)
 
 
 class PrgMargin(NamedTuple):

@@ -21,7 +21,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .analysis import (
     DEFAULT_BUDGET,
@@ -96,16 +96,19 @@ def sweep_ring(
     row is emitted iff the strict goodness bound holds at that k. Rows
     are sorted by descending rho, then (n, theta). The output may
     contain rows a published listing omitted; containment, not
-    equality, is the meaningful comparison.
+    equality, is the meaningful comparison. A grid that would build a
+    ring past the cap is refused before any search (_capped_grid).
     """
+    m_values = [m for m in sorted(set(m_values)) if m >= 1]
+    n_values, rho_values = _capped_grid(
+        n_values, rho_values, max(m_values, default=0), lambda n: [m * n for m in m_values]
+    )
     rows = []
-    for rho in sorted(set(rho_values)):
-        for n in sorted(set(n_values)):
+    for rho in rho_values:
+        for n in n_values:
             if not 2 <= rho <= n - 1:
                 continue
-            for m in sorted(set(m_values)):
-                if m < 1:
-                    continue
+            for m in m_values:
                 theta = m * n
                 code = build_ring(RingSpec(n=n, theta=theta, rho=rho))
                 d = profile(code).alpha
@@ -115,6 +118,23 @@ def sweep_ring(
                     rows.append(TableRow(n=n, k=k, d=d, rho=rho, theta=theta))
     rows.sort(key=lambda r: (-r.rho, r.n, r.theta))
     return rows
+
+
+def _capped_grid(
+    n_values: Iterable[int], rho_values: Iterable[int], rounds: int, thetas: Callable
+) -> tuple[list[int], list[int]]:
+    """n and rho sorted without repeats, after refusing the grid's first
+    ring past the cap as its sweep would. Its rings are ring(n, theta,
+    rho) for theta in thetas(n), ascending and at most rounds * n; the
+    least rho >= 2 fits every n any rho fits, so its rings come first."""
+    n_values = sorted(set(n_values))
+    rho_values = sorted(set(rho_values))
+    least = next((rho for rho in rho_values if rho >= 2), None)
+    for n in n_values:
+        if least is not None and n > least and rounds * n > DEFAULT_THETA_CAP:
+            for theta in thetas(n):
+                _check_cap("theta", theta)
+    return n_values, rho_values
 
 
 @dataclass(frozen=True)
@@ -400,22 +420,9 @@ def conjecture_harness(
     """Compare conjectured and brute-forced k over heterogeneous ring
     codes. Deterministic order: ascending (n, rho, theta). The result
     reports agreement; callers must not turn disagreement into an
-    error, the conjecture is unproven either way.
-
-    The first n that some rho fits and whose largest theta, 3n - 1,
-    passes the cap is refused before any search, with the refusal
-    build_ring would give after every search before it: the theta
-    rule's for an n past the cap, else its first theta past the cap."""
-    n_values = sorted(set(n_values))
-    rho_values = sorted(set(rho_values))
-    # rho fits n when 2 <= rho <= n - 1: the least rho >= 2 fits every
-    # n past it.
-    least = next((rho for rho in rho_values if rho >= 2), None)
-    if least is not None:
-        for n in n_values:
-            if n > least and 3 * n - 1 > DEFAULT_THETA_CAP:
-                past = [t for t in default_theta_rule(n) if t > DEFAULT_THETA_CAP]
-                _check_cap("theta", past[0])
+    error, the conjecture is unproven either way. A grid that would
+    build a ring past the cap is refused before any search."""
+    n_values, rho_values = _capped_grid(n_values, rho_values, 3, default_theta_rule)
     findings = []
     for n in n_values:
         for rho in rho_values:

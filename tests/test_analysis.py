@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from frcodes import (
     BudgetExceeded,
+    DEFAULT_BUDGET,
     KOutOfRange,
     ParityError,
     PrgSpec,
@@ -330,7 +331,8 @@ def test_arc_dp_single_cut_matches_every_cut_on_invariant_codes():
     for code in codes:
         arcs = _arc_order(code)
         assert code.rotation_invariant and arcs is not None
-        assert _most_missed(code, arcs) == _most_missed(seeded(code, False), arcs), code
+        one_cut = _most_missed(code, arcs, DEFAULT_BUDGET)
+        assert one_cut == _most_missed(seeded(code, False), arcs, DEFAULT_BUDGET), code
 
 
 def test_coverage_profile_refuses_as_the_per_k_loop_does():
@@ -348,8 +350,13 @@ def test_coverage_profile_refuses_as_the_per_k_loop_does():
             [min_coverage(code, k, budget=charge - 1) for k in range(1, code.n + 1)]
         with pytest.raises(BudgetExceeded, match=message):
             coverage_profile(code, budget=charge - 1)
+        # The DP itself declines one step below its charge.
+        arcs = _arc_order(code)
+        assert _most_missed(code, arcs, charge - 1) is None
+        most = _most_missed(code, arcs, charge)
         prof = coverage_profile(code, budget=charge)
         assert prof.values == tuple(range(2, 39, 2)) + (code.theta,)
+        assert prof.values == tuple(code.theta - most[k] for k in range(1, code.n + 1))
         assert prof.witnesses == tuple(tuple(range(k)) for k in range(1, 21))
 
 
@@ -395,14 +402,14 @@ def test_subset_table_matches_oracle(data):
     expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
     bits = data.draw(st.sampled_from([1, 2, 3, _SLICE_BITS]), label="slice bits")
     with mock.patch.object(analysis, "_SLICE_BITS", bits):
-        assert _subset_table(code) == expected
+        assert _subset_table(code, DEFAULT_BUDGET) == expected
 
 
 @pytest.mark.parametrize("n", [_SLICE_BITS - 1, _SLICE_BITS, _SLICE_BITS + 1, _SLICE_BITS + 3])
 def test_subset_table_matches_the_per_k_walk_across_slices(n):
     for code in (spread_code(n, n, 2 * n, 3), spread_code(n, n, n + 3, 2)):
         per_k = [min_coverage(code, k) for k in range(1, n + 1)]
-        assert _subset_table(code) == per_k
+        assert _subset_table(code, DEFAULT_BUDGET) == per_k
 
 
 def forbidden(*args, **kwargs):
@@ -439,9 +446,11 @@ def test_subset_table_keeps_the_refusals_of_the_per_k_loop():
         [min_coverage(code, k, budget=8191) for k in range(1, code.n + 1)]
     with pytest.raises(BudgetExceeded, match=message):
         coverage_profile(code, budget=8191)
+    # The table itself declines one step below its charge.
+    assert _subset_table(code, 8191) is None
     per_k = [min_coverage(code, k) for k in range(1, code.n + 1)]
     prof = coverage_profile(code, budget=8192)
-    assert list(zip(prof.values, prof.witnesses)) == per_k
+    assert list(zip(prof.values, prof.witnesses)) == per_k == _subset_table(code, 8192)
 
 
 def test_subset_table_memory_stays_under_one_mib():

@@ -731,6 +731,14 @@ def test_conjecture_refuses_thetas_past_the_cap_before_any_search(n):
     assert proc.stderr == "BudgetExceeded: theta=4097 exceeds cap 4096\n"
 
 
+def test_sweep_refuses_thetas_past_the_cap_before_any_search():
+    # At m = 3 the rings pass the cap from n = 1366 on; the searches of
+    # the smaller n would take seconds before build_ring refused.
+    proc = run_limited("sweep", "ring", "--n", "1000..1400", "--rho", "2", "--m", "3")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "BudgetExceeded: theta=4098 exceeds cap 4096\n"
+
+
 def test_ranges_wider_than_the_cap_are_usage_errors():
     for argv in (
         ("sweep", "ring", "--n", "1..1000000000", "--rho", "2", "--m", "1"),

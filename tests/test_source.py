@@ -128,6 +128,19 @@ def test_the_walk_is_exhausted_only_by_min_coverage():
     assert not outside, outside
 
 
+def test_goodness_reports_are_built_only_by_their_builder():
+    # analysis._goodness_report computes the bound's right side, margin
+    # and verdicts, so no caller restates them.
+    owner = lines_of("analysis.py", {"_goodness_report"})
+    found = breaches(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GoodnessReport"
+    )
+    assert found
+    outside = [site for site in found if site not in owner]
+    assert not outside, outside
+
+
 #: Exported names that nothing in the package calls: the paper's closed
 #: forms and the listing relations the acceptance criteria check.
 UNCALLED_EXPORTS = {

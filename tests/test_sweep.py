@@ -2,20 +2,25 @@ from __future__ import annotations
 
 import csv
 from importlib import resources
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from frcodes import (
     BUNDLED_TABLES,
+    BudgetExceeded,
     FAMILY_RING,
     FAMILY_T,
     FrcError,
     MalformedRow,
     ParseError,
+    RingSpec,
     TableRow,
     audit_dedup,
     audit_rhs_filter,
     audit_table,
+    build_ring,
     conjecture_harness,
     dedup_rows,
     default_theta_rule,
@@ -26,6 +31,7 @@ from frcodes import (
     sweep_ring,
     write_rows_csv,
 )
+from frcodes import sweep
 
 RING_TABLES = ("ring_rho4", "ring_rho3", "ring_rho2")
 
@@ -97,6 +103,72 @@ def test_sweep_deterministic():
 def test_sweep_skips_invalid_rho():
     rows = sweep_ring([3], [4], [1])
     assert rows == []
+
+
+def test_sweep_reads_each_grid_axis_once():
+    # n and m are sorted once, not once per rho, so one-shot iterables
+    # give every row.
+    rows = sweep_ring(range(5, 8), [2, 3], [1, 2])
+    assert sweep_ring(iter(range(5, 8)), iter([2, 3]), iter([1, 2])) == rows
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("no search may run before the cap refusal")
+
+
+def test_both_sweeps_refuse_thetas_past_the_cap_before_any_search(monkeypatch):
+    # From n = 1366 on, 3n passes the cap; the sweeps would otherwise
+    # search every smaller n first, for seconds to minutes.
+    monkeypatch.setattr(sweep, "reconstruction_degree", forbidden)
+    with pytest.raises(BudgetExceeded, match="^theta=4098 exceeds cap 4096$"):
+        sweep_ring(range(1000, 1401), [2], [3])
+    with pytest.raises(BudgetExceeded, match="^theta=4097 exceeds cap 4096$"):
+        conjecture_harness(range(4, 1401), [2])
+
+
+def first_build_error(n_values, rho_values, m_values):
+    """The first error build_ring raises over sweep_ring's grid, walked in
+    its order (rho, then n, then m), or None when every ring builds."""
+    for rho in sorted(set(rho_values)):
+        for n in sorted(set(n_values)):
+            if not 2 <= rho <= n - 1:
+                continue
+            for m in sorted(set(m_values)):
+                if m < 1:
+                    continue
+                try:
+                    build_ring(RingSpec(n=n, theta=m * n, rho=rho))
+                except FrcError as exc:
+                    return exc
+    return None
+
+
+near_the_cap = st.integers(1360, 1370) | st.integers(4094, 4100)
+
+
+# A ring near n = 1365 takes about 6 ms to build and one near 4096 about
+# 30 ms, but most grids are refused or fit no rho: 150 grids take about
+# a second.
+@settings(max_examples=150, deadline=None)
+@given(
+    n_values=st.lists(near_the_cap, min_size=1, max_size=3),
+    rho_values=st.lists(st.integers(0, 5), min_size=1, max_size=2),
+    m_values=st.lists(st.integers(-1, 4), min_size=1, max_size=3),
+)
+@example(n_values=[1365, 1366], rho_values=[2], m_values=[3])
+@example(n_values=[1370, 4097], rho_values=[0, 3], m_values=[-1, 1])
+# The refusal is read off the least rho >= 2, which fits only n > rho.
+@example(n_values=[1366, 4000], rho_values=[1366], m_values=[1, 3])
+@example(n_values=[1366, 1400], rho_values=[2, 1367], m_values=[3])
+def test_sweep_refuses_as_its_first_build_would(n_values, rho_values, m_values):
+    expected = first_build_error(n_values, rho_values, m_values)
+    with mock.patch.object(sweep, "reconstruction_degree", lambda code, size, budget: 1):
+        if expected is None:
+            sweep_ring(n_values, rho_values, m_values)
+            return
+        with pytest.raises(type(expected)) as raised:
+            sweep_ring(n_values, rho_values, m_values)
+    assert str(raised.value) == str(expected)
 
 
 # --- audit_table -----------------------------------------------------------

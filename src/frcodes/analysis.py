@@ -102,9 +102,9 @@ from itertools import accumulate
 from operator import add, or_
 from typing import Iterator, NamedTuple
 
-from .constructions import PrgSpec
+from .constructions import PrgSpec, RingSpec
 from .core import FrCode, packets_from_mask, profile, single_deficit_shape
-from .errors import BudgetExceeded, KOutOfRange, RhoRange, Unreachable, _shown
+from .errors import BudgetExceeded, KOutOfRange, Unreachable, _shown
 
 #: Default work ceiling of one search, in steps: candidates tried after
 #: the first position. A walk that runs away passes 10^7 steps in about
@@ -693,10 +693,7 @@ def predicted_k_ring(n: int, theta: int, rho: int) -> KPrediction:
     so u = rho. When n > theta >= 2, the windows start at different
     nodes, so any two differ and u >= rho + 1; packets 0 and 1 reach it.
     """
-    if not 2 <= rho <= n - 1:
-        raise RhoRange(f"need 2 <= rho <= n - 1, got rho={_shown(rho)}, n={_shown(n)}")
-    if theta < 1:
-        raise KOutOfRange(f"theta must be >= 1, got {_shown(theta)}")
+    RingSpec(n, theta, rho)  # reuse integer, size and rho-range validation
     if theta == n:
         return KPrediction(n - rho, "theorem")
     if theta % n == 0:

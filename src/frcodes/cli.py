@@ -84,10 +84,8 @@ def _cmd_generate(args) -> int:
     code = getattr(constructions, args.builder)(spec)
     if args.output:
         constructions.export_code(code, args.output, fmt=args.format)
-        if not args.json:
-            print(f"wrote {args.output}")
-        else:
-            _show_code(code, as_json=True)
+    if args.output and not args.json:
+        print(f"wrote {args.output}")
     else:
         _show_code(code, as_json=args.json)
     return 0

@@ -172,8 +172,8 @@ class TSpec:
             raise DegreeRange(f"need d >= 2, got {_shown(self.d)}")
         if self.t < 0:
             raise DegreeRange(f"need t >= 0, got {_shown(self.t)}")
-        if self.n // math.gcd(self.t + 1, self.n) < self.d:
-            offsets = self.n // math.gcd(self.t + 1, self.n)
+        offsets = self.n // math.gcd(self.t + 1, self.n)
+        if offsets < self.d:
             raise DegenerateOffsets(
                 f"step {_shown(self.t + 1)} yields only {_shown(offsets)}"
                 f" distinct offsets mod {_shown(self.n)}, need {_shown(self.d)}"

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import DEFAULT_BUDGET
-from .core import FrCode
+from .core import FrCode, _check_ints
 from .errors import BudgetExceeded, KOutOfRange, Unrepairable, _shown
 
 
@@ -43,17 +43,31 @@ class RepairPlan:
     bandwidth: int
 
 
-def _finish_plan(
-    code: FrCode, failed: int, survivors: tuple[int, ...]
-) -> RepairPlan:
-    """Fetch each lost packet from its first holder among survivors."""
+def _candidates(code: FrCode, failed: int) -> list[int]:
+    """The nodes other than failed that hold one of its packets, in
+    index order, after refusing a failed that is not a node and a lost
+    packet they do not hold (the highest such packet is named)."""
+    _check_ints((("failed", failed),))
+    if not 0 <= failed < code.n:
+        raise KOutOfRange(f"failed node {_shown(failed)} outside [0, {_shown(code.n)})")
+    lost_mask = code.masks[failed]
+    candidates = [i for i in range(code.n) if i != failed and code.masks[i] & lost_mask]
+    held = 0
+    for i in candidates:
+        held |= code.masks[i]
+    missing = (lost_mask & ~held).bit_length() - 1  # -1 when they hold all
+    if missing >= 0:
+        raise Unrepairable(f"packet {missing} has no replica outside node {_shown(failed)}")
+    return candidates
+
+
+def _finish_plan(code: FrCode, failed: int, survivors: list[int]) -> RepairPlan:
+    """Fetch each lost packet from its first holder among survivors,
+    which hold every one."""
     lost = code.packets(failed)
-    assignments = []
-    for packet in lost:
-        helper = next((h for h in survivors if code.masks[h] >> packet & 1), None)
-        if helper is None:
-            raise Unrepairable(f"packet {packet} has no replica outside node {_shown(failed)}")
-        assignments.append((packet, helper))
+    assignments = [
+        (packet, next(h for h in survivors if code.masks[h] >> packet & 1)) for packet in lost
+    ]
     helpers = tuple(sorted({h for _, h in assignments}))
     return RepairPlan(
         failed=failed,
@@ -76,22 +90,17 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     replica, and BudgetExceeded once the walk, over all sizes, would
     take more steps than the budget allows.
     """
-    if not 0 <= failed < code.n:
-        raise KOutOfRange(f"failed node {_shown(failed)} outside [0, {_shown(code.n)})")
+    candidates = _candidates(code, failed)
+    if not candidates:
+        return _finish_plan(code, failed, [])
     lost_mask = code.masks[failed]
-    if lost_mask == 0:
-        return _finish_plan(code, failed, ())
-    candidates = [
-        i for i in range(code.n) if i != failed and code.masks[i] & lost_mask
-    ]
     restricted = [code.masks[i] & lost_mask for i in candidates]
     c = len(candidates)
-    rest = [0] * (c + 1)  # rest[i] is the union of restricted[i:]
-    for i in range(c - 1, -1, -1):
+    # rest[i] is the union of restricted[i:]; all of them hold every
+    # lost packet, as _candidates checked.
+    rest = [lost_mask] + [0] * c
+    for i in range(c - 1, 0, -1):
         rest[i] = rest[i + 1] | restricted[i]
-    if rest[0] != lost_mask:
-        missing = (lost_mask & ~rest[0]).bit_length() - 1
-        raise Unrepairable(f"packet {missing} has no replica outside node {_shown(failed)}")
     left = budget  # steps still allowed
     for size in range(1, c + 1):
         chosen: list[int] = []
@@ -121,16 +130,13 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
                 outer.append(union)
                 union = grown
             elif grown == lost_mask:
-                return _finish_plan(
-                    code, failed, tuple([candidates[j] for j in (*chosen, i)])
-                )
+                return _finish_plan(code, failed, [candidates[j] for j in (*chosen, i)])
             i += 1
     raise AssertionError("coverable candidates must admit a cover")
 
 
 def plan_repair_greedy(code: FrCode, failed: int) -> RepairPlan:
     """Baseline plan: fetch each lost packet from its lowest-indexed
-    surviving holder, with no attempt to share helpers."""
-    if not 0 <= failed < code.n:
-        raise KOutOfRange(f"failed node {_shown(failed)} outside [0, {_shown(code.n)})")
-    return _finish_plan(code, failed, tuple([i for i in range(code.n) if i != failed]))
+    surviving holder, with no attempt to share helpers; it refuses as
+    plan_repair does."""
+    return _finish_plan(code, failed, _candidates(code, failed))

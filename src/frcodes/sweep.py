@@ -96,9 +96,11 @@ def sweep_ring(
     row is emitted iff the strict goodness bound holds at that k. Rows
     are sorted by descending rho, then (n, theta). The output may
     contain rows a published listing omitted; containment, not
-    equality, is the meaningful comparison. A grid that would build a
-    ring past the cap is refused before any search (_capped_grid).
+    equality, is the meaningful comparison. A non-int grid value, or a
+    ring past the cap, is refused before any search (_capped_grid).
     """
+    m_values = list(m_values)
+    _check_ints(("m", m) for m in m_values)
     m_values = [m for m in sorted(set(m_values)) if m >= 1]
     n_values, rho_values = _capped_grid(
         n_values, rho_values, max(m_values, default=0), lambda n: [m * n for m in m_values]
@@ -123,12 +125,14 @@ def sweep_ring(
 def _capped_grid(
     n_values: Iterable[int], rho_values: Iterable[int], rounds: int, thetas: Callable
 ) -> tuple[list[int], list[int]]:
-    """n and rho sorted without repeats, after refusing the grid's first
-    ring past the cap as its sweep would. Its rings are ring(n, theta,
-    rho) for theta in thetas(n), ascending and at most rounds * n; the
-    least rho >= 2 fits every n any rho fits, so its rings come first."""
-    n_values = sorted(set(n_values))
-    rho_values = sorted(set(rho_values))
+    """n and rho sorted without repeats, after refusing a non-int and then
+    the grid's first ring past the cap as its sweep would. Its rings are
+    ring(n, theta, rho) for theta in thetas(n), ascending and at most
+    rounds * n; the least rho >= 2 fits every n any rho fits, so its
+    rings come first."""
+    n_values, rho_values = list(n_values), list(rho_values)
+    _check_ints([("n", n) for n in n_values] + [("rho", rho) for rho in rho_values])
+    n_values, rho_values = sorted(set(n_values)), sorted(set(rho_values))
     least = next((rho for rho in rho_values if rho >= 2), None)
     for n in n_values:
         if least is not None and n > least and rounds * n > DEFAULT_THETA_CAP:
@@ -191,9 +195,7 @@ def audit_table(rows: Iterable[TableRow], family: str) -> list[AuditFinding]:
             predicted_k_ok = None
         rhs = goodness_rhs(row.k, row.d)
         margin = (row.theta - 1) - rhs
-        duplicate_of = first_seen.get(row.params_key())
-        if duplicate_of is None:
-            first_seen[row.params_key()] = index
+        first = first_seen.setdefault(row.params_key(), index)
         findings.append(
             AuditFinding(
                 index=index,
@@ -205,7 +207,7 @@ def audit_table(rows: Iterable[TableRow], family: str) -> list[AuditFinding]:
                 margin_ok=margin >= 0,
                 predicted_k=predicted_k,
                 predicted_k_ok=predicted_k_ok,
-                duplicate_of=duplicate_of,
+                duplicate_of=None if first == index else first,
             )
         )
     return findings
@@ -229,13 +231,10 @@ def filter_rhs(rows: Iterable[TableRow], strict: bool = True) -> list[TableRow]:
 
 def dedup_rows(rows: Iterable[TableRow]) -> list[TableRow]:
     """First occurrence of each (n, k, d, rho, theta), in input order."""
-    seen: set[tuple] = set()
-    out = []
+    first: dict[tuple, TableRow] = {}
     for row in rows:
-        if row.params_key() not in seen:
-            seen.add(row.params_key())
-            out.append(row)
-    return out
+        first.setdefault(row.params_key(), row)
+    return list(first.values())
 
 
 def restrict_rho(rows: Iterable[TableRow], rho: int) -> list[TableRow]:
@@ -321,7 +320,7 @@ def write_rows_csv(rows: Iterable[TableRow], path: str) -> None:
     with_t = any(row.t is not None for row in rows)
     records = [_BASE_HEADER + (["t"] if with_t else [])]
     for row in rows:
-        record = [row.n, row.k, row.d, row.rho, row.theta]
+        record = list(row.params_key())
         if with_t:
             if row.t is None:
                 raise MalformedRow(f"row {record} lacks t in a t-column table")
@@ -342,7 +341,6 @@ def _parse_rows(records: Iterable[list[str]], origin: str) -> list[TableRow]:
     header = [cell.strip() for cell in records[0]]
     if header not in (_BASE_HEADER, _BASE_HEADER + ["t"]):
         raise ParseError(f"{_shown(origin)}: bad header {header}")
-    with_t = header[-1] == "t"
     rows = []
     for lineno, rec in enumerate(records[1:], start=2):
         if len(rec) != len(header):
@@ -351,9 +349,7 @@ def _parse_rows(records: Iterable[list[str]], origin: str) -> list[TableRow]:
             values = [int(cell) for cell in rec]
         except ValueError as exc:
             raise MalformedRow(f"{_shown(origin)}:{lineno}: non-integer field") from exc
-        n, k, d, rho, theta = values[:5]
-        t = values[5] if with_t else None
-        rows.append(TableRow(n, k, d, rho, theta, t, PROVENANCE_TRANSCRIBED))
+        rows.append(TableRow(*values, provenance=PROVENANCE_TRANSCRIBED))
     return rows
 
 
@@ -406,8 +402,9 @@ def default_theta_rule(n: int) -> list[int]:
     """Heterogeneous theta values tried per n: every theta in [2, 3n]
     that is not a multiple of n. Mirrors the sweep scale (up to three
     rounds) while keeping file size theta - 1 positive. An n past
-    DEFAULT_THETA_CAP, which no builder takes, is refused before the
-    list is made."""
+    DEFAULT_THETA_CAP, which no builder takes, or not an int, is refused
+    before the list is made."""
+    _check_ints((("n", n),))
     _check_cap("n", n)
     return [theta for theta in range(2, 3 * n + 1) if theta % n != 0]
 
@@ -420,8 +417,8 @@ def conjecture_harness(
     """Compare conjectured and brute-forced k over heterogeneous ring
     codes. Deterministic order: ascending (n, rho, theta). The result
     reports agreement; callers must not turn disagreement into an
-    error, the conjecture is unproven either way. A grid that would
-    build a ring past the cap is refused before any search."""
+    error, the conjecture is unproven either way. A non-int grid value,
+    or a ring past the cap, is refused before any search."""
     n_values, rho_values = _capped_grid(n_values, rho_values, 3, default_theta_rule)
     findings = []
     for n in n_values:

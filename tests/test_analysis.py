@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from frcodes import (
     BudgetExceeded,
     DEFAULT_BUDGET,
+    InvariantViolation,
     KOutOfRange,
     ParityError,
     PrgSpec,
@@ -1118,6 +1119,10 @@ def test_predicted_k_ring_branches():
     assert predicted_k_ring(6, 4, 2) == (4, "conjecture")
     with pytest.raises(RhoRange):
         predicted_k_ring(5, 5, 5)
+    # It refuses what RingSpec refuses, so a non-int gets no answer.
+    for n, theta, name in ((5.5, 5, "n=5.5"), (5, "5", "theta='5'"), (5, 5.0, "theta=5.0")):
+        with pytest.raises(InvariantViolation, match=f"^{name} is not an integer$"):
+            predicted_k_ring(n, theta, 2)
 
 
 def test_transpose_settles_the_conjectured_ring_branches():

@@ -4,10 +4,12 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frcodes import (
     BudgetExceeded,
+    FrcError,
+    InvariantViolation,
     KOutOfRange,
     PrgSpec,
     RingSpec,
@@ -58,6 +60,10 @@ def test_plan_repair_bad_node():
         plan_repair(code, 5)
     with pytest.raises(KOutOfRange):
         plan_repair_greedy(code, -1)
+    with pytest.raises(InvariantViolation, match="^failed=True is not an integer$"):
+        plan_repair(code, True)
+    with pytest.raises(InvariantViolation, match="^failed=1.0 is not an integer$"):
+        plan_repair_greedy(code, 1.0)
 
 
 def test_plan_repair_unrepairable():
@@ -114,6 +120,24 @@ def test_plan_repair_answers_exactly_or_refuses(code, budget):
             continue
         assert plan.helpers == helpers
         assert plan_repair(code, failed, budget=2 * budget) == plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(max_n=8))
+@example(make_code(3, 4, [[0, 1, 2, 3], [1], [2]]))  # node 0: packets 0, 3 lost
+def test_both_planners_refuse_alike(code):
+    # The baseline refuses every node plan_repair refuses, with the same
+    # error and text; of several packets without a replica, both name
+    # the highest.
+    for failed in range(-1, code.n + 1):
+        refusals = []
+        for planner in (plan_repair, plan_repair_greedy):
+            try:
+                planner(code, failed)
+                refusals.append(None)
+            except FrcError as exc:
+                refusals.append((type(exc), str(exc)))
+        assert refusals[0] == refusals[1]
 
 
 def test_greedy_can_exceed_minimum():

@@ -114,6 +114,34 @@ def test_raise_messages_show_parameters_only_through_the_formatter():
     assert not found, found
 
 
+def raise_template(node) -> tuple[str, str] | None:
+    """(exception class, message with each replacement field blanked) of
+    a raise of a call whose first argument is a string, else None."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    message = node.exc.args[0]
+    parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+    if not all(isinstance(part, (ast.Constant, ast.FormattedValue)) for part in parts):
+        return None
+    text = "".join("{}" if isinstance(part, ast.FormattedValue) else str(part.value) for part in parts)
+    return ast.unparse(node.exc.func), text
+
+
+def test_each_error_is_raised_from_one_site():
+    # A rule stated at two raise sites drifts: the copies come to check
+    # different things or name different values. The type or helper
+    # that owns the rule raises it, and other callers go through it.
+    sites: dict[tuple[str, str], list[str]] = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            template = raise_template(node)
+            if template is not None:
+                sites.setdefault(template, []).append(f"{path.name}:{node.lineno}")
+    assert len(sites) > 20
+    shared = {template: found for template, found in sites.items() if len(found) > 1}
+    assert not shared, shared
+
+
 def test_the_walk_is_exhausted_only_by_min_coverage():
     # `*_, best = _smaller_unions(...)` runs the walk to its minimum,
     # which is min_coverage; any other caller should call it instead.

@@ -13,6 +13,7 @@ from frcodes import (
     FAMILY_RING,
     FAMILY_T,
     FrcError,
+    InvariantViolation,
     MalformedRow,
     ParseError,
     RingSpec,
@@ -124,6 +125,19 @@ def test_both_sweeps_refuse_thetas_past_the_cap_before_any_search(monkeypatch):
         sweep_ring(range(1000, 1401), [2], [3])
     with pytest.raises(BudgetExceeded, match="^theta=4097 exceeds cap 4096$"):
         conjecture_harness(range(4, 1401), [2])
+
+
+def test_sweeps_refuse_grids_that_are_not_ints_before_any_search(monkeypatch):
+    monkeypatch.setattr(sweep, "reconstruction_degree", forbidden)
+    with pytest.raises(InvariantViolation, match="^n=5.0 is not an integer$"):
+        conjecture_harness([5.0], [2])
+    with pytest.raises(InvariantViolation, match="^n=5.0 is not an integer$"):
+        default_theta_rule(5.0)
+    with pytest.raises(InvariantViolation, match="^rho=1.5 is not an integer$"):
+        sweep_ring([6], [1.5], [1])
+    # Not theta=2100.0, which the cap check would otherwise reach first.
+    with pytest.raises(InvariantViolation, match="^m=1.5 is not an integer$"):
+        sweep_ring([1400], [2], [1.5, 3])
 
 
 def first_build_error(n_values, rho_values, m_values):

@@ -213,7 +213,6 @@ def build_t_code(spec: TSpec) -> FrCode:
 
 FORMAT_JSON = "json"
 FORMAT_CSV_MATRIX = "csv-matrix"
-_BINARY_ENTRIES = frozenset(("0", "1"))
 
 
 def _infer_format(path: str) -> str:
@@ -332,11 +331,32 @@ def read_csv_records(path: str) -> list[list[str]]:
         raise ParseError(f"{_shown(path)}: not valid CSV ({exc})") from exc
 
 
+def _binary_rows(text: str) -> list[str] | None:
+    r"""The nonblank lines of text when each is the same number of "0"
+    and "1" entries joined by commas, as export_code writes them; None
+    otherwise. Lines end where csv ends a record, at "\n", "\r\n" or
+    "\r"; str.splitlines would also split at "\x0b", "\x0c", "\x85"
+    and others, which csv keeps inside a field."""
+    rows = [*filter(None, text.replace("\r", "\n").split("\n"))]
+    width = len(rows[0]) if rows else 0
+    if not width % 2:
+        return None
+    commas = "," * (width // 2)
+    entries = width - len(commas)
+    for row in rows:
+        # Commas at every odd offset, and 0s and 1s at every even one.
+        if len(row) != width or row[1::2] != commas or row.count("0") + row.count("1") != entries:
+            return None
+    return rows
+
+
 def import_code(path: str) -> FrCode:
     """Read a code file in the format its extension names; structural
     validation is delegated to make_code, or for CSV to its parts
     _check_sizes and _freeze, so invalid contents raise the same errors
-    as building by hand."""
+    as building by hand. A CSV file laid out as export_code writes it is
+    checked line by line, then sized, then folded, with no csv parse;
+    any other CSV text is parsed by csv, record by record."""
     if _infer_format(path) == FORMAT_JSON:
         try:
             doc = _read_file(path, json.load)
@@ -359,22 +379,30 @@ def import_code(path: str) -> FrCode:
         if any(type(v) is not int for s in nodes for v in s):
             raise ParseError(f"{_shown(path)}: packet indices must be integers")
         return make_code(n, theta, nodes)
+    try:
+        rows = _binary_rows(_read_file(path, lambda fh: fh.read()))
+    except ParseError:
+        # Read again below: csv refuses a bad record before the decoder
+        # reaches a bad byte later in the file, and its error stands.
+        rows = None
+    if rows is not None:
+        theta = len(rows[0]) // 2 + 1
+        _check_sizes(len(rows), theta)
+        # Column j is bit j, so a row's entries reversed are its mask in binary.
+        return _freeze(len(rows), theta, [int(row[::-2], 2) for row in rows])
     masks: list[int] = []
     widths = set()
     for lineno, record in enumerate(read_csv_records(path), start=1):
         if not record:
             continue
-        if not _BINARY_ENTRIES.issuperset(record):  # not as export_code writes it
-            try:
-                row = [int(v) for v in record]
-            except ValueError as exc:
-                raise ParseError(f"{_shown(path)}:{lineno}: non-integer entry") from exc
-            if any(v not in (0, 1) for v in row):
-                raise ParseError(f"{_shown(path)}:{lineno}: entries must be 0 or 1")
-            record = [str(v) for v in row]
-        # Column j is bit j, so the reversed row is the mask in binary.
-        masks.append(int("".join(record)[::-1], 2))
-        widths.add(len(record))
+        try:
+            row = [int(v) for v in record]
+        except ValueError as exc:
+            raise ParseError(f"{_shown(path)}:{lineno}: non-integer entry") from exc
+        if any(v not in (0, 1) for v in row):
+            raise ParseError(f"{_shown(path)}:{lineno}: entries must be 0 or 1")
+        masks.append(int("".join(map(str, row))[::-1], 2))
+        widths.add(len(row))
     if not masks:
         raise ParseError(f"{_shown(path)}: empty incidence matrix")
     if len(widths) != 1:

@@ -6,13 +6,16 @@ storage. What varies is how many distinct helper nodes must be
 contacted: plan_repair finds a provably minimum helper set by exact set
 cover over the candidate nodes, walked smallest cardinality first and
 lexicographically within a cardinality, so the reported plan is
-deterministic. The walk cuts a branch once its partial union together
-with all later candidates still misses a lost packet; such a branch
-holds no cover, so the cut never changes which cover is found first.
-The budget counts the walk's steps, the unit of the coverage searches
-(analysis.DEFAULT_BUDGET): each extension of a partial helper set by one
-more candidate pays for every candidate of the level it opens, over
-every size tried for the node. plan_repair_greedy gives the
+deterministic. A lost packet that only one candidate holds forces that
+candidate into every cover, so the walk starts at the number of forced
+candidates; on codes where every lost packet has one other replica it
+is a single path. The walk cuts a branch once its partial union
+together with all later candidates still misses a lost packet; such a
+branch holds no cover, so the cut never changes which cover is found
+first. The budget counts the walk's steps, the unit of the coverage
+searches (analysis.DEFAULT_BUDGET): each extension of a partial helper
+set by one more candidate pays for every candidate of the level it
+opens, over every size tried for the node. plan_repair_greedy gives the
 no-coordination baseline (each packet fetched from its lowest-indexed
 surviving holder) for comparison.
 """
@@ -64,32 +67,43 @@ def _candidates(code: FrCode, failed: int) -> list[int]:
 def _finish_plan(code: FrCode, failed: int, survivors: list[int]) -> RepairPlan:
     """Fetch each lost packet from its first holder among survivors,
     which hold every one."""
-    lost = code.packets(failed)
-    assignments = [
-        (packet, next(h for h in survivors if code.masks[h] >> packet & 1)) for packet in lost
-    ]
-    helpers = tuple(sorted({h for _, h in assignments}))
+    still = code.masks[failed]  # lost packets no survivor so far holds
+    assignments = []
+    helpers = []
+    for h in survivors:
+        got = code.masks[h] & still
+        if got:
+            still ^= got
+            helpers.append(h)
+        while got:  # packets_from_mask inline: a call per survivor costs more
+            low = got & -got
+            assignments.append((low.bit_length() - 1, h))
+            got ^= low
+    assignments.sort()
     return RepairPlan(
         failed=failed,
         assignments=tuple(assignments),
-        helpers=helpers,
+        helpers=tuple(sorted(helpers)),
         repair_degree=len(helpers),
-        bandwidth=len(lost),
+        bandwidth=len(assignments),
     )
 
 
 def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> RepairPlan:
     """Minimum-helper exact repair plan for one failed node.
 
-    Walks candidate helper subsets by increasing size, in lexicographic
+    Walks candidate helper subsets by increasing size, from the number
+    of candidates that alone hold some lost packet, in lexicographic
     order within a size; the first subset whose members jointly hold
     every lost packet is returned, so ties break toward the
     lexicographically least helper set. A branch is cut as soon as its
     partial union, joined with every candidate still to come, misses a
-    lost packet. Raises Unrepairable when some lost packet has no other
-    replica, and BudgetExceeded once the walk, over all sizes, would
-    take more steps than the budget allows.
+    lost packet. Raises InvariantViolation for a budget that is not an
+    int, Unrepairable when some lost packet has no other replica, and
+    BudgetExceeded once the walk, over all sizes, would take more steps
+    than the budget allows.
     """
+    _check_ints((("budget", budget),))
     candidates = _candidates(code, failed)
     if not candidates:
         return _finish_plan(code, failed, [])
@@ -101,8 +115,15 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     rest = [lost_mask] + [0] * c
     for i in range(c - 1, 0, -1):
         rest[i] = rest[i + 1] | restricted[i]
+    # A lost packet held once among the candidates forces its holder
+    # into every cover, so no size below the forced count holds one.
+    once = twice = 0
+    for r in restricted:
+        twice |= once & r
+        once |= r
+    forced = sum(1 for r in restricted if r & ~twice)
     left = budget  # steps still allowed
-    for size in range(1, c + 1):
+    for size in range(max(forced, 1), c + 1):
         chosen: list[int] = []
         outer: list[int] = []  # outer[d] is the partial union before chosen[d]
         union = 0  # union of restricted over chosen

@@ -109,6 +109,16 @@ def brute_lex_least_helpers(code, failed):
     return None
 
 
+def brute_first_holder_plan(code, failed, survivors):
+    """(assignments, helpers) of fetching each packet of the failed node
+    from the first of survivors, in their order, that holds it."""
+    assignments = tuple(
+        (packet, next(h for h in survivors if packet in code.packets(h)))
+        for packet in code.packets(failed)
+    )
+    return assignments, tuple(sorted({h for _, h in assignments}))
+
+
 def code_from_matrix(rows):
     """Rebuild a code from a binary incidence matrix (inverse of
     incidence_matrix up to validation)."""

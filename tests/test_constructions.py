@@ -30,6 +30,7 @@ from frcodes import (
     incidence_matrix,
     profile,
 )
+from frcodes import constructions
 from frcodes.core import packets_from_mask
 from frcodes.sweep import TableRow
 from oracles import (
@@ -391,6 +392,56 @@ def test_wide_csv_matrix_errors_match_oracle(tmp_path, rows, error):
     path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
     assert outcome(import_code, str(path)) == error
     assert outcome(brute_import_csv_matrix, str(path)) == error
+
+
+# Text where csv and str.splitlines part ways, a byte-order mark out of
+# place, quotes, spaces, commas and line ends inside a row.
+HOSTILE = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\ufeff", '"', '"1"', " ", ",", "\r", "\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_csv_matrix_import_of_hostile_text_matches_oracle(tmp_path_factory, data):
+    theta = data.draw(st.integers(1, 4), label="theta")
+    row = st.lists(st.sampled_from("01"), min_size=theta, max_size=theta).map(",".join)
+    lines = data.draw(st.lists(st.one_of(row, row, st.just("")), max_size=5), label="lines")
+    ends = st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines))
+    text = "".join(map(str.__add__, lines, data.draw(ends, label="ends")))
+    if data.draw(st.booleans(), label="unterminated"):
+        text = text.rstrip("\r\n")
+    for _ in range(data.draw(st.integers(0, 2), label="edits")):
+        at = data.draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + data.draw(st.sampled_from(HOSTILE), label="inserted") + text[at:]
+    if data.draw(st.booleans(), label="bom"):
+        text = "\ufeff" + text
+    path = tmp_path_factory.mktemp("csv") / "code.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)  # line ends as drawn
+    assert outcome(import_code, str(path)) == outcome(brute_import_csv_matrix, str(path))
+
+
+def test_over_wide_binary_csv_is_refused_before_any_csv_parse(tmp_path, monkeypatch):
+    # Every line is checked, then the width is refused, before any row
+    # is folded and with no csv record built.
+    path = tmp_path / "code.csv"
+    path.write_text(("1," * 99_999 + "1\n") * 20, encoding="utf-8")
+    monkeypatch.setattr(constructions, "read_csv_records", None)
+    assert outcome(import_code, str(path)) == (BudgetExceeded, "theta=100000 exceeds cap 4096")
+    monkeypatch.undo()
+    # A row not as export_code writes it goes through csv, and its
+    # error still comes ahead of the width's.
+    path.write_text(("1," * 4_999 + "1\n") * 3 + "1," * 4_999 + "x\n", encoding="utf-8")
+    error = (ParseError, f"{path}:4: non-integer entry")
+    assert outcome(import_code, str(path)) == outcome(brute_import_csv_matrix, str(path)) == error
+
+
+def test_csv_import_reports_a_csv_error_before_later_bad_utf8(tmp_path):
+    # csv reads record by record, so it refuses the over-long field of
+    # the first record before the decoder reaches the bad byte.
+    path = tmp_path / "code.csv"
+    path.write_bytes(b"1," + b"0" * 200_000 + b"\n" + b"1,0\n" * 5_000 + b"\xff\n")
+    with pytest.raises(ParseError, match="^.*: not valid CSV \\(field larger than field limit"):
+        import_code(str(path))
 
 
 # --- builders against the set-built reference ------------------------------

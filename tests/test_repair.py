@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frcodes import (
     BudgetExceeded,
@@ -20,7 +20,8 @@ from frcodes import (
     plan_repair,
     plan_repair_greedy,
 )
-from oracles import brute_lex_least_helpers, brute_min_helper_count
+from frcodes.repair import _finish_plan
+from oracles import brute_first_holder_plan, brute_lex_least_helpers, brute_min_helper_count
 from strategies import small_codes
 
 
@@ -86,21 +87,65 @@ def test_plan_repair_empty_node():
 
 def test_plan_repair_budget():
     # Node 0 shares a packet with each of 27 candidates, each
-    # indispensable, so the walk must reach size 27. Only the run of
-    # candidates from the first survives the cut, so size s makes s - 1
-    # descents, each paying for the 28 - s candidates of the level it
-    # opens: C(28, 3) = 3,276 steps in all.
+    # indispensable, so every cover holds all 27 and the walk starts at
+    # size 27: 26 descents, each paying for the one candidate of the
+    # level it opens.
     code = make_code(28, 27, [set(range(27))] + [{j} for j in range(27)])
     assert plan_repair(code, 0).repair_degree == 27
-    assert plan_repair(code, 0, budget=3276) == plan_repair(code, 0)
-    message = "^helper-set search for node 0 exceeds budget of 3275 steps$"
+    assert plan_repair(code, 0, budget=26) == plan_repair(code, 0)
+    message = "^helper-set search for node 0 exceeds budget of 25 steps$"
     with pytest.raises(BudgetExceeded, match=message):
-        plan_repair(code, 0, budget=3275)
+        plan_repair(code, 0, budget=25)
     # Node 0 holds the vertices of K_12 and each other node one edge: a
     # cover needs six helpers, and the walk over fewer runs away.
     edges = [set(edge) for edge in combinations(range(12), 2)]
     with pytest.raises(BudgetExceeded, match="^helper-set search for node 0 "):
         plan_repair(make_code(67, 12, [range(12), *edges]), 0, budget=10**4)
+
+
+def test_plan_repair_starts_at_the_forced_helpers():
+    # On prg codes every lost packet has one other replica, so all c
+    # candidates are forced and the walk is one path of c - 1 descents.
+    code = build_prg(PrgSpec(21, 17))
+    for failed in range(code.n):
+        c = 17 if failed < 20 else 16  # node 20 has one edge fewer
+        assert plan_repair(code, failed, budget=c - 1).repair_degree == c
+        with pytest.raises(BudgetExceeded, match=f"budget of {c - 2} steps$"):
+            plan_repair(code, failed, budget=c - 2)
+    # Nodes 2, 4 and 6 alone hold packets 0, 1 and 2, but packets 3..5
+    # still need two of nodes 1, 3 and 5. The walk starts at size 3 and
+    # skips the 9 steps that size 2 would pay.
+    code = make_code(7, 6, [range(6), {3, 4}, {0}, {4, 5}, {1}, {5, 3}, {2}])
+    plan = plan_repair(code, 0, budget=39)
+    assert plan.helpers == brute_lex_least_helpers(code, 0) == (1, 2, 3, 4, 6)
+    with pytest.raises(BudgetExceeded):
+        plan_repair(code, 0, budget=38)
+
+
+@pytest.mark.parametrize("budget", ["2", None, True, 2.0])
+def test_plan_repair_refuses_a_budget_that_is_not_an_int(budget):
+    # Before any walk, even at a node the planner would refuse.
+    code = make_code(2, 2, [{0, 1}, {0}])
+    for failed in (1, 0, 2):
+        with pytest.raises(InvariantViolation, match=f"^budget={budget!r} is not an integer$"):
+            plan_repair(code, failed, budget=budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(max_n=8), st.data())
+def test_plans_fetch_each_packet_from_its_first_holder(code, data):
+    # Over any order of survivors that hold every lost packet.
+    failed = data.draw(st.integers(0, code.n - 1), label="failed")
+    others = data.draw(st.permutations([i for i in range(code.n) if i != failed]))
+    survivors = others[: data.draw(st.integers(0, len(others)), label="kept")]
+    lost = set(code.packets(failed))
+    if not lost <= {p for h in survivors for p in code.packets(h)}:
+        survivors = others
+    assume(lost <= {p for h in survivors for p in code.packets(h)})
+    plan = _finish_plan(code, failed, survivors)
+    assignments, helpers = brute_first_holder_plan(code, failed, survivors)
+    assert (plan.assignments, plan.helpers) == (assignments, helpers)
+    assert (plan.repair_degree, plan.bandwidth) == (len(helpers), len(lost))
 
 
 @settings(max_examples=150, deadline=None)

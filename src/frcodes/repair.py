@@ -8,16 +8,17 @@ cover over the candidate nodes, walked smallest cardinality first and
 lexicographically within a cardinality, so the reported plan is
 deterministic. A lost packet that only one candidate holds forces that
 candidate into every cover, so the walk starts at the number of forced
-candidates; on codes where every lost packet has one other replica it
-is a single path. The walk cuts a branch once its partial union
-together with all later candidates still misses a lost packet; such a
-branch holds no cover, so the cut never changes which cover is found
-first. The budget counts the walk's steps, the unit of the coverage
-searches (analysis.DEFAULT_BUDGET): each extension of a partial helper
-set by one more candidate pays for every candidate of the level it
-opens, over every size tried for the node. plan_repair_greedy gives the
-no-coordination baseline (each packet fetched from its lowest-indexed
-surviving holder) for comparison.
+candidates. A node whose candidates are all forced has one cover, all
+of them, and takes it without a walk, as does every node of a code
+whose lost packets each have one other replica. The walk cuts a branch
+once its partial union together with all later candidates still misses
+a lost packet; such a branch holds no cover, so the cut never changes
+which cover is found first. The budget counts the walk's steps, the
+unit of the coverage searches (analysis.DEFAULT_BUDGET): each extension
+of a partial helper set by one more candidate pays for every candidate
+of the level it opens, over every size tried for the node.
+plan_repair_greedy gives the no-coordination baseline (each packet
+fetched from its lowest-indexed surviving holder) for comparison.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     of candidates that alone hold some lost packet, in lexicographic
     order within a size; the first subset whose members jointly hold
     every lost packet is returned, so ties break toward the
-    lexicographically least helper set. A branch is cut as soon as its
+    lexicographically least helper set. A node whose candidates are all
+    forced takes them all without a walk. A branch is cut as soon as its
     partial union, joined with every candidate still to come, misses a
     lost packet. Raises InvariantViolation for a budget that is not an
     int, Unrepairable when some lost packet has no other replica, and
@@ -105,8 +107,6 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     """
     _check_ints((("budget", budget),))
     candidates = _candidates(code, failed)
-    if not candidates:
-        return _finish_plan(code, failed, [])
     lost_mask = code.masks[failed]
     restricted = [code.masks[i] & lost_mask for i in candidates]
     c = len(candidates)
@@ -123,7 +123,7 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
         once |= r
     forced = sum(1 for r in restricted if r & ~twice)
     left = budget  # steps still allowed
-    for size in range(max(forced, 1), c + 1):
+    for size in range(max(forced, 1), c):
         chosen: list[int] = []
         outer: list[int] = []  # outer[d] is the partial union before chosen[d]
         union = 0  # union of restricted over chosen
@@ -153,7 +153,8 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
             elif grown == lost_mask:
                 return _finish_plan(code, failed, [candidates[j] for j in (*chosen, i)])
             i += 1
-    raise AssertionError("coverable candidates must admit a cover")
+    # Every candidate is forced: the one cover is the baseline's.
+    return _finish_plan(code, failed, candidates)
 
 
 def plan_repair_greedy(code: FrCode, failed: int) -> RepairPlan:

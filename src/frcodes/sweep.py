@@ -5,14 +5,15 @@ scratch: it builds each candidate code, brute-forces the reconstruction
 degree at file size theta - 1, and keeps the row only if the strict
 goodness bound holds there. audit_table re-checks rows arriving as data
 (for example the bundled reference tables) arithmetically, without
-trusting how they were produced. Rows read from a CSV file, the bundled
-tables included, carry provenance "transcribed"; rows this package
-computes carry "generated".
+trusting how they were produced. Rows that read_rows_csv reads, the
+bundled tables included, carry provenance "transcribed"; rows this
+package computes carry "generated".
 
 conjecture_harness compares brute-forced reconstruction degrees of
 heterogeneous ring codes against the conjectured closed form and
 reports agreement per instance. Agreement is never asserted here; the
-harness exists to collect evidence.
+harness exists to collect evidence. Both sweeps walk their grid in
+_ring_degrees, which builds and searches every ring.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .analysis import (
     DEFAULT_BUDGET,
@@ -31,7 +32,7 @@ from .analysis import (
     reconstruction_degree,
 )
 from .constructions import RingSpec, _write_file, build_ring, read_csv_records
-from .core import DEFAULT_THETA_CAP, _check_cap, _check_ints, profile
+from .core import DEFAULT_THETA_CAP, FrCode, _check_cap, _check_ints, profile
 from .errors import MalformedRow, ParseError, RhoRange, _shown
 
 PROVENANCE_GENERATED = "generated"
@@ -97,39 +98,32 @@ def sweep_ring(
     are sorted by descending rho, then (n, theta). The output may
     contain rows a published listing omitted; containment, not
     equality, is the meaningful comparison. A non-int grid value, or a
-    ring past the cap, is refused before any search (_capped_grid).
+    ring past the cap, is refused before any search (_ring_degrees).
     """
     m_values = list(m_values)
     _check_ints(("m", m) for m in m_values)
     m_values = [m for m in sorted(set(m_values)) if m >= 1]
-    n_values, rho_values = _capped_grid(
-        n_values, rho_values, max(m_values, default=0), lambda n: [m * n for m in m_values]
-    )
+    rounds = max(m_values, default=0)
+    grid = _ring_degrees(n_values, rho_values, rounds, lambda n: [m * n for m in m_values], budget)
     rows = []
-    for rho in rho_values:
-        for n in n_values:
-            if not 2 <= rho <= n - 1:
-                continue
-            for m in m_values:
-                theta = m * n
-                code = build_ring(RingSpec(n=n, theta=theta, rho=rho))
-                d = profile(code).alpha
-                k = reconstruction_degree(code, theta - 1, budget=budget)
-                report = goodness_arithmetic(k, d, theta, weak=False)
-                if report.verdict:
-                    rows.append(TableRow(n=n, k=k, d=d, rho=rho, theta=theta))
+    for n, rho, theta, code, k in grid:
+        d = profile(code).alpha
+        if goodness_arithmetic(k, d, theta, weak=False).verdict:
+            rows.append(TableRow(n=n, k=k, d=d, rho=rho, theta=theta))
     rows.sort(key=lambda r: (-r.rho, r.n, r.theta))
     return rows
 
 
-def _capped_grid(
-    n_values: Iterable[int], rho_values: Iterable[int], rounds: int, thetas: Callable
-) -> tuple[list[int], list[int]]:
-    """n and rho sorted without repeats, after refusing a non-int and then
-    the grid's first ring past the cap as its sweep would. Its rings are
-    ring(n, theta, rho) for theta in thetas(n), ascending and at most
-    rounds * n; the least rho >= 2 fits every n any rho fits, so its
-    rings come first."""
+def _ring_degrees(
+    n_values: Iterable[int], rho_values: Iterable[int], rounds: int, thetas: Callable, budget: int
+) -> Iterator[tuple[int, int, int, FrCode, int]]:
+    """(n, rho, theta, ring(n, theta, rho), k) for every rho in 2..n-1 and
+    theta in thetas(n), by ascending n, then rho, then theta, where k is
+    the ring's reconstruction degree at file size theta - 1. thetas(n)
+    ascends and stays at most rounds * n. A non-int n or rho is refused
+    first, then the grid's first ring past the cap, both before any
+    search; the least rho >= 2 fits every n that any rho fits, so only
+    those n are checked."""
     n_values, rho_values = list(n_values), list(rho_values)
     _check_ints([("n", n) for n in n_values] + [("rho", rho) for rho in rho_values])
     n_values, rho_values = sorted(set(n_values)), sorted(set(rho_values))
@@ -138,7 +132,13 @@ def _capped_grid(
         if least is not None and n > least and rounds * n > DEFAULT_THETA_CAP:
             for theta in thetas(n):
                 _check_cap("theta", theta)
-    return n_values, rho_values
+    for n in n_values:
+        for rho in rho_values:
+            if 2 <= rho <= n - 1:
+                for theta in thetas(n):
+                    code = build_ring(RingSpec(n=n, theta=theta, rho=rho))
+                    k = reconstruction_degree(code, theta - 1, budget=budget)
+                    yield n, rho, theta, code, k
 
 
 @dataclass(frozen=True)
@@ -331,24 +331,20 @@ def write_rows_csv(rows: Iterable[TableRow], path: str) -> None:
 
 def read_rows_csv(path: str) -> list[TableRow]:
     """The rows of a row CSV file, each with provenance "transcribed"."""
-    return _parse_rows(read_csv_records(path), path)
-
-
-def _parse_rows(records: Iterable[list[str]], origin: str) -> list[TableRow]:
-    records = [rec for rec in records if rec]
+    records = [rec for rec in read_csv_records(path) if rec]
     if not records:
-        raise ParseError(f"{_shown(origin)}: empty table")
+        raise ParseError(f"{_shown(path)}: empty table")
     header = [cell.strip() for cell in records[0]]
     if header not in (_BASE_HEADER, _BASE_HEADER + ["t"]):
-        raise ParseError(f"{_shown(origin)}: bad header {header}")
+        raise ParseError(f"{_shown(path)}: bad header {header}")
     rows = []
     for lineno, rec in enumerate(records[1:], start=2):
         if len(rec) != len(header):
-            raise MalformedRow(f"{_shown(origin)}:{lineno}: expected {len(header)} fields")
+            raise MalformedRow(f"{_shown(path)}:{lineno}: expected {len(header)} fields")
         try:
             values = [int(cell) for cell in rec]
         except ValueError as exc:
-            raise MalformedRow(f"{_shown(origin)}:{lineno}: non-integer field") from exc
+            raise MalformedRow(f"{_shown(path)}:{lineno}: non-integer field") from exc
         rows.append(TableRow(*values, provenance=PROVENANCE_TRANSCRIBED))
     return rows
 
@@ -369,14 +365,14 @@ BUNDLED_TABLES: dict[str, str] = {
 
 def load_bundled_table(name: str) -> list[TableRow]:
     """Load one bundled reference table by name; see BUNDLED_TABLES. It
-    is decoded as read_rows_csv decodes a user's table."""
+    is read by read_rows_csv, as a user's table is."""
     if name not in BUNDLED_TABLES:
         raise ParseError(
             f"unknown bundled table {_shown(name)!r}; choose from {sorted(BUNDLED_TABLES)}"
         )
     table = resources.files("frcodes").joinpath("data", f"{name}.csv")
     with resources.as_file(table) as path:
-        return _parse_rows(read_csv_records(str(path)), name)
+        return read_rows_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +415,19 @@ def conjecture_harness(
     reports agreement; callers must not turn disagreement into an
     error, the conjecture is unproven either way. A non-int grid value,
     or a ring past the cap, is refused before any search."""
-    n_values, rho_values = _capped_grid(n_values, rho_values, 3, default_theta_rule)
     findings = []
-    for n in n_values:
-        for rho in rho_values:
-            if not 2 <= rho <= n - 1:
-                continue
-            for theta in default_theta_rule(n):
-                prediction = predicted_k_ring(n, theta, rho)
-                code = build_ring(RingSpec(n=n, theta=theta, rho=rho))
-                brute = reconstruction_degree(code, theta - 1, budget=budget)
-                findings.append(
-                    ConjectureFinding(
-                        n=n,
-                        theta=theta,
-                        rho=rho,
-                        branch="n_gt_theta" if n > theta else "theta_not_multiple",
-                        predicted_k=prediction.k,
-                        brute_k=brute,
-                        agree=prediction.k == brute,
-                    )
-                )
+    grid = _ring_degrees(n_values, rho_values, 3, default_theta_rule, budget)
+    for n, rho, theta, _, brute in grid:
+        predicted = predicted_k_ring(n, theta, rho).k
+        findings.append(
+            ConjectureFinding(
+                n=n,
+                theta=theta,
+                rho=rho,
+                branch="n_gt_theta" if n > theta else "theta_not_multiple",
+                predicted_k=predicted,
+                brute_k=brute,
+                agree=predicted == brute,
+            )
+        )
     return findings

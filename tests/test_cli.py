@@ -120,6 +120,16 @@ def test_generate_csv_matrix_output(capsys, tmp_path):
     assert import_code(str(path)) == build_ring(RingSpec(5, 5, 2))
 
 
+def test_generate_format_overrides_the_extension(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    rc, out, _ = run(capsys, "generate", "ring", "--n", "5", "--theta", "5", "--rho", "2",
+                     "-o", str(path), "--format", "json")
+    assert rc == 0
+    assert out.strip() == f"wrote {path}"
+    code = build_ring(RingSpec(5, 5, 2))
+    assert path.read_text() == constructions._json_text(constructions.code_to_dict(code)) + "\n"
+
+
 def test_generate_calls_the_builder_bound_on_the_module(capsys, monkeypatch):
     # Wrappers patched onto constructions (as a tracer does) must see
     # every call, also with a parser built before the patch.
@@ -393,6 +403,15 @@ def test_audit_flags_bad_row(capsys, tmp_path):
     assert rc == 1
     assert "FAIL" in out
     assert "predicted_k=5" in out
+
+
+def test_audit_flags_a_ring_row_that_breaks_the_identity(capsys, tmp_path):
+    # n * d = 30 but rho * theta = 24.
+    path = tmp_path / "rows.csv"
+    path.write_text("n,k,d,rho,theta\n6,5,5,2,12\n")
+    rc, out, _ = run(capsys, "audit-table", str(path), "--family", "ring")
+    assert rc == 1
+    assert "(6, 5, 5, 2, 12) t=None FAIL  [identity" in out
 
 
 def test_audit_usage_errors(capsys, tmp_path):

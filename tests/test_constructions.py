@@ -285,6 +285,32 @@ def test_import_rejects_non_integer_n_theta(tmp_path, fields):
         import_code(str(path))
 
 
+@pytest.mark.parametrize("packet", ["1.5", '"1"', "true"])
+def test_import_refuses_packet_indices_that_are_not_ints(tmp_path, packet):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "theta": 2, "nodes": [[0, %s], [0, 1]]}' % packet)
+    message = f"^{re.escape(str(path))}: packet indices must be integers$"
+    with pytest.raises(ParseError, match=message):
+        import_code(str(path))
+
+
+def test_import_refuses_packet_types_before_make_code_checks_the_code(tmp_path):
+    # Two nodes where n = 3, and packet 5 outside theta = 2: make_code
+    # would refuse both, but the type check speaks first.
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "theta": 2, "nodes": [[5], ["x"]]}')
+    message = f"^{re.escape(str(path))}: packet indices must be integers$"
+    with pytest.raises(ParseError, match=message):
+        import_code(str(path))
+
+
+def test_export_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "code.xml"
+    with pytest.raises(ParseError, match="^unknown code format 'xml'$"):
+        export_code(build_ring(RingSpec(5, 5, 2)), str(path), fmt="xml")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "name, content",
     [

@@ -23,6 +23,7 @@ from frcodes import (
 )
 from frcodes.constructions import PrgSpec, RingSpec, build_prg, build_ring
 from frcodes.core import FrCode
+from frcodes.errors import _shown
 from oracles import brute_holders, code_from_matrix
 
 
@@ -363,3 +364,12 @@ def test_huge_ints_are_named_by_their_digit_count(sign, phrase):
         RingSpec(5, 5, value)
     with pytest.raises(frcodes.KOutOfRange, match=f"^k={phrase} of 5,001 digits outside"):
         frcodes.min_coverage(RING, value)
+
+
+@pytest.mark.parametrize("sign, below, count", [(1, 1, "4,400"), (1, 0, "4,401"), (-1, 0, "4,401")])
+def test_the_digit_count_is_exact_at_a_power_of_ten(sign, below, count):
+    # 10^4400 - 1 and 10^4400 have the same bit length, so the count
+    # read off the bit length must be corrected on one side of the power.
+    value = sign * (10**4400 - below)
+    phrase = "a negative" if sign < 0 else "an"
+    assert str(_shown(value)) == f"{phrase} int of {count} digits"

@@ -87,15 +87,19 @@ def test_plan_repair_empty_node():
 
 def test_plan_repair_budget():
     # Node 0 shares a packet with each of 27 candidates, each
-    # indispensable, so every cover holds all 27 and the walk starts at
-    # size 27: 26 descents, each paying for the one candidate of the
-    # level it opens.
+    # indispensable, so the one cover holds all 27 and takes no walk.
     code = make_code(28, 27, [set(range(27))] + [{j} for j in range(27)])
-    assert plan_repair(code, 0).repair_degree == 27
-    assert plan_repair(code, 0, budget=26) == plan_repair(code, 0)
-    message = "^helper-set search for node 0 exceeds budget of 25 steps$"
+    assert plan_repair(code, 0, budget=0).repair_degree == 27
+    assert plan_repair(code, 0, budget=0) == plan_repair_greedy(code, 0)
+    # A 28th candidate that also holds packet 0 leaves 26 forced, so the
+    # walk tries sizes 26 and 27, paying for every candidate of each
+    # level it opens, before the cover of 27 at size 27.
+    code = make_code(29, 27, [set(range(27))] + [{j} for j in range(27)] + [{0}])
+    plan = plan_repair(code, 0, budget=177)
+    assert plan.helpers == tuple(range(1, 28))
+    message = "^helper-set search for node 0 exceeds budget of 176 steps$"
     with pytest.raises(BudgetExceeded, match=message):
-        plan_repair(code, 0, budget=25)
+        plan_repair(code, 0, budget=176)
     # Node 0 holds the vertices of K_12 and each other node one edge: a
     # cover needs six helpers, and the walk over fewer runs away.
     edges = [set(edge) for edge in combinations(range(12), 2)]
@@ -105,13 +109,11 @@ def test_plan_repair_budget():
 
 def test_plan_repair_starts_at_the_forced_helpers():
     # On prg codes every lost packet has one other replica, so all c
-    # candidates are forced and the walk is one path of c - 1 descents.
+    # candidates are forced and the plan takes no walk.
     code = build_prg(PrgSpec(21, 17))
     for failed in range(code.n):
         c = 17 if failed < 20 else 16  # node 20 has one edge fewer
-        assert plan_repair(code, failed, budget=c - 1).repair_degree == c
-        with pytest.raises(BudgetExceeded, match=f"budget of {c - 2} steps$"):
-            plan_repair(code, failed, budget=c - 2)
+        assert plan_repair(code, failed, budget=0).repair_degree == c
     # Nodes 2, 4 and 6 alone hold packets 0, 1 and 2, but packets 3..5
     # still need two of nodes 1, 3 and 5. The walk starts at size 3 and
     # skips the 9 steps that size 2 would pay.

@@ -32,6 +32,13 @@ def lines_of(module: str, functions: set[str]) -> set[str]:
     }
 
 
+def calls_to(*names):
+    """A rule flagging every call of one of names, as a name or an attribute."""
+    return lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)
+    ) in names
+
+
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements, so none may carry behaviour.
     found = breaches(lambda node: isinstance(node, ast.Assert))
@@ -79,10 +86,7 @@ def test_files_are_opened_only_by_the_file_helpers():
     # errors, so a reader or writer that skipped them could end in a
     # traceback.
     helpers = lines_of("constructions.py", {"_read_file", "_write_file"})
-    found = breaches(
-        lambda node: isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
-    )
+    found = breaches(calls_to("open"))
     assert found
     outside = [site for site in found if site not in helpers]
     assert not outside, outside
@@ -160,10 +164,31 @@ def test_goodness_reports_are_built_only_by_their_builder():
     # analysis._goodness_report computes the bound's right side, margin
     # and verdicts, so no caller restates them.
     owner = lines_of("analysis.py", {"_goodness_report"})
-    found = breaches(
-        lambda node: isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GoodnessReport"
-    )
+    found = breaches(calls_to("GoodnessReport"))
+    assert found
+    outside = [site for site in found if site not in owner]
+    assert not outside, outside
+
+
+def test_sweeps_build_and_search_rings_only_in_their_grid_walk():
+    # sweep._ring_degrees refuses a bad grid before any search and then
+    # builds and searches each ring, so neither sweep walks a grid itself.
+    owner = lines_of("sweep.py", {"_ring_degrees"})
+    found = [
+        site
+        for site in breaches(calls_to("build_ring", "reconstruction_degree"))
+        if site.startswith("sweep.py:")
+    ]
+    assert len(found) == 2
+    outside = [site for site in found if site not in owner]
+    assert not outside, outside
+
+
+def test_repair_plans_are_built_only_by_finish_plan():
+    # repair._finish_plan assigns each lost packet and counts helpers and
+    # bandwidth, so both planners end in it.
+    owner = lines_of("repair.py", {"_finish_plan"})
+    found = breaches(calls_to("RepairPlan"))
     assert found
     outside = [site for site in found if site not in owner]
     assert not outside, outside

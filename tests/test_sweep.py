@@ -113,6 +113,14 @@ def test_sweep_reads_each_grid_axis_once():
     assert sweep_ring(iter(range(5, 8)), iter([2, 3]), iter([1, 2])) == rows
 
 
+def test_sweep_is_refused_at_the_first_ring_of_its_walk():
+    # The walk visits n, then rho, then m, so ring(10, 30, 3) runs out
+    # of budget first; a walk by rho first would stop at ring(11, 33, 2)
+    # and name k = 10.
+    with pytest.raises(BudgetExceeded, match="^search at k=8 exceeds budget of 35 steps$"):
+        sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=35)
+
+
 def forbidden(*args, **kwargs):
     raise AssertionError("no search may run before the cap refusal")
 
@@ -142,9 +150,9 @@ def test_sweeps_refuse_grids_that_are_not_ints_before_any_search(monkeypatch):
 
 def first_build_error(n_values, rho_values, m_values):
     """The first error build_ring raises over sweep_ring's grid, walked in
-    its order (rho, then n, then m), or None when every ring builds."""
-    for rho in sorted(set(rho_values)):
-        for n in sorted(set(n_values)):
+    its order (n, then rho, then m), or None when every ring builds."""
+    for n in sorted(set(n_values)):
+        for rho in sorted(set(rho_values)):
             if not 2 <= rho <= n - 1:
                 continue
             for m in sorted(set(m_values)):
@@ -291,6 +299,30 @@ def test_filter_and_dedup_primitives():
     assert [r.t for r in filter_rhs(rows, strict=True)] == [0, 1, 0]
     assert len(filter_rhs(rows, strict=False)) == 3
     assert [r.t for r in dedup_rows(rows)] == [0, 0, 0]
+
+
+def test_listing_audits_name_each_missing_foreign_and_repeated_row():
+    # The audits compare listings as multisets: a row listed once more
+    # than the source lists it is reported once, as a foreign row is.
+    a = TableRow(n=4, k=3, d=2, rho=2, theta=4, t=0)  # rhs = 6 - 3 > 0
+    b = TableRow(n=6, k=4, d=2, rho=2, theta=6, t=0)  # rhs = 8 - 6 > 0
+    zero = TableRow(n=7, k=5, d=2, rho=2, theta=7, t=0)  # rhs = 10 - 10
+    negative = TableRow(n=15, k=13, d=2, rho=2, theta=15, t=0)
+    foreign = TableRow(n=8, k=4, d=2, rho=2, theta=8, t=0)
+    source = [a, a, b, zero, negative]
+    # b dropped, a listed three times against the source's two, and a
+    # row the source lacks.
+    audit = audit_rhs_filter(source, [a, a, a, foreign])
+    assert audit.missing_strict == (b,)
+    assert audit.missing_nonneg == (b, zero)
+    assert audit.not_in_source == (a, foreign)
+    assert audit.negative_rhs == audit.zero_rhs == ()
+    # dedup(source) is a, b, zero, negative: b dropped, a repeated.
+    dedup = audit_dedup(source, [a, a, zero, negative, foreign])
+    assert dedup.missing == (b,)
+    assert dedup.extra == (a, foreign)
+    assert not dedup.exact
+    assert audit_dedup(source, [negative, zero, b, a]).exact
 
 
 # --- CSV io ----------------------------------------------------------------

@@ -21,7 +21,6 @@ from .analysis import (
     prg_margin,
     reconstruction_degree,
     ring_margin_case1,
-    ring_margin_case2,
 )
 from .constructions import (
     PrgSpec,

@@ -646,30 +646,6 @@ def ring_margin_case1(rho: int, theta: int) -> int:
     return 3 * rho * rho + theta * theta - 4 * rho * theta + theta + rho - 2
 
 
-def ring_margin_case2(m: int, rho: int, theta: int) -> int:
-    """Reported diagnostic polynomial for multi-round ring codes:
-
-        m^3*theta^2 + (m+2)*rho^2 - 2*m^2*theta*rho + m^2*theta
-        - (m+2)*rho - 2*m*theta*rho + 2*m*theta - 2*m
-
-    Its published derivation substitutes d = rho / m, which disagrees
-    with the tabulated codes (where d = m * rho), so the toolkit only
-    evaluates it verbatim and never gates any verdict on it; goodness
-    for concrete codes is always computed from (k, alpha, theta)
-    directly.
-    """
-    return (
-        m**3 * theta**2
-        + (m + 2) * rho**2
-        - 2 * m**2 * theta * rho
-        + m**2 * theta
-        - (m + 2) * rho
-        - 2 * m * theta * rho
-        + 2 * m * theta
-        - 2 * m
-    )
-
-
 class KPrediction(NamedTuple):
     k: int
     basis: str  # "theorem" | "conjecture"

@@ -65,16 +65,6 @@ def _packet_labels(packets) -> str:
     return " ".join(f"P_{p + 1}" for p in packets)
 
 
-def _show_code(code, as_json: bool) -> None:
-    if as_json:
-        print(constructions._json_text(constructions.code_to_dict(code)))
-        return
-    prof = profile(code)
-    print(f"n={code.n} theta={code.theta} alpha={prof.alpha} rho={prof.rho}")
-    for i in range(code.n):
-        print(f"  {_node_label(i)}: {_packet_labels(code.packets(i))}")
-
-
 # --- subcommand handlers ---------------------------------------------------
 
 
@@ -84,10 +74,15 @@ def _cmd_generate(args) -> int:
     code = getattr(constructions, args.builder)(spec)
     if args.output:
         constructions.export_code(code, args.output, fmt=args.format)
-    if args.output and not args.json:
+    if args.json:
+        print(constructions._json_text(constructions.code_to_dict(code)))
+    elif args.output:
         print(f"wrote {args.output}")
     else:
-        _show_code(code, as_json=args.json)
+        prof = profile(code)
+        print(f"n={code.n} theta={code.theta} alpha={prof.alpha} rho={prof.rho}")
+        for i in range(code.n):
+            print(f"  {_node_label(i)}: {_packet_labels(code.packets(i))}")
     return 0
 
 
@@ -134,16 +129,14 @@ def _cmd_analyze(args) -> int:
 def _cmd_goodness(args) -> int:
     code = constructions.import_code(args.code)
     budget = _budget()
-    weak = True if args.weak else None
     if args.structural:
-        report = analysis.goodness_structural(code, weak=weak, budget=budget)
+        report = analysis.goodness_structural(code, weak=args.weak or None, budget=budget)
     else:
         prof = profile(code)
-        if weak is None:
-            weak = single_deficit_shape(prof)
         k = analysis.reconstruction_degree(code, args.file_size, budget=budget)
         report = analysis.goodness_arithmetic(
-            k, prof.alpha, code.theta, weak=weak, file_size=args.file_size
+            k, prof.alpha, code.theta,
+            weak=args.weak or single_deficit_shape(prof), file_size=args.file_size,
         )
     if args.json:
         print(constructions._json_text(report))

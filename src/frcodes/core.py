@@ -235,10 +235,11 @@ def incidence_matrix(code: FrCode) -> list[list[int]]:
 class IdentityReport:
     """Double-counting identities between storage and replication.
 
-    classification is "uniform" when n*alpha = rho*theta holds with
-    uniform storage and regular replication, "single-deficient" when
-    n*alpha - 1 = rho*theta holds for the one-node-short shape, and
-    "general" otherwise.
+    Counting the incidences by node and by packet gives sum_alpha =
+    sum_rho, so n*alpha = rho*theta holds for every code with uniform
+    storage and regular replication ("uniform"), and n*alpha - 1 =
+    rho*theta for every one-node-short shape ("single-deficient").
+    Other codes are "general".
     """
 
     sum_alpha: int
@@ -252,14 +253,8 @@ class IdentityReport:
 
 def check_identities(code: FrCode) -> IdentityReport:
     prof = profile(code)
-    n_alpha = code.n * prof.alpha
-    rho_theta = prof.rho * code.theta
-    uniform = (
-        prof.is_uniform_storage
-        and prof.is_regular_replication
-        and n_alpha == rho_theta
-    )
-    deficient = single_deficit_shape(prof) and n_alpha - 1 == rho_theta
+    uniform = prof.is_uniform_storage and prof.is_regular_replication
+    deficient = single_deficit_shape(prof)
     if uniform:
         classification = "uniform"
     elif deficient:
@@ -269,8 +264,8 @@ def check_identities(code: FrCode) -> IdentityReport:
     return IdentityReport(
         sum_alpha=sum(prof.alpha_per_node),
         sum_rho=sum(prof.rho_per_packet),
-        n_alpha=n_alpha,
-        rho_theta=rho_theta,
+        n_alpha=code.n * prof.alpha,
+        rho_theta=prof.rho * code.theta,
         uniform_identity=uniform,
         deficient_identity=deficient,
         classification=classification,

@@ -27,6 +27,7 @@ from frcodes import (
     build_t_code,
     coverage_profile,
     goodness_arithmetic,
+    goodness_rhs,
     goodness_structural,
     make_code,
     min_coverage,
@@ -35,7 +36,6 @@ from frcodes import (
     profile,
     reconstruction_degree,
     ring_margin_case1,
-    ring_margin_case2,
     single_deficit_shape,
 )
 from frcodes import analysis
@@ -804,6 +804,21 @@ def test_goodness_arithmetic_rejects_file_sizes_below_one(file_size):
         goodness_arithmetic(3, 2, 5, file_size=file_size)
 
 
+@pytest.mark.parametrize("k, alpha, theta", [(0, 2, 5), (2, 0, 5), (2, 2, 0)])
+def test_goodness_arithmetic_refuses_each_parameter_below_one(k, alpha, theta):
+    message = f"^need k, alpha, theta >= 1, got {k}, {alpha}, {theta}$"
+    with pytest.raises(KOutOfRange, match=message):
+        goodness_arithmetic(k, alpha, theta)
+
+
+def test_goodness_rhs_at_k_zero():
+    # C(0, 2) = 0, so k = 0 is the smallest k the bound takes.
+    assert goodness_rhs(0, 5) == 0
+    assert goodness_rhs(0, 5, weak=True) == -1
+    with pytest.raises(KOutOfRange, match="^k must be >= 0, got -1$"):
+        goodness_rhs(-1, 5)
+
+
 def test_goodness_structural_uniform_ring_passes():
     report = goodness_structural(build_ring(RingSpec(5, 5, 2)))
     assert report.structural_verdict
@@ -1105,11 +1120,6 @@ def test_ring_margin_case1_is_twice_the_bound_margin(rho, n):
     k = n - rho
     report = goodness_arithmetic(k, rho, theta, weak=False, file_size=theta - 1)
     assert ring_margin_case1(rho, theta) == 2 * report.margin
-
-
-def test_ring_margin_case2_plugin_value():
-    # frozen spot value, evaluated by hand from the polynomial
-    assert ring_margin_case2(2, 2, 5) == 124
 
 
 def test_predicted_k_ring_branches():

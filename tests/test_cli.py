@@ -524,6 +524,12 @@ def test_parse_range_gives_consecutive_ints_or_value_error(text):
     assert values == list(range(values[0], values[0] + len(values)))
 
 
+def test_parse_range_of_one_value():
+    assert _parse_range("5..5") == _parse_range("5") == [5]
+    with pytest.raises(ValueError, match="^empty range '5..4'$"):
+        _parse_range("5..4")
+
+
 # --- conjecture -------------------------------------------------------------
 
 
@@ -575,6 +581,15 @@ def test_budget_env_must_be_integer(capsys, ring_file, monkeypatch):
             rc, _, err = run(capsys, *argv)
             assert rc == 1
             assert err.startswith("FrcError: FRC_BUDGET")
+
+
+def test_budget_env_of_one_is_accepted(capsys, ring_file, monkeypatch):
+    # Every lost packet of a rho = 2 ring has one other holder, so the
+    # repair takes no walk and answers within one step.
+    monkeypatch.setenv("FRC_BUDGET", "1")
+    rc, out, err = run(capsys, "repair", ring_file, "--fail", "1")
+    assert (rc, err) == (0, "")
+    assert "repair degree 2" in out
 
 
 def test_unknown_command_exits_2(capsys):

@@ -147,6 +147,10 @@ def test_ring_validation():
         RingSpec(5, 5, 5)
     with pytest.raises(DegreeRange):
         RingSpec(5, 0, 2)
+    # n = 1 is a size but leaves no rho in 2..n - 1; theta = 1 is a ring.
+    with pytest.raises(RhoRange):
+        RingSpec(1, 5, 2)
+    assert build_ring(RingSpec(3, 1, 2)).masks == (1, 1, 0)
 
 
 def test_ring_heterogeneous_profile():
@@ -196,6 +200,10 @@ def test_t_degenerate_offsets():
     with pytest.raises(DegenerateOffsets):
         TSpec(6, 4, 1)  # step 2 mod 6 gives 3 distinct offsets, need 4
     TSpec(6, 3, 1)  # exactly 3 distinct offsets is still fine
+
+
+def test_t_smallest_spec_builds():
+    assert build_t_code(TSpec(2, 2, 0)).masks == (3, 3)
 
 
 def test_t_regular_profiles():
@@ -266,6 +274,15 @@ def test_import_rejects_garbage(tmp_path):
     path3.write_text("1,0\n1,2\n")
     with pytest.raises(ParseError):
         import_code(str(path3))
+
+
+@pytest.mark.parametrize("nodes", ["[0]", "[[0], 0]", "{}"])
+def test_import_refuses_nodes_that_are_not_a_list_of_lists(tmp_path, nodes):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 1, "theta": 1, "nodes": %s}' % nodes)
+    message = f"^{re.escape(str(path))}: nodes must be a list of lists$"
+    with pytest.raises(ParseError, match=message):
+        import_code(str(path))
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from frcodes.constructions import PrgSpec, RingSpec, build_prg, build_ring
 from frcodes.core import FrCode
 from frcodes.errors import _shown
 from oracles import brute_holders, code_from_matrix
+from strategies import small_codes
 
 
 @st.composite
@@ -224,6 +226,27 @@ def test_check_identities_general():
     report = check_identities(make_code(3, 3, [{0, 1}, {0, 1}, {2}]))
     assert report.classification == "general"
     assert not report.uniform_identity and not report.deficient_identity
+    # Uniform storage alone is not enough: packet 0 has two holders.
+    report = check_identities(make_code(2, 3, [{0, 1}, {0, 2}]))
+    assert report.classification == "general"
+    assert not report.uniform_identity and not report.deficient_identity
+
+
+@given(small_codes())
+@example(build_ring(RingSpec(5, 10, 2)))
+@example(build_prg(PrgSpec(5, 3)))
+@example(make_code(2, 3, [{0, 1}, {0, 2}]))
+@example(make_code(4, 5, [{0, 1, 2}, {0, 3, 4}, {1, 3, 4}, {2}]))
+def test_identities_hold_on_every_code_of_their_shape(code):
+    # Counting incidences by node and by packet gives one total, so the
+    # shape alone decides each identity.
+    report = check_identities(code)
+    prof = profile(code)
+    assert report.sum_alpha == report.sum_rho
+    if prof.is_uniform_storage and prof.is_regular_replication:
+        assert report.n_alpha == report.rho_theta
+    if single_deficit_shape(prof):
+        assert report.n_alpha - 1 == report.rho_theta
 
 
 @given(random_codes(max_n=9, max_theta=9))
@@ -265,7 +288,6 @@ CALLS = {
     "reconstruction_degree": dict(code=RING, file_size=4, budget=100),
     "restrict_rho": dict(rows=[frcodes.TableRow(5, 3, 2, 2, 5)], rho=2),
     "ring_margin_case1": dict(rho=2, theta=5),
-    "ring_margin_case2": dict(m=2, rho=2, theta=5),
     "sweep_ring": dict(n_values=[5], rho_values=[2], m_values=[1], budget=100),
 }
 
@@ -364,6 +386,13 @@ def test_huge_ints_are_named_by_their_digit_count(sign, phrase):
         RingSpec(5, 5, value)
     with pytest.raises(frcodes.KOutOfRange, match=f"^k={phrase} of 5,001 digits outside"):
         frcodes.min_coverage(RING, value)
+
+
+def test_an_int_at_the_digit_limit_is_shown_as_itself():
+    # str() still prints an int of exactly limit digits.
+    limit = sys.get_int_max_str_digits()
+    for value in (10 ** (limit - 1), -(10**limit - 1)):
+        assert _shown(value) is value
 
 
 @pytest.mark.parametrize("sign, below, count", [(1, 1, "4,400"), (1, 0, "4,401"), (-1, 0, "4,401")])

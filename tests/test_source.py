@@ -194,12 +194,48 @@ def test_repair_plans_are_built_only_by_finish_plan():
     assert not outside, outside
 
 
+def code_lines(path: Path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of every line of path that is code:
+    not blank, not a comment and not part of a docstring."""
+    source = path.read_text(encoding="utf-8")
+    docstrings = {
+        line
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+        for line in range(node.body[0].lineno, node.body[0].end_lineno + 1)
+    }
+    stripped = [line.strip() for line in source.splitlines()]
+    return [
+        (number, text)
+        for number, text in enumerate(stripped, start=1)
+        if text and not text.startswith("#") and number not in docstrings
+    ]
+
+
+def test_no_block_of_code_is_written_twice():
+    # Three code lines repeated elsewhere, at any indentation, restate a
+    # rule that one function should own. Short runs of brackets and
+    # returns are too common to count.
+    sites: dict[tuple[str, ...], list[str]] = {}
+    for path in SOURCES:
+        lines = code_lines(path)
+        for start in range(len(lines) - 2):
+            block = tuple(text for _, text in lines[start : start + 3])
+            if sum(map(len, block)) >= 60:
+                sites.setdefault(block, []).append(f"{path.name}:{lines[start][0]}")
+    repeated = sorted(site for found in sites.values() if len(found) > 1 for site in found)
+    assert not repeated, repeated
+
+
 #: Exported names that nothing in the package calls: the paper's closed
 #: forms and the listing relations the acceptance criteria check.
 UNCALLED_EXPORTS = {
     "prg_margin",
     "ring_margin_case1",
-    "ring_margin_case2",
     "restrict_rho",
     "audit_rhs_filter",
     "audit_dedup",
@@ -231,3 +267,12 @@ def test_every_export_is_used_by_the_package():
     unused = sorted(exported - read - UNCALLED_EXPORTS)
     assert not unused, unused
     assert UNCALLED_EXPORTS <= exported - read
+
+
+def test_every_uncalled_export_is_checked_by_an_acceptance_criterion():
+    # An export that the package never calls earns its place only as a
+    # result of the paper that an acceptance criterion checks.
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    nodes = list(ast.walk(ast.parse(acceptance.read_text(encoding="utf-8"))))
+    missing = sorted(name for name in UNCALLED_EXPORTS if not any(map(calls_to(name), nodes)))
+    assert not missing, missing

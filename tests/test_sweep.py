@@ -250,6 +250,16 @@ def test_audit_t_family_identity():
     assert all(f.margin_ok for f in findings)
 
 
+def test_audit_t_family_identity_needs_both_equalities():
+    # A t code has n = theta and d = rho; either equality alone fails.
+    rows = [
+        TableRow(n=7, k=5, d=3, rho=3, theta=7, t=0),
+        TableRow(n=7, k=5, d=3, rho=2, theta=7, t=0),
+        TableRow(n=7, k=5, d=3, rho=3, theta=8, t=0),
+    ]
+    assert [f.identity_ok for f in audit_table(rows, FAMILY_T)] == [True, False, False]
+
+
 def test_audit_unknown_family():
     with pytest.raises(ParseError):
         audit_table([], "rings")
@@ -323,6 +333,9 @@ def test_listing_audits_name_each_missing_foreign_and_repeated_row():
     assert dedup.extra == (a, foreign)
     assert not dedup.exact
     assert audit_dedup(source, [negative, zero, b, a]).exact
+    # One kind of fault is enough.
+    assert not audit_dedup(source, [a, zero, negative]).exact  # b missing
+    assert not audit_dedup(source, [a, b, zero, negative, foreign]).exact
 
 
 # --- CSV io ----------------------------------------------------------------

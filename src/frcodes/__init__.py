@@ -35,7 +35,6 @@ from .constructions import (
 from .core import (
     CodeProfile,
     FrCode,
-    IdentityReport,
     check_identities,
     incidence_matrix,
     make_code,

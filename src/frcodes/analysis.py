@@ -103,7 +103,7 @@ from operator import add, or_
 from typing import Iterator, NamedTuple
 
 from .constructions import PrgSpec, RingSpec
-from .core import FrCode, packets_from_mask, profile, single_deficit_shape
+from .core import FrCode, _check_ints, packets_from_mask, profile, single_deficit_shape
 from .errors import BudgetExceeded, KOutOfRange, Unreachable, _shown
 
 #: Default work ceiling of one search, in steps: candidates tried after
@@ -430,9 +430,10 @@ def _most_missed(code: FrCode, arcs: list[tuple[int, int]], budget: int) -> list
 
 def _checked_file_size(theta: int, file_size: int | None) -> int:
     """file_size, or theta - 1 but at least 1 when None, once it is
-    known to lie in 1..theta."""
+    known to be an int (not a bool) in 1..theta."""
     if file_size is None:
         file_size = max(theta - 1, 1)
+    _check_ints((("file_size", file_size),))
     if file_size < 1:
         raise KOutOfRange(f"file size must be >= 1, got {_shown(file_size)}")
     if file_size > theta:

@@ -1,12 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on failing verdicts or domain errors (the
-error class name goes to stderr), 2 on usage errors. Human-facing
-output labels nodes U_1..U_n and packets P_1..P_theta (1-based); code
-files and --json output keep the 0-based indices used in memory. --json
-output is the text json.dumps(result, indent=2) gives, byte for byte,
-written by constructions._json_text; audit-table --json prints one
-compact object per row instead. The
+error class name goes to stderr) or when the reader of stdout closed it
+before the output was written (nothing goes to stderr), 2 on usage
+errors. Human-facing output labels nodes U_1..U_n and packets
+P_1..P_theta (1-based); code files and --json output keep the 0-based
+indices used in memory. --json output is the text json.dumps(result,
+indent=2) gives, byte for byte, written by constructions._json_text;
+audit-table --json prints one compact object per row instead. The
 FRC_BUDGET environment variable (a positive integer) overrides the work
 budget of each search, counted in steps (analysis.DEFAULT_BUDGET); a
 search that passes it exits 1 with BudgetExceeded naming the search.
@@ -89,10 +90,10 @@ def _cmd_generate(args) -> int:
 def _cmd_analyze(args) -> int:
     code = constructions.import_code(args.code)
     budget = _budget()
-    prof = profile(code)
-    identities = check_identities(code)
-    cov = analysis.coverage_profile(code, budget=budget)
     file_size = analysis._checked_file_size(code.theta, args.file_size)
+    prof = profile(code)
+    classification = check_identities(prof)
+    cov = analysis.coverage_profile(code, budget=budget)
     # The reconstruction degree is the least k with M(k) >= file_size;
     # M(n) = theta, so there is one.
     k = next(k for k, value in enumerate(cov.values, start=1) if value >= file_size)
@@ -107,7 +108,7 @@ def _cmd_analyze(args) -> int:
                 "rho_per_packet": list(prof.rho_per_packet),
                 "uniform_storage": prof.is_uniform_storage,
                 "regular_replication": prof.is_regular_replication,
-                "classification": identities.classification,
+                "classification": classification,
                 "min_coverage": list(cov.values),
                 "witnesses": [list(w) for w in cov.witnesses],
                 "file_size": file_size,
@@ -117,7 +118,7 @@ def _cmd_analyze(args) -> int:
         return 0
     print(f"n={code.n} theta={code.theta} alpha={prof.alpha} rho={prof.rho}")
     print(f"storage profile: {' '.join(str(a) for a in prof.alpha_per_node)}")
-    print(f"classification: {identities.classification}")
+    print(f"classification: {classification}")
     print(" k  M(k)  witness")
     for k_i, (value, witness) in enumerate(zip(cov.values, cov.witnesses), start=1):
         names = " ".join(_node_label(i) for i in witness)
@@ -356,7 +357,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)  # argparse exits 2 on usage errors
     try:
-        return args.handler(args)
+        rc = args.handler(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return rc
+    except BrokenPipeError:
+        return 1
     except ValueError as exc:  # bad range syntax and similar argument shapes
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -231,42 +231,18 @@ def incidence_matrix(code: FrCode) -> list[list[int]]:
     return [[(m >> j) & 1 for j in range(code.theta)] for m in code.masks]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Double-counting identities between storage and replication.
+def check_identities(prof: CodeProfile) -> str:
+    """Classify a code by its profile: "uniform" for uniform storage
+    with regular replication, "single-deficient" for the one-node-short
+    shape of single_deficit_shape, "general" otherwise.
 
     Counting the incidences by node and by packet gives sum_alpha =
-    sum_rho, so n*alpha = rho*theta holds for every code with uniform
-    storage and regular replication ("uniform"), and n*alpha - 1 =
-    rho*theta for every one-node-short shape ("single-deficient").
-    Other codes are "general".
+    sum_rho, so a uniform code has n*alpha = rho*theta and a
+    single-deficient one n*alpha - 1 = rho*theta: the class alone
+    decides each identity, and nothing is left to compare.
     """
-
-    sum_alpha: int
-    sum_rho: int
-    n_alpha: int
-    rho_theta: int
-    uniform_identity: bool
-    deficient_identity: bool
-    classification: str
-
-
-def check_identities(code: FrCode) -> IdentityReport:
-    prof = profile(code)
-    uniform = prof.is_uniform_storage and prof.is_regular_replication
-    deficient = single_deficit_shape(prof)
-    if uniform:
-        classification = "uniform"
-    elif deficient:
-        classification = "single-deficient"
-    else:
-        classification = "general"
-    return IdentityReport(
-        sum_alpha=sum(prof.alpha_per_node),
-        sum_rho=sum(prof.rho_per_packet),
-        n_alpha=code.n * prof.alpha,
-        rho_theta=prof.rho * code.theta,
-        uniform_identity=uniform,
-        deficient_identity=deficient,
-        classification=classification,
-    )
+    if prof.is_uniform_storage and prof.is_regular_replication:
+        return "uniform"
+    if single_deficit_shape(prof):
+        return "single-deficient"
+    return "general"

@@ -777,6 +777,16 @@ def test_holders_and_searches_match_oracles_on_irregular_codes(data):
 # --- goodness --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("file_size", [3.0, 4.5, True, "4"])
+def test_file_size_must_be_an_int(file_size):
+    # A float once answered with a fractional margin, and a bool as 0 or 1.
+    message = rf"^file_size={file_size!r} is not an integer$"
+    with pytest.raises(InvariantViolation, match=message):
+        reconstruction_degree(build_ring(RingSpec(5, 5, 2)), file_size)
+    with pytest.raises(InvariantViolation, match=message):
+        goodness_arithmetic(2, 3, 5, file_size=file_size)
+
+
 def test_goodness_arithmetic_weak_prg_point():
     report = goodness_arithmetic(5, 5, 17, weak=True, file_size=16)
     assert report.rhs == 25 - 10 - 1 == 14

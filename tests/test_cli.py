@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -12,6 +13,7 @@ import tempfile
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,12 +25,15 @@ from frcodes import (
     TableRow,
     analysis,
     build_ring,
+    cli,
     constructions,
+    core,
     errors,
     export_code,
     import_code,
     make_code,
     read_rows_csv,
+    sweep,
 )
 from frcodes.cli import _build_parser, _parse_range, main
 
@@ -205,10 +210,28 @@ def test_analyze_reads_the_degree_off_the_profile(capsys, tmp_path, monkeypatch)
     assert (rc, err) == (1, "Unreachable: file size 6 exceeds theta=5\n")
 
 
-def test_analyze_checks_the_budget_before_the_file_size(capsys, blocks_file, monkeypatch):
+def test_analyze_checks_the_file_size_before_the_search(capsys, blocks_file, monkeypatch):
+    # The blocks code's profile runs away at this budget, so a file size
+    # checked after it would be reported as BudgetExceeded.
     monkeypatch.setenv("FRC_BUDGET", "1000")
     rc, _, err = run(capsys, "analyze", blocks_file, "--file-size", "0")
-    assert (rc, err) == (1, "BudgetExceeded: search at k=5 exceeds budget of 1000 steps\n")
+    assert (rc, err) == (1, "KOutOfRange: file size must be >= 1, got 0\n")
+    rc, _, err = run(capsys, "analyze", blocks_file, "--file-size", "201")
+    assert (rc, err) == (1, "Unreachable: file size 201 exceeds theta=200\n")
+
+
+def test_analyze_profiles_the_code_once(capsys, ring_file, monkeypatch):
+    calls = []
+
+    def counted(code, profile=core.profile):
+        calls.append(code)
+        return profile(code)
+
+    for module in (core, cli, analysis, sweep):
+        monkeypatch.setattr(module, "profile", counted)
+    rc, out, _ = run(capsys, "analyze", ring_file)
+    assert rc == 0 and "classification: uniform" in out
+    assert len(calls) == 1
 
 
 def test_analyze_answers_ring_30_30_5_at_the_default_budget(
@@ -598,6 +621,90 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def leaf_commands(parser, words=()):
+    """(command words, actions) of every command the parser runs, read
+    off its own subparsers; help actions are left out."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_commands(sub, (*words, name))
+            return
+    yield words, [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+COMMANDS = list(leaf_commands(_build_parser()))
+# Incomplete and unknown commands, which argparse refuses.
+COMMANDS += [(("generate",), []), (("sweep",), []), (("frobnicate",), [])]
+# Mostly values the commands take, so that most runs get past argparse.
+INT_TEXTS = st.sampled_from(["1", "2", "3", "4", "5", "7", "0", "-1", "4097", "x"])
+RANGE_TEXTS = st.sampled_from(["2..5", "3..6", "4", "3..3", "6..4", "0..2", "1..x", ""])
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    """Paths the fuzzed commands read, and paths they write to: code and
+    table files that read, files that do not, a missing file and a
+    directory. Writes never touch a file that is read."""
+    root = tmp_path_factory.mktemp("argv")
+    export_code(build_ring(RingSpec(5, 5, 2)), str(root / "code.json"))
+    export_code(make_code(4, 5, [{0, 1, 2}, {0, 3, 4}, {1, 3, 4}, {2}]), str(root / "code.csv"))
+    (root / "table.csv").write_text("n,k,d,rho,theta\n5,3,2,2,5\n")
+    (root / "bad.json").write_text('{"n": 2')
+    (root / "bad.csv").write_text("1,x\n")
+    (root / "dir.json").mkdir()
+    reads = ["code.json", "code.csv", "table.csv", "bad.json", "bad.csv", "dir.json", "no.json"]
+    writes = ["out.json", "out.csv", "out.txt", "dir.json", "no-dir/out.json"]
+    return [str(root / name) for name in reads], [str(root / name) for name in writes]
+
+
+@st.composite
+def argvs(draw, paths):
+    """A command line drawn from the parser's grammar: a command, then
+    each of its arguments with a value of its kind, about one in eight
+    left out."""
+    reads, writes = paths
+    words, actions = draw(st.sampled_from(COMMANDS))
+    argv = list(words)
+    for action in actions:
+        if not draw(st.integers(0, 7)):
+            continue
+        argv += action.option_strings[-1:]
+        if action.nargs == 0:  # a switch
+            continue
+        if action.choices:
+            values = st.sampled_from([*action.choices, "bogus"])
+        elif action.type is int:
+            values = INT_TEXTS
+        elif action.dest == "output":
+            values = st.sampled_from(writes)
+        elif action.dest in ("code", "table"):
+            values = st.sampled_from(reads)
+        else:
+            values = RANGE_TEXTS
+        argv.append(draw(values))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), budget=st.sampled_from([None, "1", "1000", "0", "abc"]))
+def test_any_command_line_exits_0_1_or_2(argv_paths, data, budget):
+    argv = data.draw(argvs(argv_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.dict(os.environ, {"FRC_BUDGET": budget or ""}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        if budget is None:
+            del os.environ["FRC_BUDGET"]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+            assert rc == 2, (argv, err.getvalue())
+    assert rc in (0, 1, 2), (argv, rc)
+
+
 def test_missing_code_file(capsys, tmp_path):
     rc, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
     assert rc == 1
@@ -788,6 +895,33 @@ def test_range_of_exactly_the_cap_is_accepted(capsys):
     assert rc == 0 and out.endswith("1 rows\n")
     rc, _, err = run(capsys, "sweep", "ring", "--n", "3", "--rho", "1..4097", "--m", "1")
     assert rc == 2 and err.startswith("usage error: range '1..4097'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "ring", "--n", "6", "--theta", "9", "--rho", "2", "--json"),
+        ("sweep", "ring", "--n", "4..40", "--rho", "2..4", "--m", "1..3", "--json"),
+    ],
+    ids=["generate", "sweep"],
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader left before anything was written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "frcodes", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=Path(frcodes.__file__).parent.parent,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_module_entry_point():

@@ -215,21 +215,15 @@ def test_matrix_shape_and_sums(code):
 
 
 def test_check_identities_uniform():
-    report = check_identities(build_ring(RingSpec(5, 5, 2)))
-    assert report.classification == "uniform"
-    assert report.uniform_identity and not report.deficient_identity
-    assert report.n_alpha == report.rho_theta == 10
-    assert report.sum_alpha == report.sum_rho == 10
+    assert check_identities(profile(build_ring(RingSpec(5, 5, 2)))) == "uniform"
+    # One node of prg(5, 3) holds one packet fewer than the others.
+    assert check_identities(profile(build_prg(PrgSpec(5, 3)))) == "single-deficient"
 
 
 def test_check_identities_general():
-    report = check_identities(make_code(3, 3, [{0, 1}, {0, 1}, {2}]))
-    assert report.classification == "general"
-    assert not report.uniform_identity and not report.deficient_identity
+    assert check_identities(profile(make_code(3, 3, [{0, 1}, {0, 1}, {2}]))) == "general"
     # Uniform storage alone is not enough: packet 0 has two holders.
-    report = check_identities(make_code(2, 3, [{0, 1}, {0, 2}]))
-    assert report.classification == "general"
-    assert not report.uniform_identity and not report.deficient_identity
+    assert check_identities(profile(make_code(2, 3, [{0, 1}, {0, 2}]))) == "general"
 
 
 @given(small_codes())
@@ -240,13 +234,16 @@ def test_check_identities_general():
 def test_identities_hold_on_every_code_of_their_shape(code):
     # Counting incidences by node and by packet gives one total, so the
     # shape alone decides each identity.
-    report = check_identities(code)
     prof = profile(code)
-    assert report.sum_alpha == report.sum_rho
+    n_alpha, rho_theta = code.n * prof.alpha, prof.rho * code.theta
+    assert sum(prof.alpha_per_node) == sum(prof.rho_per_packet)
+    classification = check_identities(prof)
     if prof.is_uniform_storage and prof.is_regular_replication:
-        assert report.n_alpha == report.rho_theta
-    if single_deficit_shape(prof):
-        assert report.n_alpha - 1 == report.rho_theta
+        assert (classification, n_alpha) == ("uniform", rho_theta)
+    elif single_deficit_shape(prof):
+        assert (classification, n_alpha - 1) == ("single-deficient", rho_theta)
+    else:
+        assert classification == "general"
 
 
 @given(random_codes(max_n=9, max_theta=9))
@@ -300,7 +297,6 @@ INSTANCES = [
     frcodes.TSpec(7, 3, 1),
     frcodes.TableRow(5, 3, 2, 2, 5, 1),
     profile(RING),
-    check_identities(RING),
     frcodes.goodness_structural(RING),
     frcodes.plan_repair(RING, 0),
     frcodes.prg_margin(7, 3),

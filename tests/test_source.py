@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import frcodes
@@ -275,4 +277,22 @@ def test_every_uncalled_export_is_checked_by_an_acceptance_criterion():
     acceptance = Path(__file__).with_name("test_acceptance.py")
     nodes = list(ast.walk(ast.parse(acceptance.read_text(encoding="utf-8"))))
     missing = sorted(name for name in UNCALLED_EXPORTS if not any(map(calls_to(name), nodes)))
+    assert not missing, missing
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_a_function():
+    # perfbench/tracer.py wraps each name of its LAYERS through getattr on
+    # its module, so a deleted or renamed function would crash a traced
+    # benchmark run (`perfbench/run.py --trace 1`).
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracer.LAYERS.values()
+        for name in names
+        if not inspect.isfunction(getattr(importlib.import_module(module), name, None))
+    ]
     assert not missing, missing

@@ -361,6 +361,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a reader that left early shows here, not at exit
         return rc
     except BrokenPipeError:
+        # The failed write leaves its bytes buffered, and the flush at
+        # interpreter exit would raise again; point stdout at devnull.
+        constructions._write_file(
+            os.devnull, lambda fh: os.dup2(fh.fileno(), sys.stdout.fileno())
+        )
         return 1
     except ValueError as exc:  # bad range syntax and similar argument shapes
         print(f"usage error: {exc}", file=sys.stderr)

@@ -905,7 +905,13 @@ def test_range_of_exactly_the_cap_is_accepted(capsys):
     ],
     ids=["generate", "sweep"],
 )
-def test_closed_stdout_exits_1_without_a_traceback(argv):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    # A buffered stdout keeps the bytes of the failed write, which the
+    # flush at interpreter exit tries again; PYTHONUNBUFFERED hides that.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read, write = os.pipe()
     os.close(read)  # the reader left before anything was written
     try:
@@ -915,6 +921,7 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
             stderr=subprocess.PIPE,
             text=True,
             cwd=Path(frcodes.__file__).parent.parent,
+            env=env,
             timeout=60,
         )
     finally:

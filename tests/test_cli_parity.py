@@ -132,7 +132,9 @@ def _runaway_invocations(directory: str):
     node 48: its goodness walk at k = 2 runs away, and two nodes' overlap
     of two keeps the pairwise-overlap bound from settling that k. In the
     cover code node 0 holds the vertices of K_12 and each of the 66
-    others holds one edge: a cover needs six."""
+    others holds one edge: a cover needs six. In the subsets code node 0
+    holds 40 packets and each of 300 others a random six of them: no
+    candidate is forced, and a cover needs more than the bounds prove."""
     blocks = os.path.join(directory, "runaway-blocks.json")
     export_code(make_code(20, 200, [range(10 * i, 10 * i + 10) for i in range(20)]), blocks)
     overlap = os.path.join(directory, "runaway-overlap.json")
@@ -141,10 +143,15 @@ def _runaway_invocations(directory: str):
     cover = os.path.join(directory, "runaway-cover.json")
     edges = [set(edge) for edge in combinations(range(12), 2)]
     export_code(make_code(67, 12, [range(12), *edges]), cover)
+    subsets = os.path.join(directory, "runaway-subsets.json")
+    rng = random.Random(40)
+    others = [rng.sample(range(40), 6) for _ in range(300)]
+    export_code(make_code(301, 40, [range(40), *others]), subsets)
     yield ("analyze", blocks)
     yield ("goodness", blocks, "--structural")
     yield ("goodness", overlap, "--structural")
     yield ("repair", cover, "--fail", "1")
+    yield ("repair", subsets, "--fail", "1")
 
 
 def _invocations(directory: str):

@@ -24,6 +24,8 @@ fetched from its lowest-indexed surviving holder) for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from .analysis import DEFAULT_BUDGET
 from .core import FrCode, _check_ints
@@ -93,68 +95,104 @@ def _finish_plan(code: FrCode, failed: int, survivors: list[int]) -> RepairPlan:
 def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> RepairPlan:
     """Minimum-helper exact repair plan for one failed node.
 
-    Walks candidate helper subsets by increasing size, from the number
-    of candidates that alone hold some lost packet, in lexicographic
-    order within a size; the first subset whose members jointly hold
-    every lost packet is returned, so ties break toward the
-    lexicographically least helper set. A node whose candidates are all
-    forced takes them all without a walk. A branch is cut as soon as its
-    partial union, joined with every candidate still to come, misses a
-    lost packet. Raises InvariantViolation for a budget that is not an
-    int, Unrepairable when some lost packet has no other replica, and
-    BudgetExceeded once the walk, over all sizes, would take more steps
-    than the budget allows.
+    Every cover holds the forced candidates, those that alone hold some
+    lost packet, so they are taken first. The walk then covers the lost
+    packets they miss from the other candidates, by increasing size
+    from a proven lower bound, in lexicographic order within a size; the
+    first subset that covers is returned with the forced ones, so ties
+    break toward the lexicographically least helper set. A node whose
+    forced candidates hold every lost packet takes no walk. Raises
+    InvariantViolation for a budget that is not an int, Unrepairable
+    when some lost packet has no other replica, and BudgetExceeded once
+    the walk, over all sizes, would take more steps than the budget
+    allows.
     """
     _check_ints((("budget", budget),))
     candidates = _candidates(code, failed)
     lost_mask = code.masks[failed]
     restricted = [code.masks[i] & lost_mask for i in candidates]
-    c = len(candidates)
-    # rest[i] is the union of restricted[i:]; all of them hold every
-    # lost packet, as _candidates checked.
-    rest = [lost_mask] + [0] * c
-    for i in range(c - 1, 0, -1):
-        rest[i] = rest[i + 1] | restricted[i]
-    # A lost packet held once among the candidates forces its holder
-    # into every cover, so no size below the forced count holds one.
     once = twice = 0
     for r in restricted:
         twice |= once & r
         once |= r
-    forced = sum(1 for r in restricted if r & ~twice)
+    # A lost packet held once among the candidates forces its holder into
+    # every cover; missed is what the forced candidates leave uncovered.
+    forced = []
+    missed = lost_mask
+    for h, r in zip(candidates, restricted):
+        if r & ~twice:
+            forced.append(h)
+            missed &= ~r
+    if not missed:
+        return _finish_plan(code, failed, forced)
+    # The walk's candidates: those that hold a missed packet, none of them
+    # forced, each cut down to the missed packets it holds.
+    walked = []
+    rows = []
+    for h, r in zip(candidates, restricted):
+        if r & missed:
+            walked.append(h)
+            rows.append(r & missed)
+    counts = [r.bit_count() for r in rows]
+    c = len(rows)
+    # rest[i] is the union of rows[i:] and most[i] their largest count.
+    rest = [*accumulate(reversed(rows), or_)][::-1] + [0]
+    most = [*accumulate(reversed(counts), max)][::-1] + [0]
+    # No size holds a cover below the fewest rows whose counts add up to
+    # every missed packet, nor below the number of missed packets that
+    # share no holder, picked greedily, fewest holders first.
+    need = missed.bit_count()
+    least = 0
+    for count in sorted(counts, reverse=True):
+        least += 1
+        need -= count
+        if need <= 0:
+            break
+    holders: dict[int, int] = {}  # missed packet bit -> bits of its rows
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            holders[low] = holders.get(low, 0) | 1 << i
+            r ^= low
+    apart = seen = 0
+    for h in sorted(holders.values(), key=int.bit_count):
+        if not h & seen:
+            seen |= h
+            apart += 1
     left = budget  # steps still allowed
-    for size in range(max(forced, 1), c):
+    for size in range(max(least, apart), c + 1):
         chosen: list[int] = []
         outer: list[int] = []  # outer[d] is the partial union before chosen[d]
-        union = 0  # union of restricted over chosen
+        union = 0  # union of rows over chosen
         i = 0  # next candidate for position len(chosen)
         while True:
             depth = len(chosen)
             # Leave the branch when too few candidates remain to fill it,
-            # or when all of them together still miss a lost packet.
-            if i > c - size + depth or union | rest[i] != lost_mask:
+            # or when all of them together still miss a packet.
+            if i > c - size + depth or union | rest[i] != missed:
                 if not chosen:
                     break
                 i = chosen.pop() + 1
                 union = outer.pop()
                 continue
-            grown = union | restricted[i]
+            grown = union | rows[i]
             if depth + 1 < size:
-                # Pay for every candidate of the level this opens.
-                left -= c - size + depth + 1 - i
-                if left < 0:
-                    raise BudgetExceeded(
-                        f"helper-set search for node {_shown(failed)} exceeds budget"
-                        f" of {_shown(budget)} steps"
-                    )
-                chosen.append(i)
-                outer.append(union)
-                union = grown
-            elif grown == lost_mask:
-                return _finish_plan(code, failed, [candidates[j] for j in (*chosen, i)])
+                # Skip i when the later picks cannot hold what it leaves.
+                if (missed & ~grown).bit_count() <= (size - depth - 1) * most[i + 1]:
+                    # Pay for every candidate of the level this opens.
+                    left -= c - size + depth + 1 - i
+                    if left < 0:
+                        raise BudgetExceeded(
+                            f"helper-set search for node {_shown(failed)} exceeds budget"
+                            f" of {_shown(budget)} steps"
+                        )
+                    chosen.append(i)
+                    outer.append(union)
+                    union = grown
+            elif grown == missed:
+                helpers = forced + [walked[j] for j in (*chosen, i)]
+                return _finish_plan(code, failed, sorted(helpers))
             i += 1
-    # Every candidate is forced: the one cover is the baseline's.
-    return _finish_plan(code, failed, candidates)
 
 
 def plan_repair_greedy(code: FrCode, failed: int) -> RepairPlan:

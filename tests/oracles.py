@@ -5,7 +5,9 @@ These deliberately avoid the bitmask representation and every pruning
 trick: coverage is full enumeration over frozenset unions, and the
 repair oracle walks the entire power set of surviving nodes. The
 reference builders place packets one by one into per-node sets and
-hand them to make_code. Slow and boring on purpose.
+hand them to make_code. Slow and boring on purpose. The one exception
+is walk_plan_repair, the helper walk as it was before the planner
+proved lower bounds: it is the reference for the planner's step counts.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections import Counter
 from frcodes.constructions import read_csv_records
 from frcodes.core import DEFAULT_THETA_CAP, make_code
 from frcodes.errors import BudgetExceeded, EmptySystem, InvariantViolation, ParseError
+from frcodes.repair import _candidates, _finish_plan
 
 
 def brute_min_coverage(code, k):
@@ -107,6 +110,50 @@ def brute_lex_least_helpers(code, failed):
             if lost <= union:
                 return members
     return None
+
+
+def walk_plan_repair(code, failed, budget):
+    """plan_repair's walk with no lower bound but the forced count and
+    no cut but the missing-packet one: every size from the forced count
+    (at least one), every candidate, forced ones included, a position of
+    each subset, and each descent paying for every candidate of the
+    level it opens. A budget that answers here must answer there."""
+    candidates = _candidates(code, failed)
+    lost_mask = code.masks[failed]
+    restricted = [code.masks[i] & lost_mask for i in candidates]
+    c = len(candidates)
+    rest = [lost_mask] + [0] * c
+    for i in range(c - 1, 0, -1):
+        rest[i] = rest[i + 1] | restricted[i]
+    once = twice = 0
+    for r in restricted:
+        twice |= once & r
+        once |= r
+    forced = sum(1 for r in restricted if r & ~twice)
+    left = budget
+    for size in range(max(forced, 1), c):
+        chosen, outer = [], []
+        union = i = 0
+        while True:
+            depth = len(chosen)
+            if i > c - size + depth or union | rest[i] != lost_mask:
+                if not chosen:
+                    break
+                i = chosen.pop() + 1
+                union = outer.pop()
+                continue
+            grown = union | restricted[i]
+            if depth + 1 < size:
+                left -= c - size + depth + 1 - i
+                if left < 0:
+                    raise BudgetExceeded(f"helper-set search for node {failed} exceeds budget")
+                chosen.append(i)
+                outer.append(union)
+                union = grown
+            elif grown == lost_mask:
+                return _finish_plan(code, failed, [candidates[j] for j in (*chosen, i)])
+            i += 1
+    return _finish_plan(code, failed, candidates)
 
 
 def brute_first_holder_plan(code, failed, survivors):

@@ -81,7 +81,8 @@ def overlap_file(tmp_path):
 @pytest.fixture
 def cover_file(tmp_path):
     """Node 0 holds the vertices of K_12 and each other node one edge, so
-    repairing node 0 needs six helpers and the walk over fewer runs away."""
+    repairing node 0 needs six helpers; the walk that finds them takes
+    145 steps."""
     path = tmp_path / "cover.json"
     edges = [set(edge) for edge in combinations(range(12), 2)]
     export_code(make_code(67, 12, [range(12), *edges]), str(path))

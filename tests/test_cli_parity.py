@@ -132,7 +132,8 @@ def _runaway_invocations(directory: str):
     node 48: its goodness walk at k = 2 runs away, and two nodes' overlap
     of two keeps the pairwise-overlap bound from settling that k. In the
     cover code node 0 holds the vertices of K_12 and each of the 66
-    others holds one edge: a cover needs six. In the subsets code node 0
+    others holds one edge: a cover needs six, which the count bound
+    proves, so the walk answers in 145 steps. In the subsets code node 0
     holds 40 packets and each of 300 others a random six of them: no
     candidate is forced, and a cover needs more than the bounds prove."""
     blocks = os.path.join(directory, "runaway-blocks.json")

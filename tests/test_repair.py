@@ -20,8 +20,14 @@ from frcodes import (
     plan_repair,
     plan_repair_greedy,
 )
+from frcodes.analysis import DEFAULT_BUDGET
 from frcodes.repair import _finish_plan
-from oracles import brute_first_holder_plan, brute_lex_least_helpers, brute_min_helper_count
+from oracles import (
+    brute_first_holder_plan,
+    brute_lex_least_helpers,
+    brute_min_helper_count,
+    walk_plan_repair,
+)
 from strategies import small_codes
 
 
@@ -91,20 +97,49 @@ def test_plan_repair_budget():
     code = make_code(28, 27, [set(range(27))] + [{j} for j in range(27)])
     assert plan_repair(code, 0, budget=0).repair_degree == 27
     assert plan_repair(code, 0, budget=0) == plan_repair_greedy(code, 0)
-    # A 28th candidate that also holds packet 0 leaves 26 forced, so the
-    # walk tries sizes 26 and 27, paying for every candidate of each
-    # level it opens, before the cover of 27 at size 27.
+    # A 28th candidate that also holds packet 0 leaves 26 forced. They
+    # miss packet 0 alone, which candidate 1 holds, so the walk over the
+    # two unforced candidates answers at size 1 before any descent. The
+    # walk over all 28 paid 177 steps for sizes 26 and 27.
     code = make_code(29, 27, [set(range(27))] + [{j} for j in range(27)] + [{0}])
-    plan = plan_repair(code, 0, budget=177)
+    plan = plan_repair(code, 0, budget=0)
     assert plan.helpers == tuple(range(1, 28))
-    message = "^helper-set search for node 0 exceeds budget of 176 steps$"
-    with pytest.raises(BudgetExceeded, match=message):
-        plan_repair(code, 0, budget=176)
-    # Node 0 holds the vertices of K_12 and each other node one edge: a
-    # cover needs six helpers, and the walk over fewer runs away.
+    assert walk_plan_repair(code, 0, budget=177) == plan
+    with pytest.raises(BudgetExceeded):
+        walk_plan_repair(code, 0, budget=176)
+    # Node 0 holds the vertices of K_12 and each other node one edge. Six
+    # edges hold two vertices each, so the walk starts at six and takes
+    # only edges that leave the rest coverable: 145 steps. The
+    # lexicographically least perfect matching is also what
+    # brute_lex_least_helpers returns, after about a minute.
     edges = [set(edge) for edge in combinations(range(12), 2)]
-    with pytest.raises(BudgetExceeded, match="^helper-set search for node 0 "):
-        plan_repair(make_code(67, 12, [range(12), *edges]), 0, budget=10**4)
+    code = make_code(67, 12, [range(12), *edges])
+    plan = plan_repair(code, 0, budget=145)
+    assert plan == plan_repair(code, 0, budget=10**4) == walk_plan_repair(code, 0, 10**7)
+    assert plan.helpers == (1, 22, 39, 52, 61, 66)
+    message = "^helper-set search for node 0 exceeds budget of 144 steps$"
+    with pytest.raises(BudgetExceeded, match=message):
+        plan_repair(code, 0, budget=144)
+
+
+def edge_cover_code(n):
+    """Node 0 holds the n vertices of K_n and each other node one edge."""
+    edges = [set(edge) for edge in combinations(range(n), 2)]
+    return make_code(1 + len(edges), n, [range(n), *edges])
+
+
+@pytest.mark.parametrize("n", [20, 40, 100])
+def test_edge_covers_answer_from_the_count_bound(n):
+    # No vertex is forced. n // 2 edges are needed, and the count cut
+    # keeps only edges that meet no vertex covered so far, so the walk
+    # finds the least perfect matching without backtracking. The walk
+    # with no bound but the forced count refused all three at the
+    # default budget.
+    plan = plan_repair(edge_cover_code(n), 0)
+    pairs = [(v, v + 1) for v in range(0, n, 2)]
+    index = {edge: i for i, edge in enumerate(combinations(range(n), 2), start=1)}
+    assert plan.helpers == tuple(index[pair] for pair in pairs)
+    assert plan.assignments == tuple((v, index[(v - v % 2, v - v % 2 + 1)]) for v in range(n))
 
 
 def test_plan_repair_starts_at_the_forced_helpers():
@@ -114,14 +149,109 @@ def test_plan_repair_starts_at_the_forced_helpers():
     for failed in range(code.n):
         c = 17 if failed < 20 else 16  # node 20 has one edge fewer
         assert plan_repair(code, failed, budget=0).repair_degree == c
-    # Nodes 2, 4 and 6 alone hold packets 0, 1 and 2, but packets 3..5
-    # still need two of nodes 1, 3 and 5. The walk starts at size 3 and
-    # skips the 9 steps that size 2 would pay.
+    # Nodes 2, 4 and 6 alone hold packets 0, 1 and 2, and are taken. The
+    # walk covers packets 3..5 from nodes 1, 3 and 5 alone, two at a
+    # time, so it starts at size 2 and answers after one descent over
+    # two candidates. The walk over all six candidates paid 39 steps.
     code = make_code(7, 6, [range(6), {3, 4}, {0}, {4, 5}, {1}, {5, 3}, {2}])
-    plan = plan_repair(code, 0, budget=39)
+    plan = plan_repair(code, 0, budget=2)
     assert plan.helpers == brute_lex_least_helpers(code, 0) == (1, 2, 3, 4, 6)
+    assert plan == walk_plan_repair(code, 0, budget=39)
     with pytest.raises(BudgetExceeded):
-        plan_repair(code, 0, budget=38)
+        plan_repair(code, 0, budget=1)
+    with pytest.raises(BudgetExceeded):
+        walk_plan_repair(code, 0, budget=38)
+
+
+@st.composite
+def mixed_nodes(draw):
+    """A code whose node 0 loses packets some of which one other node
+    holds, so those holders are forced, while the rest have two or
+    more other holders."""
+    n = draw(st.integers(3, 9), label="n")
+    theta = draw(st.integers(1, 10), label="theta")
+    storage = [set(range(theta))] + [set() for _ in range(n - 1)]
+    for j in range(theta):
+        count = draw(st.integers(1, min(3, n - 1)), label="replicas")
+        for i in draw(st.permutations(range(1, n)), label="holders")[:count]:
+            storage[i].add(j)
+    return make_code(n, theta, storage)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_nodes())
+def test_forced_helpers_and_the_walk_over_the_rest_give_the_oracle_plan(code):
+    plan = plan_repair(code, 0)
+    assert plan.helpers == brute_lex_least_helpers(code, 0)
+    assert plan == walk_plan_repair(code, 0, budget=10**7)
+
+
+@st.composite
+def unforced_codes(draw):
+    """A code whose packets each sit on three to five nodes, so a failed
+    node's candidates are mostly unforced, with up to 40 packets."""
+    n = draw(st.integers(6, 14), label="n")
+    theta = draw(st.integers(4, 40), label="theta")
+    storage = [set() for _ in range(n)]
+    for j in range(theta):
+        rho = draw(st.integers(3, 5), label="rho")
+        for i in draw(st.permutations(range(n)), label="holders")[:rho]:
+            storage[i].add(j)
+    assume(all(storage))
+    return make_code(n, theta, storage)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unforced_codes(), st.one_of(st.integers(0, 64), st.integers(0, 5000)))
+def test_plan_repair_answers_wherever_the_walk_without_bounds_answers(code, budget):
+    # The bounds skip whole sizes and the count cut whole branches, each
+    # holding no cover, so the plan is the old walk's and no budget that
+    # answered there is refused here.
+    for failed in range(code.n):
+        try:
+            plan = walk_plan_repair(code, failed, budget)
+        except BudgetExceeded:
+            continue
+        assert plan_repair(code, failed, budget=budget) == plan
+
+
+def spread_code(rng, n, theta, rho):
+    """Each packet on rho distinct nodes drawn uniformly, redrawn until no
+    node is empty."""
+    while True:
+        storage = [set() for _ in range(n)]
+        for packet in range(theta):
+            for node in rng.sample(range(n), rho):
+                storage[node].add(packet)
+        if all(storage):
+            return make_code(n, theta, storage)
+
+
+def least_budget(code, failed):
+    """The least budget at which plan_repair answers for failed."""
+    low, high = -1, DEFAULT_BUDGET  # refused at low, answers at high
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            plan_repair(code, failed, budget=middle)
+            high = middle
+        except BudgetExceeded:
+            low = middle
+    return high
+
+
+def test_the_least_answering_budget_of_a_node_without_forced_helpers():
+    # A seeded (30, 90, 3) code like the benchmark's rand_3.json: node 0
+    # loses 11 packets, each on two other nodes, so no candidate is
+    # forced and eight helpers are needed. The walk without bounds
+    # answers from 7,859 steps; the bounds and the count cut leave 359.
+    code = spread_code(random.Random(3), 30, 90, 3)
+    plan = plan_repair(code, 0)
+    assert (len(code.packets(0)), plan.repair_degree) == (11, 8)
+    assert least_budget(code, 0) == 359
+    assert walk_plan_repair(code, 0, 7859) == plan
+    with pytest.raises(BudgetExceeded):
+        walk_plan_repair(code, 0, 7858)
 
 
 @pytest.mark.parametrize("budget", ["2", None, True, 2.0])

@@ -376,9 +376,15 @@ def import_code(path: str) -> FrCode:
             raise ParseError(f"{_shown(path)}: n and theta must be integers")
         if not isinstance(nodes, list) or not all(isinstance(s, list) for s in nodes):
             raise ParseError(f"{_shown(path)}: nodes must be a list of lists")
-        if any(type(v) is not int for s in nodes for v in s):
-            raise ParseError(f"{_shown(path)}: packet indices must be integers")
-        return make_code(n, theta, nodes)
+        try:
+            return make_code(n, theta, nodes)
+        except FrcError:
+            # make_code checks every packet, so it refuses whenever one is
+            # not an int, but other checks may speak first: the file's type
+            # error takes precedence over every one of them.
+            if any(type(v) is not int for s in nodes for v in s):
+                raise ParseError(f"{_shown(path)}: packet indices must be integers") from None
+            raise
     try:
         rows = _binary_rows(_read_file(path, lambda fh: fh.read()))
     except ParseError:

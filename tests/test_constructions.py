@@ -11,8 +11,10 @@ from frcodes import (
     BudgetExceeded,
     DegenerateOffsets,
     DegreeRange,
+    EmptySystem,
     FrCode,
     FrcError,
+    IndexOutOfRange,
     InvariantViolation,
     MalformedRow,
     OrphanPacket,
@@ -311,13 +313,47 @@ def test_import_refuses_packet_indices_that_are_not_ints(tmp_path, packet):
         import_code(str(path))
 
 
-def test_import_refuses_packet_types_before_make_code_checks_the_code(tmp_path):
-    # Two nodes where n = 3, and packet 5 outside theta = 2: make_code
-    # would refuse both, but the type check speaks first.
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Two nodes where n = 3, and packet 5 outside theta = 2.
+        '{"n": 3, "theta": 2, "nodes": [[5], ["x"]]}',
+        '{"n": 3, "theta": 2, "nodes": [[0, 1], [1.5]]}',  # two nodes where n = 3
+        '{"n": 2, "theta": 2, "nodes": [[0, 7], [null]]}',  # packet 7 outside theta = 2
+        '{"n": 2, "theta": 5000, "nodes": [[0], [true]]}',  # theta over the cap
+        '{"n": 0, "theta": 2, "nodes": [[0, 1], ["1"]]}',  # n = 0
+        '{"n": 2, "theta": 3, "nodes": [[0], [1.0]]}',  # packet 2 on no node
+    ],
+)
+def test_import_refuses_packet_types_before_make_code_checks_the_code(tmp_path, text):
+    # make_code would refuse each file for another reason first, but the
+    # type check speaks first.
     path = tmp_path / "bad.json"
-    path.write_text('{"n": 3, "theta": 2, "nodes": [[5], ["x"]]}')
+    path.write_text(text)
     message = f"^{re.escape(str(path))}: packet indices must be integers$"
     with pytest.raises(ParseError, match=message):
+        import_code(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ('{"n": 3, "theta": 2, "nodes": [[0, 1], [1]]}', InvariantViolation,
+         "expected 3 node sets, got 2"),
+        ('{"n": 2, "theta": 2, "nodes": [[0, 7], [1]]}', IndexOutOfRange,
+         "packet 7 outside [0, 2)"),
+        ('{"n": 2, "theta": 5000, "nodes": [[0], [1]]}', BudgetExceeded,
+         "theta=5000 exceeds cap 4096"),
+        ('{"n": 0, "theta": 2, "nodes": [[0, 1], [1]]}', EmptySystem,
+         "need at least one node, got n=0"),
+        ('{"n": 2, "theta": 3, "nodes": [[0], [1]]}', OrphanPacket,
+         "packet 2 is stored on no node"),
+    ],
+)
+def test_import_passes_make_code_refusals_of_int_packets_through(tmp_path, text, error, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         import_code(str(path))
 
 

@@ -17,7 +17,8 @@ descent, the extension of a partial subset by one more node, pays up
 front for every candidate of the level it opens, and the search raises
 BudgetExceeded once it would pass the budget; so a refused search has
 run at most about twice the budget's loop iterations, about 0.3 us
-each. Minimum k-union is NP-hard, so some searches must be refused, but
+each. Each public search refuses a budget that is not an int with
+InvariantViolation before any other check. Minimum k-union is NP-hard, so some searches must be refused, but
 a count of what a search does refuses it only once it has done that
 much work, where an estimate made up front misses both ways:
 ring(30,30,3) at k = 15 answers in 239,587 steps, though C(30, 15) is
@@ -190,6 +191,7 @@ def min_coverage(
     Returns (value, witness) where witness is the lexicographically
     least subset achieving the value, as a sorted tuple of node indices.
     """
+    _check_ints((("budget", budget),))
     # Every union is at most theta, so the first subset always yields.
     *_, best = _smaller_unions(code, k, code.theta + 1, budget)
     return best
@@ -223,6 +225,7 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
     Every walk is one search with the whole budget; BudgetExceeded
     names the k whose walk passed it.
     """
+    _check_ints((("budget", budget),))
     n = code.n
     arcs = _arc_order(code)
     best = None
@@ -460,6 +463,7 @@ def reconstruction_degree(
     every walk, on either side, is charged the steps it takes, and the
     one that passes the budget raises BudgetExceeded.
     """
+    _check_ints((("budget", budget),))
     file_size = _checked_file_size(code.theta, file_size)
     t = code.theta - file_size + 1
     dual_cost = math.comb(code.theta, t)
@@ -575,6 +579,7 @@ def goodness_structural(
     only until some pair rules the skip out, so codes the bound cannot
     help pay little for it.
     """
+    _check_ints((("budget", budget),))
     prof = profile(code)
     if weak is None:
         weak = single_deficit_shape(prof)

@@ -97,8 +97,9 @@ def sweep_ring(
     row is emitted iff the strict goodness bound holds at that k. Rows
     are sorted by descending rho, then (n, theta). The output may
     contain rows a published listing omitted; containment, not
-    equality, is the meaningful comparison. A non-int grid value, or a
-    ring past the cap, is refused before any search (_ring_degrees).
+    equality, is the meaningful comparison. A non-int grid value or
+    budget, or a ring past the cap, is refused before any search
+    (_ring_degrees).
     """
     m_values = list(m_values)
     _check_ints(("m", m) for m in m_values)
@@ -120,12 +121,13 @@ def _ring_degrees(
     """(n, rho, theta, ring(n, theta, rho), k) for every rho in 2..n-1 and
     theta in thetas(n), by ascending n, then rho, then theta, where k is
     the ring's reconstruction degree at file size theta - 1. thetas(n)
-    ascends and stays at most rounds * n. A non-int n or rho is refused
-    first, then the grid's first ring past the cap, both before any
+    ascends and stays at most rounds * n. A non-int n, rho or budget is
+    refused first, then the grid's first ring past the cap, both before any
     search; the least rho >= 2 fits every n that any rho fits, so only
     those n are checked."""
     n_values, rho_values = list(n_values), list(rho_values)
-    _check_ints([("n", n) for n in n_values] + [("rho", rho) for rho in rho_values])
+    _check_ints([("n", n) for n in n_values] + [("rho", rho) for rho in rho_values]
+                + [("budget", budget)])
     n_values, rho_values = sorted(set(n_values)), sorted(set(rho_values))
     least = next((rho for rho in rho_values if rho >= 2), None)
     for n in n_values:
@@ -413,8 +415,8 @@ def conjecture_harness(
     """Compare conjectured and brute-forced k over heterogeneous ring
     codes. Deterministic order: ascending (n, rho, theta). The result
     reports agreement; callers must not turn disagreement into an
-    error, the conjecture is unproven either way. A non-int grid value,
-    or a ring past the cap, is refused before any search."""
+    error, the conjecture is unproven either way. A non-int grid value
+    or budget, or a ring past the cap, is refused before any search."""
     findings = []
     grid = _ring_degrees(n_values, rho_values, 3, default_theta_rule, budget)
     for n, rho, theta, _, brute in grid:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import re
 import sys
 
 import pytest
@@ -288,7 +289,21 @@ CALLS = {
     "sweep_ring": dict(n_values=[5], rho_values=[2], m_values=[1], budget=100),
 }
 
-#: An instance of every public dataclass and named tuple with an int
+#: The public functions that take a work budget.
+BUDGETED = sorted(name for name, kwargs in CALLS.items() if "budget" in kwargs)
+
+
+@pytest.mark.parametrize("name", BUDGETED)
+@pytest.mark.parametrize("budget", ["2", None, True, 2.0])
+def test_every_budget_that_is_not_an_int_is_refused(name, budget):
+    # Before any search, where "2" and None ended in a TypeError and
+    # goodness_structural answered on "2".
+    kwargs = {**CALLS[name], "budget": budget}
+    with pytest.raises(InvariantViolation, match=f"^budget={re.escape(repr(budget))} is not an integer$"):
+        getattr(frcodes, name)(**kwargs)
+
+
+
 #: field; specs are built as well.
 INSTANCES = [
     RING,

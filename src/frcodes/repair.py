@@ -7,16 +7,27 @@ contacted: plan_repair finds a provably minimum helper set by exact set
 cover over the candidate nodes, walked smallest cardinality first and
 lexicographically within a cardinality, so the reported plan is
 deterministic. A lost packet that only one candidate holds forces that
-candidate into every cover, so the walk starts at the number of forced
-candidates. A node whose candidates are all forced has one cover, all
-of them, and takes it without a walk, as does every node of a code
-whose lost packets each have one other replica. The walk cuts a branch
-once its partial union together with all later candidates still misses
-a lost packet; such a branch holds no cover, so the cut never changes
+candidate into every cover, so the forced candidates are taken without
+a walk, and a node whose forced candidates hold every lost packet, as
+every node of a code whose lost packets each have one other replica
+does, takes no walk at all. The walk covers the rest, the missed
+packets, from the other candidates. Every cover holds the forced set,
+so among covers of one size, lexicographic order on the walked part is
+that on the whole cover.
+The walk starts at the larger of two lower bounds on its size: the
+fewest candidates whose counts of missed packets add up to all of them,
+and the number of missed packets that pairwise share no holder, picked
+greedily, fewest holders first. It cuts a branch once its partial union
+together with all later candidates still misses a packet, and skips a
+candidate when the packets still missing after it outnumber what the
+picks left could hold, at most the largest count among later
+candidates each. Such branches hold no cover, so neither cut changes
 which cover is found first. The budget counts the walk's steps, the
 unit of the coverage searches (analysis.DEFAULT_BUDGET): each extension
 of a partial helper set by one more candidate pays for every candidate
-of the level it opens, over every size tried for the node.
+of the level it opens, over every size tried for the node. A budget
+that answered the walk with no bound but the forced count, and no cut
+but the missing-packet one, answers this walk with the same plan.
 plan_repair_greedy gives the no-coordination baseline (each packet
 fetched from its lowest-indexed surviving holder) for comparison.
 """
@@ -160,7 +171,7 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
             seen |= h
             apart += 1
     left = budget  # steps still allowed
-    for size in range(max(least, apart), c + 1):
+    for size in range(max(least, apart), c + 1):  # all c rows cover
         chosen: list[int] = []
         outer: list[int] = []  # outer[d] is the partial union before chosen[d]
         union = 0  # union of rows over chosen

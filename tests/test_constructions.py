@@ -30,6 +30,7 @@ from frcodes import (
     export_code,
     import_code,
     incidence_matrix,
+    make_code,
     profile,
 )
 from frcodes import constructions
@@ -718,6 +719,40 @@ def test_import_json_fuzz_raises_only_toolkit_errors(tmp_path_factory, doc):
     except FrcError:
         return
     assert isinstance(code, FrCode)
+
+
+def some_not_ints(n, theta):
+    """Code documents near n nodes and theta packets whose packets may
+    be floats, strings, bools or null as well as ints in or out of
+    range."""
+    packet = st.integers(-1, theta) | st.sampled_from([1.5, 0.0, "1", None, True, False])
+    nodes = st.lists(st.lists(packet, max_size=3), min_size=max(n - 1, 0), max_size=n + 1)
+    return st.fixed_dictionaries({"n": st.just(n), "theta": st.just(theta), "nodes": nodes})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 2, 3, 5000])).flatmap(
+        lambda nt: some_not_ints(*nt)
+    )
+)
+def test_import_json_refuses_as_a_type_pass_before_make_code(tmp_path_factory, doc):
+    # A packet that is not an int is named by ParseError whatever else is
+    # wrong with the file; with int packets only, import_code is make_code.
+    path = tmp_path_factory.mktemp("json") / "code.json"
+    path.write_text(dump_json(doc), encoding="utf-8")
+    if any(type(v) is not int for node in doc["nodes"] for v in node):
+        message = f"^{re.escape(str(path))}: packet indices must be integers$"
+        with pytest.raises(ParseError, match=message):
+            import_code(str(path))
+        return
+    try:
+        expected = make_code(doc["n"], doc["theta"], doc["nodes"])
+    except FrcError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            import_code(str(path))
+        return
+    assert import_code(str(path)) == expected
 
 
 @pytest.mark.parametrize("name", ["code.csv", "code.json"])

@@ -138,12 +138,8 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
         return _finish_plan(code, failed, forced)
     # The walk's candidates: those that hold a missed packet, none of them
     # forced, each cut down to the missed packets it holds.
-    walked = []
-    rows = []
-    for h, r in zip(candidates, restricted):
-        if r & missed:
-            walked.append(h)
-            rows.append(r & missed)
+    walked = [h for h, r in zip(candidates, restricted) if r & missed]
+    rows = [r & missed for r in restricted if r & missed]
     counts = [r.bit_count() for r in rows]
     c = len(rows)
     # rest[i] is the union of rows[i:] and most[i] their largest count.
@@ -153,12 +149,8 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     # every missed packet, nor below the number of missed packets that
     # share no holder, picked greedily, fewest holders first.
     need = missed.bit_count()
-    least = 0
-    for count in sorted(counts, reverse=True):
-        least += 1
-        need -= count
-        if need <= 0:
-            break
+    totals = accumulate(sorted(counts, reverse=True))
+    least = next(k for k, total in enumerate(totals, 1) if total >= need)
     holders: dict[int, int] = {}  # missed packet bit -> bits of its rows
     for i, r in enumerate(rows):
         while r:

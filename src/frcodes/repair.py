@@ -122,24 +122,28 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     candidates = _candidates(code, failed)
     lost_mask = code.masks[failed]
     restricted = [code.masks[i] & lost_mask for i in candidates]
-    once = twice = 0
+    once = twice = thrice = 0  # lost packets held by at least 1, 2, 3 candidates
     for r in restricted:
+        thrice |= twice & r
         twice |= once & r
         once |= r
     # A lost packet held once among the candidates forces its holder into
     # every cover; missed is what the forced candidates leave uncovered.
+    # The walk's rows are the other candidates that hold a missed packet,
+    # each cut down to the missed packets it holds.
     forced = []
     missed = lost_mask
-    for h, r in zip(candidates, restricted):
-        if r & ~twice:
-            forced.append(h)
-            missed &= ~r
+    walked, rows = candidates, restricted
+    if lost_mask & ~twice:
+        for h, r in zip(candidates, restricted):
+            if r & ~twice:
+                forced.append(h)
+                missed &= ~r
+        if missed:
+            walked = [h for h, r in zip(candidates, restricted) if r & missed]
+            rows = [r & missed for r in restricted if r & missed]
     if not missed:
         return _finish_plan(code, failed, forced)
-    # The walk's candidates: those that hold a missed packet, none of them
-    # forced, each cut down to the missed packets it holds.
-    walked = [h for h, r in zip(candidates, restricted) if r & missed]
-    rows = [r & missed for r in restricted if r & missed]
     counts = [r.bit_count() for r in rows]
     c = len(rows)
     # rest[i] is the union of rows[i:] and most[i] their largest count.
@@ -147,21 +151,21 @@ def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> Repa
     most = [*accumulate(reversed(counts), max)][::-1] + [0]
     # No size holds a cover below the fewest rows whose counts add up to
     # every missed packet, nor below the number of missed packets that
-    # share no holder, picked greedily, fewest holders first.
+    # pairwise share no holder. Those are picked greedily, lowest first
+    # among the fewest holders: every missed packet has two or more, and
+    # those with two go first.
     need = missed.bit_count()
     totals = accumulate(sorted(counts, reverse=True))
     least = next(k for k, total in enumerate(totals, 1) if total >= need)
-    holders: dict[int, int] = {}  # missed packet bit -> bits of its rows
-    for i, r in enumerate(rows):
-        while r:
-            low = r & -r
-            holders[low] = holders.get(low, 0) | 1 << i
-            r ^= low
-    apart = seen = 0
-    for h in sorted(holders.values(), key=int.bit_count):
-        if not h & seen:
-            seen |= h
-            apart += 1
+    apart = 0
+    free = missed  # missed packets that share no holder with those picked
+    while free:
+        pool = free & ~thrice or free
+        low = pool & -pool
+        apart += 1
+        for r in rows:
+            if r & low:
+                free &= ~r
     left = budget  # steps still allowed
     for size in range(max(least, apart), c + 1):  # all c rows cover
         chosen: list[int] = []

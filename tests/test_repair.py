@@ -244,11 +244,11 @@ def test_the_least_answering_budget_of_a_node_without_forced_helpers():
     # A seeded (30, 90, 3) code like the benchmark's rand_3.json: node 0
     # loses 11 packets, each on two other nodes, so no candidate is
     # forced and eight helpers are needed. The walk without bounds
-    # answers from 7,859 steps; the bounds and the count cut leave 359.
+    # answers from 7,859 steps; the bounds and the count cut leave 1,735.
     code = spread_code(random.Random(3), 30, 90, 3)
     plan = plan_repair(code, 0)
     assert (len(code.packets(0)), plan.repair_degree) == (11, 8)
-    assert least_budget(code, 0) == 359
+    assert least_budget(code, 0) == 1735
     assert walk_plan_repair(code, 0, 7859) == plan
     with pytest.raises(BudgetExceeded):
         walk_plan_repair(code, 0, 7858)

@@ -18,9 +18,10 @@ front for every candidate of the level it opens, and the search raises
 BudgetExceeded once it would pass the budget; so a refused search has
 run at most about twice the budget's loop iterations, about 0.3 us
 each. Each public search refuses a budget that is not an int with
-InvariantViolation before any other check. Minimum k-union is NP-hard, so some searches must be refused, but
-a count of what a search does refuses it only once it has done that
-much work, where an estimate made up front misses both ways:
+InvariantViolation before any other check. Minimum k-union is NP-hard,
+so some searches must be refused, but a count of what a search does
+refuses it only once it has done that much work, where an estimate
+made up front misses both ways:
 ring(30,30,3) at k = 15 answers in 239,587 steps, though C(30, 15) is
 155 million, and prg(25,7) at k = 22 needs 11,583, against
 C(25, 22) = 2,300.

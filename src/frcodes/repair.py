@@ -13,21 +13,22 @@ every node of a code whose lost packets each have one other replica
 does, takes no walk at all. The walk covers the rest, the missed
 packets, from the other candidates. Every cover holds the forced set,
 so among covers of one size, lexicographic order on the walked part is
-that on the whole cover.
-The walk starts at the larger of two lower bounds on its size: the
-fewest candidates whose counts of missed packets add up to all of them,
-and the number of missed packets that pairwise share no holder, picked
-greedily, fewest holders first. It cuts a branch once its partial union
-together with all later candidates still misses a packet, and skips a
-candidate when the packets still missing after it outnumber what the
-picks left could hold, at most the largest count among later
-candidates each. Such branches hold no cover, so neither cut changes
-which cover is found first. The budget counts the walk's steps, the
-unit of the coverage searches (analysis.DEFAULT_BUDGET): each extension
-of a partial helper set by one more candidate pays for every candidate
-of the level it opens, over every size tried for the node. A budget
-that answered the walk with no bound but the forced count, and no cut
-but the missing-packet one, answers this walk with the same plan.
+that on the whole cover. The walk starts at the larger of two lower
+bounds on its size: the fewest candidates whose counts of missed
+packets add up to all of them, and the number of missed packets that
+pairwise share no holder, picked greedily, lowest first among those
+with the fewest holders (two, as each missed packet has at least two,
+before the rest). It cuts a branch once its partial union together with
+all later candidates still misses a packet, and skips a candidate when
+the packets still missing after it outnumber what the picks left could
+hold, at most the largest count among later candidates each. Such
+branches hold no cover, so neither cut changes which cover is found
+first. The budget counts the walk's steps, the unit of the coverage
+searches (analysis.DEFAULT_BUDGET): each extension of a partial helper
+set by one more candidate pays for every candidate of the level it
+opens, over every size tried for the node. A budget that answered the
+walk with no bound but the forced count, and no cut but the
+missing-packet one, answers this walk with the same plan.
 plan_repair_greedy gives the no-coordination baseline (each packet
 fetched from its lowest-indexed surviving holder) for comparison.
 """

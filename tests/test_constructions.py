@@ -314,11 +314,19 @@ def test_import_refuses_packet_indices_that_are_not_ints(tmp_path, packet):
         import_code(str(path))
 
 
+def test_import_refuses_packet_types_before_make_code_checks_the_code(tmp_path):
+    # Two nodes where n = 3, and packet 5 outside theta = 2: make_code
+    # would refuse both, but the type check speaks first.
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "theta": 2, "nodes": [[5], ["x"]]}')
+    message = f"^{re.escape(str(path))}: packet indices must be integers$"
+    with pytest.raises(ParseError, match=message):
+        import_code(str(path))
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        # Two nodes where n = 3, and packet 5 outside theta = 2.
-        '{"n": 3, "theta": 2, "nodes": [[5], ["x"]]}',
         '{"n": 3, "theta": 2, "nodes": [[0, 1], [1.5]]}',  # two nodes where n = 3
         '{"n": 2, "theta": 2, "nodes": [[0, 7], [null]]}',  # packet 7 outside theta = 2
         '{"n": 2, "theta": 5000, "nodes": [[0], [true]]}',  # theta over the cap
@@ -326,9 +334,9 @@ def test_import_refuses_packet_indices_that_are_not_ints(tmp_path, packet):
         '{"n": 2, "theta": 3, "nodes": [[0], [1.0]]}',  # packet 2 on no node
     ],
 )
-def test_import_refuses_packet_types_before_make_code_checks_the_code(tmp_path, text):
-    # make_code would refuse each file for another reason first, but the
-    # type check speaks first.
+def test_import_names_a_packet_type_before_each_make_code_refusal(tmp_path, text):
+    # The type pass runs only once make_code refuses, yet its error wins
+    # over every refusal make_code would make first.
     path = tmp_path / "bad.json"
     path.write_text(text)
     message = f"^{re.escape(str(path))}: packet indices must be integers$"

@@ -299,7 +299,8 @@ def test_every_budget_that_is_not_an_int_is_refused(name, budget):
     # Before any search, where "2" and None ended in a TypeError and
     # goodness_structural answered on "2".
     kwargs = {**CALLS[name], "budget": budget}
-    with pytest.raises(InvariantViolation, match=f"^budget={re.escape(repr(budget))} is not an integer$"):
+    message = f"^budget={re.escape(repr(budget))} is not an integer$"
+    with pytest.raises(InvariantViolation, match=message):
         getattr(frcodes, name)(**kwargs)
 
 

@@ -91,6 +91,12 @@ def test_plan_repair_empty_node():
     assert plan.bandwidth == 0
 
 
+def edge_cover_code(n):
+    """Node 0 holds the n vertices of K_n and each other node one edge."""
+    edges = [set(edge) for edge in combinations(range(n), 2)]
+    return make_code(1 + len(edges), n, [range(n), *edges])
+
+
 def test_plan_repair_budget():
     # Node 0 shares a packet with each of 27 candidates, each
     # indispensable, so the one cover holds all 27 and takes no walk.
@@ -112,8 +118,7 @@ def test_plan_repair_budget():
     # only edges that leave the rest coverable: 145 steps. The
     # lexicographically least perfect matching is also what
     # brute_lex_least_helpers returns, after about a minute.
-    edges = [set(edge) for edge in combinations(range(12), 2)]
-    code = make_code(67, 12, [range(12), *edges])
+    code = edge_cover_code(12)
     plan = plan_repair(code, 0, budget=145)
     assert plan == plan_repair(code, 0, budget=10**4) == walk_plan_repair(code, 0, 10**7)
     assert plan.helpers == (1, 22, 39, 52, 61, 66)
@@ -122,20 +127,17 @@ def test_plan_repair_budget():
         plan_repair(code, 0, budget=144)
 
 
-def edge_cover_code(n):
-    """Node 0 holds the n vertices of K_n and each other node one edge."""
-    edges = [set(edge) for edge in combinations(range(n), 2)]
-    return make_code(1 + len(edges), n, [range(n), *edges])
-
-
 @pytest.mark.parametrize("n", [20, 40, 100])
 def test_edge_covers_answer_from_the_count_bound(n):
     # No vertex is forced. n // 2 edges are needed, and the count cut
     # keeps only edges that meet no vertex covered so far, so the walk
     # finds the least perfect matching without backtracking. The walk
-    # with no bound but the forced count refused all three at the
+    # with no bound but the forced count refuses all three at the
     # default budget.
-    plan = plan_repair(edge_cover_code(n), 0)
+    code = edge_cover_code(n)
+    plan = plan_repair(code, 0)
+    with pytest.raises(BudgetExceeded):
+        walk_plan_repair(code, 0, DEFAULT_BUDGET)
     pairs = [(v, v + 1) for v in range(0, n, 2)]
     index = {edge: i for i, edge in enumerate(combinations(range(n), 2), start=1)}
     assert plan.helpers == tuple(index[pair] for pair in pairs)

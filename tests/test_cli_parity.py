@@ -124,8 +124,8 @@ RUNAWAY_BUDGET = "1000"
 
 
 def _runaway_invocations(directory: str):
-    """analyze, goodness --structural and repair on codes whose searches
-    run away. In the blocks code every node holds its own ten packets, so
+    """(FRC_BUDGET, argv) of analyze, goodness --structural and repair on
+    codes whose searches run away. In the blocks code every node holds its own ten packets, so
     every k-union is 10k and no branch is ever cut; its arc DP is charged
     more than the budget. The overlap code is 50 such blocks, except that
     the last one is shifted down by two packets, so it shares two with
@@ -135,7 +135,10 @@ def _runaway_invocations(directory: str):
     others holds one edge: a cover needs six, which the count bound
     proves, so the walk answers in 145 steps. In the subsets code node 0
     holds 40 packets and each of 300 others a random six of them: no
-    candidate is forced, and a cover needs more than the bounds prove."""
+    candidate is forced, and a cover needs more than the bounds prove.
+    In the pairs code node i holds packets 2i and 2i + 1 and node 0 one
+    more, so the lex-least witnesses avoid node 0; it runs at the arc
+    DP's charge of C(22, 4) = 7,315 steps."""
     blocks = os.path.join(directory, "runaway-blocks.json")
     export_code(make_code(20, 200, [range(10 * i, 10 * i + 10) for i in range(20)]), blocks)
     overlap = os.path.join(directory, "runaway-overlap.json")
@@ -148,11 +151,16 @@ def _runaway_invocations(directory: str):
     rng = random.Random(40)
     others = [rng.sample(range(40), 6) for _ in range(300)]
     export_code(make_code(301, 40, [range(40), *others]), subsets)
-    yield ("analyze", blocks)
-    yield ("goodness", blocks, "--structural")
-    yield ("goodness", overlap, "--structural")
-    yield ("repair", cover, "--fail", "1")
-    yield ("repair", subsets, "--fail", "1")
+    pairs = os.path.join(directory, "runaway-pairs.json")
+    storage = [{2 * i, 2 * i + 1} for i in range(20)]
+    storage[0].add(40)
+    export_code(make_code(20, 41, storage), pairs)
+    yield RUNAWAY_BUDGET, ("analyze", blocks)
+    yield RUNAWAY_BUDGET, ("goodness", blocks, "--structural")
+    yield RUNAWAY_BUDGET, ("goodness", overlap, "--structural")
+    yield RUNAWAY_BUDGET, ("repair", cover, "--fail", "1")
+    yield RUNAWAY_BUDGET, ("repair", subsets, "--fail", "1")
+    yield "7315", ("analyze", pairs)
 
 
 def _invocations(directory: str):
@@ -196,8 +204,9 @@ def run_matrix() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as directory:
         prefix = directory + os.sep
         runs = [({}, argv) for argv in _invocations(directory)]
-        budget = {"FRC_BUDGET": RUNAWAY_BUDGET}
-        runs += [(budget, argv) for argv in _runaway_invocations(directory)]
+        runs += [
+            ({"FRC_BUDGET": budget}, argv) for budget, argv in _runaway_invocations(directory)
+        ]
         for env, argv in runs:
             for extra in ((), ("--json",)):
                 out, err = io.StringIO(), io.StringIO()

@@ -42,17 +42,17 @@ reconstruction_degree). It is read there once C(n, k) exceeds that
 walk's count, and the transpose's own rotation symmetry (the packet
 rotation j -> j+1) restricts that walk the same way.
 
-coverage_profile needs no walk to find its values on codes whose
-packets are each held by a cyclic arc of nodes, once the nodes are
-relabeled i -> s*i mod n for some unit s (every ring code, and every
-shifted-placement code whose step t + 1 is prime to n). The packets
-that k chosen nodes miss are exactly the arcs that fit in the gaps
-between them, so M(k) is theta less the most arcs that k gaps can hold,
-and one dynamic program over gap endpoints gives that for every k at
-once: O(n^3) from one cut of the cycle on a rotation-invariant code,
-O(n^4) over all n cuts otherwise. Each witness is then the first subset
-the walk finds with a union of at most M(k), which is the
-lexicographically least one in the code's own labels.
+coverage_profile needs no walk on codes whose packets are each held by
+a cyclic arc of nodes, once the nodes are relabeled i -> s*i mod n for
+some unit s (every ring code, and every shifted-placement code whose
+step t + 1 is prime to n). The packets that k chosen nodes miss are
+exactly the arcs that fit in the gaps between them, so M(k) is theta
+less the most arcs that k gaps can hold, and one dynamic program over
+gap endpoints gives that for every k at once: O(n^3) from one cut of
+the cycle on a rotation-invariant code, O(n^4) over all n cuts
+otherwise. Its key, the arcs missed times 2^n plus 2^(n - 1 - i) for
+each chosen node i, is largest at k for M(k)'s lex-least witness, so
+each witness comes with its value.
 
 coverage_profile reads codes with no arc order and no rotation symmetry
 (prg codes, seeded random codes) off a table of the union sizes of all
@@ -216,8 +216,8 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
     Three paths, chosen from the code's structure, give the same answer:
 
     - A code whose holder sets are arcs (_arc_order) takes its values
-      from the arc DP (_most_missed) and each witness from a first-hit
-      walk at M(k).
+      and witnesses from the arc DP (_most_missed), whose key ranks the
+      sets of one value by their lexicographic order.
     - A code with no arc order and no rotation symmetry is read off the
       subset table (_subset_table).
     - Every other code, and every code whose kernel's charge passes the
@@ -228,16 +228,10 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
     """
     _check_ints((("budget", budget),))
     n = code.n
-    arcs = _arc_order(code)
+    order = _arc_order(code)
     best = None
-    if arcs is not None:
-        most = _most_missed(code, arcs, budget)
-        if most is not None:
-            # The first subset at or below the minimum is its lex-least witness.
-            best = [
-                next(_smaller_unions(code, k, code.theta - most[k] + 1, budget))
-                for k in range(1, n + 1)
-            ]
+    if order is not None:
+        best = _most_missed(code, *order, budget)
     elif not code.rotation_invariant:
         best = _subset_table(code, budget)
     if best is None:
@@ -321,10 +315,13 @@ def _subset_table(code: FrCode, budget: int) -> list[tuple[int, tuple[int, ...]]
                         break
             else:
                 best[k] = size, a << f | cand.bit_length() - 1
-    return [
-        (size, tuple([i for i in range(n) if s >> n - 1 - i & 1]))
-        for size, s in best[1:]
-    ]
+    return _decoded(n, best[1:])
+
+
+def _decoded(n: int, best: list[tuple[int, int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """(value, witness) of each (value, subset s), where s holds node i
+    when its bit n - 1 - i is set."""
+    return [(size, tuple([i for i in range(n) if s >> n - 1 - i & 1])) for size, s in best]
 
 
 @cache
@@ -355,11 +352,11 @@ def _add_bits(counter: list[int], x: int) -> None:
     counter.append(x)
 
 
-def _arc_order(code: FrCode) -> list[tuple[int, int]] | None:
-    """(start, length) of each packet's holder arc under the first node
-    relabeling i -> s*i mod n, s a unit tried from 1 up, that makes every
-    holder set a cyclic arc; arcs round the whole cycle are left out,
-    since no choice of nodes misses them. None when no unit does."""
+def _arc_order(code: FrCode) -> tuple[int, list[tuple[int, int]]] | None:
+    """(s, arcs): the first unit s, tried from 1 up, under whose node
+    relabeling i -> s*i mod n every holder set is a cyclic arc, and the
+    (start, length) of each arc but those round the whole cycle, which
+    no choice of nodes misses. None when no unit does."""
     n = code.n
     full = (1 << n) - 1
     for s in range(1, n + 1):
@@ -377,33 +374,41 @@ def _arc_order(code: FrCode) -> list[tuple[int, int]] | None:
                 break
             arcs.append((starts.bit_length() - 1, h.bit_count()))
         else:
-            return arcs
+            return s, arcs
     return None
 
 
-def _most_missed(code: FrCode, arcs: list[tuple[int, int]], budget: int) -> list[int] | None:
-    """most[k]: the most arcs of code (_arc_order) that k chosen nodes
-    miss, for k in 0..n; None when its charge passes budget.
+def _most_missed(
+    code: FrCode, unit: int, arcs: list[tuple[int, int]], budget: int
+) -> list[tuple[int, tuple[int, ...]]] | None:
+    """(M(k), lex-least witness) for every k in 1..n of a code whose
+    holder sets are arcs under i -> unit*i mod n (_arc_order); None
+    when its charge passes budget.
 
     An arc is missed exactly when it fits in a gap between chosen nodes.
     Cut the cycle at the first chosen node c and let the chosen nodes
     sit at offsets 0 = p_1 < .. < p_k < n - c from it, the gap after the
     last one closing at offset n. W[a][b], the arcs inside the gap
     between offsets a and b, is a 2-D prefix count of each arc's two
-    flanking offsets, and f_j[b], the most arcs missed by j chosen nodes
-    ending at offset b, is max over a < b of f_{j-1}[a] + W[a][b]. On a
-    rotation-invariant code (code.rotation_invariant) the cut at node 0
-    alone is exact, also after the unit relabeling i -> s*i: that turns
-    the rotation i -> i+1 into i -> i+s, which generates every rotation.
-    Other codes take the best over every cut. The charge is the row
-    entries: C(n + 1, 3) for the one cut, C(n + 2, 4) over all n.
+    flanking offsets, and f_j[b], the best key (module notes) of j
+    chosen nodes ending at offset b, is max over a < b of f_{j-1}[a] +
+    W[a][b] * 2^n, plus the weight of the node at b. On a
+    rotation-invariant code (code.rotation_invariant) the cut at node 0,
+    which the relabeling keeps in place, is exact alone: rotating a set
+    to start at node 0 keeps its union and makes it lex-smaller. Other
+    codes take the best over every cut. The charge is the row entries:
+    C(n + 1, 3) for the one cut, C(n + 2, 4) over all n.
     """
     n = code.n
     if (math.comb(n + 1, 3) if code.rotation_invariant else math.comb(n + 2, 4)) > budget:
         return None
-    most = [0] * (n + 1)
+    scale = 1 << n  # one more arc missed outweighs any set's weights
+    inverse = pow(unit, -1, n)
+    weights = [1 << n - 1 - inverse * x % n for x in range(n)]  # by position
+    most = [0] * (n + 1)  # the best key of k chosen nodes
     for c in range(1 if code.rotation_invariant else n):
         m = n - c  # offsets 0..m-1 may be chosen
+        weight = weights[c:]  # by offset
         # flanks[right][left] counts arcs by flanking offsets. Offsets
         # past m - 1 cannot be chosen, so a right flank there is the gap
         # that closes the cycle (column m) and a left flank there is
@@ -413,8 +418,8 @@ def _most_missed(code: FrCode, arcs: list[tuple[int, int]], budget: int) -> list
             r = (start - c) % n  # the arc's first offset; r - 1 flanks it
             end = r + length  # the offset that flanks it on the right
             if r and end <= n:  # node c is not on the arc
-                flanks[end if end < m else m][r - 1 if r <= m else m - 1] += 1
-        gaps = []  # gaps[b][a] = W[a][b]
+                flanks[end if end < m else m][r - 1 if r <= m else m - 1] += scale
+        gaps = []  # gaps[b][a] = W[a][b] * 2^n
         col = [0] * m
         for row in flanks:
             row.reverse()
@@ -423,13 +428,13 @@ def _most_missed(code: FrCode, arcs: list[tuple[int, int]], budget: int) -> list
             col = list(map(add, col, above))
             gaps.append(col)
         closing = gaps[m]
-        f = [0]  # f_j over offsets j-1..m-1; f_1 is only offset 0
+        f = [weight[0]]  # f_j over offsets j-1..m-1; f_1 is only offset 0
         for j in range(1, m + 1):
             best = max(map(add, f, closing[j - 1 :]))
             if best > most[j]:
                 most[j] = best
-            f = [max(map(add, f, gaps[b][j - 1 : b])) for b in range(j, m)]
-    return most
+            f = [max(map(add, f, gaps[b][j - 1 : b])) + weight[b] for b in range(j, m)]
+    return _decoded(n, [(code.theta - (key >> n), key & scale - 1) for key in most[1:]])
 
 
 def _checked_file_size(theta: int, file_size: int | None) -> int:

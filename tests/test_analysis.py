@@ -302,20 +302,22 @@ def test_codes_without_an_arc_order_keep_the_per_k_profile(code):
     [build_ring(RingSpec(22, 22, 3)), build_t_code(TSpec(13, 3, 1))],
 )
 def test_arc_dp_engages_on_ring_and_t_codes(code):
-    # Only the witness walks read masks: 254 against 110,858 reads on
-    # the ring, 279 against 919 on the t code (relabeled by a unit).
+    # The DP gives every witness, so no walk reads masks: the one read is
+    # the symmetry check's, against 110,858 reads of the per-k walks on
+    # the ring and 919 on the t code (relabeled by a unit).
     prof, reads = count_reads(code, coverage_profile)
     per_k, loop_reads = count_reads(
         code, lambda c: [min_coverage(c, k) for k in range(1, c.n + 1)]
     )
     assert list(zip(prof.values, prof.witnesses)) == per_k
-    assert reads * 3 < loop_reads
+    assert reads == 1 and loop_reads > 900
 
 
 def test_arc_dp_single_cut_matches_every_cut_on_invariant_codes():
     # Above the oracles' reach: the one cut at node 0 that the arc DP
-    # takes on a rotation-invariant code gives what all n cuts give, on
-    # ring codes in label order and on t codes relabeled by a unit.
+    # takes on a rotation-invariant code gives the values and witnesses
+    # that all n cuts give, on ring codes in label order and on t codes
+    # relabeled by a unit.
     codes = [
         build_ring(RingSpec(n, m * n, rho))
         for n in range(11, 27)
@@ -330,16 +332,15 @@ def test_arc_dp_single_cut_matches_every_cut_on_invariant_codes():
         if math.gcd(t + 1, n) == 1
     ]
     for code in codes:
-        arcs = _arc_order(code)
-        assert code.rotation_invariant and arcs is not None
-        one_cut = _most_missed(code, arcs, DEFAULT_BUDGET)
-        assert one_cut == _most_missed(seeded(code, False), arcs, DEFAULT_BUDGET), code
+        order = _arc_order(code)
+        assert code.rotation_invariant and order is not None
+        one_cut = _most_missed(code, *order, DEFAULT_BUDGET)
+        assert one_cut == _most_missed(seeded(code, False), *order, DEFAULT_BUDGET), code
 
 
 def test_coverage_profile_refuses_as_the_per_k_loop_does():
     # Below the arc DP's charge the loop runs and refuses where it would
-    # alone; at the charge the DP answers, and each witness walk stops at
-    # its first hit.
+    # alone; at the charge the DP answers with every witness.
     for code, charge, refused_k in (
         # One cut of 20 offsets: 19 * 20 * 21 / 6 row entries.
         (disjoint_pairs(20), 1330, 5),
@@ -352,30 +353,29 @@ def test_coverage_profile_refuses_as_the_per_k_loop_does():
         with pytest.raises(BudgetExceeded, match=message):
             coverage_profile(code, budget=charge - 1)
         # The DP itself declines one step below its charge.
-        arcs = _arc_order(code)
-        assert _most_missed(code, arcs, charge - 1) is None
-        most = _most_missed(code, arcs, charge)
+        order = _arc_order(code)
+        assert _most_missed(code, *order, charge - 1) is None
         prof = coverage_profile(code, budget=charge)
         assert prof.values == tuple(range(2, 39, 2)) + (code.theta,)
-        assert prof.values == tuple(code.theta - most[k] for k in range(1, code.n + 1))
         assert prof.witnesses == tuple(tuple(range(k)) for k in range(1, 21))
+        assert list(zip(prof.values, prof.witnesses)) == _most_missed(code, *order, charge)
 
 
-def test_witness_walks_after_the_arc_dp_count_their_steps():
-    # With the extra packet on node 0 the lex-least witnesses avoid it,
-    # and the first-hit walk at M(k) must first try node 0's subtree.
-    # The DP fits its charge, but the walk at k = 6 passes it; the
-    # profile needs 184,845 steps, the costliest of its witness walks.
+def test_the_arc_dp_answers_every_witness_at_its_charge():
+    # With the extra packet on node 0 the lex-least witnesses avoid it. A
+    # first-hit walk at M(k) would try node 0's subtree first, and needed
+    # 184,845 steps at k = 11; the DP's key gives each witness within
+    # its own charge of C(22, 4) = 7,315. One step below, the DP
+    # declines and the per-k loop refuses as it would alone.
     code = disjoint_pairs(20, extra=[0])
-    with pytest.raises(BudgetExceeded, match="^search at k=6 exceeds budget of 7315 steps$"):
-        coverage_profile(code, budget=7315)
-    with pytest.raises(BudgetExceeded, match="^search at k=11 exceeds budget of 184844 "):
-        coverage_profile(code, budget=184_844)
-    prof = coverage_profile(code, budget=184_845)
+    prof = coverage_profile(code, budget=7315)
     assert prof.values == tuple(range(2, 39, 2)) + (code.theta,)
     assert prof.witnesses == tuple(tuple(range(1, k + 1)) for k in range(1, 20)) + (
         tuple(range(20)),
     )
+    assert _most_missed(code, *_arc_order(code), 7314) is None
+    with pytest.raises(BudgetExceeded, match="^search at k=5 exceeds budget of 7314 steps$"):
+        coverage_profile(code, budget=7314)
 
 
 # --- coverage profile from the subset table --------------------------------
@@ -1072,6 +1072,23 @@ def test_coverage_is_unchanged_by_relabeling_above_the_oracles_reach(spec):
         code.n, code.theta, [[packets[p] for p in code.packets(i)] for i in range(code.n)]
     )
     assert coverage_profile(shuffled) == prof
+    # A unit relabeling i -> s*i mod n, s != 1 or -1, keeps an arc order
+    # and the rotation symmetry or its absence, so the arc DP answers
+    # again, with other node weights. On both codes each witness is the
+    # first subset the walk finds at its value.
+    n = code.n
+    unit = next(s for s in range(2, n - 1) if math.gcd(s, n) == 1)
+    storage = [()] * n
+    for i in range(n):
+        storage[unit * i % n] = code.packets(i)
+    scaled = make_code(n, code.theta, storage)
+    assert _arc_order(scaled)[0] != 1
+    assert scaled.rotation_invariant == code.rotation_invariant
+    for c in (code, scaled):
+        dp = coverage_profile(c)
+        assert dp.values == prof.values
+        for k, best in enumerate(zip(dp.values, dp.witnesses), start=1):
+            assert best == next(_smaller_unions(c, k, best[0] + 1, 10**8)), k
     # Each degree is read off the profile and off the transpose, on the
     # code and on its node relabeling, whose walks have no symmetry.
     for file_size in range(1, code.theta + 1):

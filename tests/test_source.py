@@ -162,6 +162,20 @@ def test_the_walk_is_exhausted_only_by_min_coverage():
     assert not outside, outside
 
 
+def test_the_walk_runs_only_in_the_three_searches():
+    # min_coverage minimises, reconstruction_degree and
+    # goodness_structural decide. A kernel that gives whole profiles
+    # (the arc DP, the subset table) returns its witnesses itself, so no
+    # walk follows it to find them again.
+    owners = lines_of(
+        "analysis.py", {"min_coverage", "reconstruction_degree", "goodness_structural"}
+    )
+    found = breaches(calls_to("_smaller_unions"))
+    assert len(found) == 3
+    outside = [site for site in found if site not in owners]
+    assert not outside, outside
+
+
 def test_goodness_reports_are_built_only_by_their_builder():
     # analysis._goodness_report computes the bound's right side, margin
     # and verdicts, so no caller restates them.

@@ -192,7 +192,7 @@ def min_coverage(
     Returns (value, witness) where witness is the lexicographically
     least subset achieving the value, as a sorted tuple of node indices.
     """
-    _check_ints((("budget", budget),))
+    _check_ints((("budget", budget), ("k", k)))
     # Every union is at most theta, so the first subset always yields.
     *_, best = _smaller_unions(code, k, code.theta + 1, budget)
     return best
@@ -512,6 +512,7 @@ class GoodnessReport:
 def goodness_rhs(k: int, alpha: int, weak: bool = False) -> int:
     """Right side of the goodness bound: k*alpha - C(k, 2), one less in
     the weak form. C(k, 2) needs k >= 0."""
+    _check_ints((("k", k), ("alpha", alpha)))
     if k < 0:
         raise KOutOfRange(f"k must be >= 0, got {_shown(k)}")
     return k * alpha - math.comb(k, 2) - (1 if weak else 0)
@@ -530,6 +531,7 @@ def goodness_arithmetic(
     file_size >= k*alpha - C(k, 2) (right side lowered by one when
     weak); margin is the slack.
     """
+    _check_ints((("k", k), ("alpha", alpha), ("theta", theta)))
     if k < 1 or alpha < 1 or theta < 1:
         raise KOutOfRange(
             f"need k, alpha, theta >= 1, got {_shown(k)}, {_shown(alpha)}, {_shown(theta)}"
@@ -655,6 +657,7 @@ def ring_margin_case1(rho: int, theta: int) -> int:
     Factors as (theta - rho - 1) * (theta - 3*rho + 2), so it is
     nonnegative exactly outside the open interval (rho + 1, 3*rho - 2).
     """
+    _check_ints((("rho", rho), ("theta", theta)))
     return 3 * rho * rho + theta * theta - 4 * rho * theta + theta + rho - 2
 
 

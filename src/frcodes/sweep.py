@@ -240,6 +240,7 @@ def dedup_rows(rows: Iterable[TableRow]) -> list[TableRow]:
 
 
 def restrict_rho(rows: Iterable[TableRow], rho: int) -> list[TableRow]:
+    _check_ints((("rho", rho),))
     return [row for row in rows if row.rho == rho]
 
 

@@ -374,6 +374,29 @@ def call_with(name, param, value):
     return BUILDERS[type(changed)](changed) if type(changed) in BUILDERS else changed
 
 
+@pytest.mark.parametrize("value", [2.0, True, "2", None], ids=repr)
+def test_every_int_parameter_of_a_call_refuses_a_value_that_is_not_an_int(value):
+    # A value that is not an int ended in a TypeError or in an answer at
+    # nine parameters. None stays the default where the annotation
+    # allows it.
+    wrong = []
+    for name, param, shape in INT_PARAMETERS:
+        if name not in CALLS:
+            continue
+        annotation = inspect.signature(getattr(frcodes, name)).parameters[param].annotation
+        if value is None and annotation == "int | None":
+            continue
+        try:
+            call_with(name, param, shape(value))
+        except FrcError:
+            continue
+        except Exception as exc:
+            wrong.append((name, param, type(exc).__name__))
+        else:
+            wrong.append((name, param, "answered"))
+    assert not wrong, wrong
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(4301, 5001), st.sampled_from([1, -1]), st.sampled_from([0, 1]))
 @example(5001, 1, 0)

@@ -105,19 +105,13 @@ def _finish_plan(code: FrCode, failed: int, survivors: list[int]) -> RepairPlan:
 
 
 def plan_repair(code: FrCode, failed: int, budget: int = DEFAULT_BUDGET) -> RepairPlan:
-    """Minimum-helper exact repair plan for one failed node.
-
-    Every cover holds the forced candidates, those that alone hold some
-    lost packet, so they are taken first. The walk then covers the lost
-    packets they miss from the other candidates, by increasing size
-    from a proven lower bound, in lexicographic order within a size; the
-    first subset that covers is returned with the forced ones, so ties
-    break toward the lexicographically least helper set. A node whose
-    forced candidates hold every lost packet takes no walk. Raises
-    InvariantViolation for a budget that is not an int, Unrepairable
-    when some lost packet has no other replica, and BudgetExceeded once
-    the walk, over all sizes, would take more steps than the budget
-    allows.
+    """Minimum-helper exact repair plan for one failed node: the forced
+    candidates and the first cover the walk finds (see the module
+    notes), so ties break toward the lexicographically least helper set.
+    Raises InvariantViolation for a budget that is not an int,
+    Unrepairable when some lost packet has no other replica, and
+    BudgetExceeded once the walk, over all sizes, would take more steps
+    than the budget allows.
     """
     _check_ints((("budget", budget),))
     candidates = _candidates(code, failed)

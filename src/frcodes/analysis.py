@@ -61,10 +61,14 @@ n - 1 - i is set, so of two subsets of one size the lexicographically
 smaller is the larger number: the lex-least witness of M(k) is the
 highest s at the minimum. The table is bit-sliced over slices of 2^16
 subsets, so each AND or XOR of CPython's big ints handles 64 subsets
-per machine word. It is exhaustive, as any exact method must be for
-minimum k-union, which is NP-hard. Rotation-invariant codes with no
-arc order keep the symmetric walk of min_coverage, which beats the
-table there: t(28,3,1) 357 against 439 ms, t(24,4,2) 21 against 35 ms.
+per machine word. Each slice groups its subsets by how many free nodes
+they choose, so the scan at one k ANDs only that class's span (CPython
+ANDs two non-negative ints over the shorter), and it sums the packets
+held there with carry-save adders, one full adder per packet. It is
+exhaustive, as any exact method must be for minimum k-union, which is
+NP-hard. Rotation-invariant codes with no arc order take the symmetric
+walk of min_coverage, though the table is faster there: t(28,3,1) 135
+against 235 ms, t(24,4,2) 11 against 13 ms.
 n alone fixes the cost of the arc program and of the table, so each
 charges itself up front, in steps, and declines a code whose charge
 passes the budget: the program its row entries (about m^3 / 6 for a
@@ -241,32 +245,33 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
 
 
 #: Free nodes per slice of the subset table. A slice is a 2**16-bit int
-#: (8 KiB); the table keeps a few dozen live, about 490 KiB on prg(21,5),
-#: and the 2f + 1 constant slices of each width f stay cached.
+#: (8 KiB); the table keeps about two dozen live, a traced peak of 220 KiB
+#: on prg(21,5), and the f + 1 classes and f columns of each f stay cached.
 _SLICE_BITS = 16
 
 
 def _subset_table(code: FrCode, budget: int) -> list[tuple[int, tuple[int, ...]]] | None:
     """(M(k), lex-least witness) for every k in 1..n, read off a
     bit-sliced table of the union sizes of all 2^n node subsets; None
-    when 2^n / 64 steps pass budget (a subset costs 4-8 ns here, a step
+    when 2^n / 64 steps pass budget (a subset costs 1-2 ns here, a step
     of the walk about 0.3 us).
 
     Subset s holds node i when its bit n - 1 - i is set, so of two
     subsets of one size the lexicographically smaller is the larger
     number. The subsets come in slices of 2^f, f = min(n, _SLICE_BITS):
     the leading n - f nodes are fixed per slice, highest assignment
-    first, and bit p of a slice-wide int stands for the subset whose
-    last f nodes are the bits of p. A packet with a chosen fixed holder
-    adds one to every union of the slice (offset). Any other packet is
-    held at the positions in the OR of its free holders' columns, and
-    these indicators are summed into a bit-sliced counter (counter[b]
-    holds bit b of every position's count) by ripple-carry XOR/AND.
-    Per k, a scan from the top counter bit down keeps the positions of
-    popcount k - c (c fixed nodes chosen) that avoid each bit while
-    some do, leaving the slice's minimum and, as the highest position,
-    its witness. A slice replaces the answer only when strictly
-    smaller, so ties keep the highest subset.
+    first, and the last f nodes of each subset are the bits of a p in
+    [0, 2^f), laid out by popcount class (_slice_constants). A packet
+    with a chosen fixed holder adds one to every union of the slice
+    (offset). Any other packet is held at the positions in the OR of
+    its free holders' columns, and these indicators are summed into a
+    bit-sliced counter (counter[b] holds bit b of every position's
+    count) by carry-save adders (_sum_bits). Per k, a scan from the top
+    counter bit down keeps the positions of class k - c (c fixed nodes
+    chosen) that avoid each bit while some do, leaving the slice's
+    minimum and, as the highest position, the largest p: its witness.
+    A slice replaces the answer only when strictly smaller, so ties
+    keep the highest subset.
     """
     n = code.n
     if 2**n // 64 > budget:
@@ -275,33 +280,28 @@ def _subset_table(code: FrCode, budget: int) -> list[tuple[int, tuple[int, ...]]
     fixed = n - f
     full = (1 << (1 << f)) - 1
     columns, classes = _slice_constants(f)
-    base: list[int] = []  # the counter of the packets with no fixed holder
-    tied = []  # (fixed holders, free holders' columns) of the others
+    packets = []  # (fixed holders, free holders' columns) of each packet
     for h in code.holders:
         r = int(f"{h:0{n}b}"[::-1], 2)  # node i -> bit n - 1 - i
-        held = [columns[b] for b in packets_from_mask(r & (1 << f) - 1)]
-        if r >> f:
-            tied.append((r >> f, held))
-        elif held:
-            _add_bits(base, reduce(or_, held))
-    best = [(code.theta + 1, 0)] * (n + 1)  # (union size, subset s) per k
+        packets.append((r >> f, [columns[b] for b in packets_from_mask(r & (1 << f) - 1)]))
+    # The counter of the packets with no fixed holder, and the others.
+    base = _sum_bits([], (reduce(or_, held) for holders, held in packets if not holders and held))
+    tied = [(holders, held) for holders, held in packets if holders]
+    # (union size, fixed assignment, p's class, members above p in it) per k.
+    best = [(code.theta + 1, 0, 0, 0)] * (n + 1)
     for a in range((1 << fixed) - 1, -1, -1):
         c = a.bit_count()
-        offset = 0
-        counter = base.copy()
-        for holders, held in tied:
-            if holders & a:
-                offset += 1
-            elif held:
-                _add_bits(counter, reduce(or_, held))
+        offset = sum(1 for holders, _ in tied if holders & a)
+        indicators = (reduce(or_, held) for holders, held in tied if held and not holders & a)
         # Complemented once per slice, top bit first: cand & ~bit would
         # complement a 2^f-bit int at every step of every scan.
-        inverted = [full ^ bit for bit in reversed(counter)]
+        inverted = [full ^ bit for bit in reversed(_sum_bits(base, indicators))]
         for k in range(max(c, 1), c + f + 1):
             limit = best[k][0]
             if offset >= limit:
                 continue
-            cand = classes[k - c]
+            j = k - c
+            cand = classes[j]
             size = offset
             weight = 1 << len(inverted)
             for avoid in inverted:
@@ -314,8 +314,8 @@ def _subset_table(code: FrCode, budget: int) -> list[tuple[int, tuple[int, ...]]
                     if size >= limit:
                         break
             else:
-                best[k] = size, a << f | cand.bit_length() - 1
-    return _decoded(n, best[1:])
+                best[k] = size, a, j, classes[j].bit_length() - cand.bit_length()
+    return _decoded(n, [(v, a << f | _unranked(f, j, up)) for v, a, j, up in best[1:]])
 
 
 def _decoded(n: int, best: list[tuple[int, int]]) -> list[tuple[int, tuple[int, ...]]]:
@@ -326,56 +326,123 @@ def _decoded(n: int, best: list[tuple[int, int]]) -> list[tuple[int, tuple[int, 
 
 @cache
 def _slice_constants(f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(columns, classes) of a slice of 2^f subsets, built once per f:
-    columns[b] marks the positions p with bit b set, classes[j] those of
-    popcount j."""
-    columns = []
-    for b in range(f):
-        # 2^b zeros, then 2^b ones, repeated by doubling.
-        column = ((1 << (1 << b)) - 1) << (1 << b)
-        for shift in range(b + 1, f):
-            column |= column << (1 << shift)
-        columns.append(column)
-    classes = [1]
-    for b in range(f):
-        classes = [x | y << (1 << b) for x, y in zip(classes + [0], [0] + classes)]
+    """(columns, classes) of a slice of 2^f subsets, built once per f.
+    The positions hold each p in [0, 2^f) by popcount class, smallest
+    classes lowest, so a scan of one class ANDs ints no longer than its
+    highest position. classes[j] marks the C(f, j) positions of class
+    j, whose members ascend (_unranked maps one back), and columns[b]
+    those whose p has bit b set."""
+    # members[j][b] marks class j's members with bit b set. Class j at
+    # width g + 1 is its lo members at width g, then the hi members of
+    # class j - 1 with bit g set.
+    members: list[list[int]] = [[]]
+    for g in range(f):
+        sizes = [0, *[math.comb(g, j) for j in range(g + 2)]]  # sizes[j + 1]: class j
+        members = [
+            [x | y << lo for x, y in zip(low, high)] + [(1 << hi) - 1 << lo]
+            for low, high, hi, lo in zip(members + [[0] * g], [[0] * g] + members, sizes, sizes[1:])
+        ]
+    sizes = [math.comb(f, j) for j in range(f + 1)]
+    order = sorted(range(f + 1), key=sizes.__getitem__)
+    starts = dict(zip(order, accumulate([sizes[j] for j in order], initial=0)))
+    columns = [reduce(or_, [members[j][b] << starts[j] for j in order]) for b in range(f)]
+    classes = [(1 << sizes[j]) - 1 << starts[j] for j in range(f + 1)]
     return tuple(columns), tuple(classes)
 
 
-def _add_bits(counter: list[int], x: int) -> None:
-    """Add the 0/1 indicator x to the bit-sliced counter, in place."""
-    for b, bit in enumerate(counter):
-        counter[b] = bit ^ x
-        x &= bit
-        if not x:
-            return
-    counter.append(x)
+def _unranked(f: int, j: int, above: int) -> int:
+    """The f-bit int of popcount j with `above` larger ones, decoded from
+    its rank i from below: C(b, j) of them lie below bit b."""
+    i = math.comb(f, j) - 1 - above
+    p = 0
+    for b in range(f - 1, -1, -1):
+        below = math.comb(b, j)
+        if i >= below:
+            p |= 1 << b
+            i -= below
+            j -= 1
+    return p
+
+
+def _sum_bits(counter: list[int], indicators: Iterator[int]) -> list[int]:
+    """The bit-sliced counter plus each 0/1 indicator, as a new counter,
+    summed by 3:2 carry-save adders (Harley-Seal): each weight keeps at
+    most two pending ints, and a third makes a full adder whose carry
+    moves up a weight."""
+    pending = [[bit] for bit in counter]  # ints of weight 2^w, per w
+    for x in indicators:
+        for slot in pending:
+            if len(slot) < 2:
+                slot.append(x)
+                break
+            a, b = slot
+            t = a ^ b
+            slot[:] = [t ^ x]
+            x = a & b | t & x
+        else:
+            pending.append([x])
+    total = []
+    carry = 0
+    for slot in pending:
+        a, *others = slot
+        slot.clear()  # each int is freed once it is added
+        if carry:
+            others.append(carry)
+        carry = 0
+        for b in others:  # two half adders make a full adder
+            carry |= a & b
+            a ^= b
+        total.append(a)
+    if carry:
+        total.append(carry)
+    return total
 
 
 def _arc_order(code: FrCode) -> tuple[int, list[tuple[int, int]]] | None:
     """(s, arcs): the first unit s, tried from 1 up, under whose node
     relabeling i -> s*i mod n every holder set is a cyclic arc, and the
     (start, length) of each arc but those round the whole cycle, which
-    no choice of nodes misses. None when no unit does."""
+    no choice of nodes misses. None when no unit does.
+
+    A set is an arc exactly when its complement is, and two nodes a < b
+    of an arc of r nodes lie within r - 1 of each other. So only units
+    with s*(b - a) mod n within r - 1 of 0 are scanned, for two nodes of
+    the holder set or complement with the fewest nodes r > 1.
+    """
+    n = code.n
+    fewest, pair = n, 3  # r = n, nodes 0 and 1: every unit passes
+    for h in code.holders:
+        r = h.bit_count()
+        if n - r < r:
+            h, r = (1 << n) - 1 ^ h, n - r
+        if 1 < r < fewest:
+            fewest, pair = r, h
+    a, b = packets_from_mask(pair)[:2]
+    for s in range(1, n + 1):
+        if math.gcd(s, n) == 1 and (s * (b - a) + fewest - 1) % n < 2 * fewest - 1:
+            arcs = _arcs(code, s)
+            if arcs is not None:
+                return s, arcs
+    return None
+
+
+def _arcs(code: FrCode, s: int) -> list[tuple[int, int]] | None:
+    """The (start, length) of each holder set but the full one under the
+    relabeling i -> s*i mod n; None once one is not a cyclic arc."""
     n = code.n
     full = (1 << n) - 1
-    for s in range(1, n + 1):
-        if math.gcd(s, n) != 1:
+    arcs = []
+    for h in code.holders:
+        if s > 1:  # relabel lazily: most codes fail on a few packets
+            h = sum(1 << s * i % n for i in packets_from_mask(h))
+        if h == full:
             continue
-        arcs = []
-        for h in code.holders:
-            if s > 1:  # relabel lazily: most codes fail on a few packets
-                h = sum(1 << s * i % n for i in packets_from_mask(h))
-            if h == full:
-                continue
-            # An arc has exactly one held node whose predecessor is not.
-            starts = h & ~(h << 1 & full | h >> n - 1)
-            if not starts or starts & starts - 1:
-                break
-            arcs.append((starts.bit_length() - 1, h.bit_count()))
-        else:
-            return s, arcs
-    return None
+        # An arc has exactly one held node whose predecessor is not.
+        starts = h & ~(h << 1 & full | h >> n - 1)
+        if not starts or starts & starts - 1:
+            return None
+        arcs.append((starts.bit_length() - 1, h.bit_count()))
+    return arcs
 
 
 def _most_missed(

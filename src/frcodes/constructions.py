@@ -138,6 +138,13 @@ def build_ring(spec: RingSpec) -> FrCode:
     other theta yield weak FR codes, including codes with empty nodes
     once n exceeds theta + rho - 1. Like theta, n may not exceed
     DEFAULT_THETA_CAP; a wider spec fails before any node is placed.
+
+    The code is rotation invariant exactly when n divides theta, and
+    the builder records which. Then rotation maps each round onto
+    itself. Otherwise the residues below theta mod n hold one packet
+    more than the rest, and node i holds the rho residues up to i. Equal
+    sizes at every i would make that proper arc of residues invariant
+    under a shift by rho, which 0 < rho < n rules out.
     """
     n, theta, rho = spec.n, spec.theta, spec.rho
     _check_sizes(n, theta)
@@ -152,7 +159,7 @@ def build_ring(spec: RingSpec) -> FrCode:
     # Node i holds the packets whose residue lies in the rho-node arc
     # ending at i, which as a window of residues is arcs[i - rho + 1].
     masks = [arcs[(i - rho + 1) % n] * comb & full for i in range(n)]
-    return _freeze(n, theta, masks, (arcs * rounds)[:theta])
+    return _freeze(n, theta, masks, (arcs * rounds)[:theta], theta % n == 0)
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,7 @@ def build_t_code(spec: TSpec) -> FrCode:
     # Adding 1 to every node and packet index maps the code onto itself.
     masks = [_rotate(node0, i, n) for i in range(n)]
     holders = [_rotate(packet0, p, n) for p in range(n)]
-    return _freeze(n, n, masks, holders)
+    return _freeze(n, n, masks, holders, True)
 
 
 # ---------------------------------------------------------------------------

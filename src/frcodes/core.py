@@ -129,12 +129,13 @@ def _check_cap(name: str, value: int) -> None:
 
 
 def _freeze(
-    n: int, theta: int, masks: list[int], holders: list[int] | None = None
+    n: int, theta: int, masks: list[int], holders: list[int] | None = None, invariant=None
 ) -> FrCode:
     """make_code's last check, then the code: every packet of the n
     in-range node masks stored somewhere. holders, when given, must be
-    the incidence read by packet; it is stored as the code's holders,
-    as transpose stores one."""
+    the incidence read by packet, and invariant the code's rotation
+    symmetry; each is stored as its cached property, as transpose
+    stores holders."""
     placed = 0
     for m in masks:
         placed |= m
@@ -144,6 +145,8 @@ def _freeze(
     code = FrCode(n=n, theta=theta, masks=tuple(masks))
     if holders is not None:
         code.__dict__["holders"] = tuple(holders)  # what cached_property stores
+    if invariant is not None:
+        code.__dict__["rotation_invariant"] = invariant
     return code
 
 

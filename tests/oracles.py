@@ -5,18 +5,21 @@ These deliberately avoid the bitmask representation and every pruning
 trick: coverage is full enumeration over frozenset unions, and the
 repair oracle walks the entire power set of surviving nodes. The
 reference builders place packets one by one into per-node sets and
-hand them to make_code. Slow and boring on purpose. The one exception
-is walk_plan_repair, the helper walk as it was before the planner
-proved lower bounds: it is the reference for the planner's step counts.
+hand them to make_code. Slow and boring on purpose. Two exceptions
+keep an earlier form of a kernel as its reference: walk_plan_repair,
+the helper walk as it was before the planner proved lower bounds, for
+the planner's step counts, and every_unit_arc_order, the arc detection
+as it was before it filtered the units it scans.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from frcodes.constructions import read_csv_records
-from frcodes.core import DEFAULT_THETA_CAP, make_code
+from frcodes.core import DEFAULT_THETA_CAP, make_code, packets_from_mask
 from frcodes.errors import BudgetExceeded, EmptySystem, InvariantViolation, ParseError
 from frcodes.repair import _candidates, _finish_plan
 
@@ -49,6 +52,31 @@ def brute_rotation_invariant(code):
     holder_sets = [frozenset(nodes) for nodes in brute_holders(code)]
     rotated = [frozenset((i + 1) % code.n for i in nodes) for nodes in holder_sets]
     return Counter(holder_sets) == Counter(rotated)
+
+
+def every_unit_arc_order(code):
+    """(s, arcs) of the first unit s, tried from 1 up, under whose node
+    relabeling i -> s*i mod n every holder set is a cyclic arc, scanning
+    the holder sets under every unit in turn (the arc detection before
+    units were filtered by one pair of nodes); None when no unit does."""
+    n = code.n
+    full = (1 << n) - 1
+    for s in range(1, n + 1):
+        if math.gcd(s, n) != 1:
+            continue
+        arcs = []
+        for h in code.holders:
+            if s > 1:
+                h = sum(1 << s * i % n for i in packets_from_mask(h))
+            if h == full:
+                continue
+            starts = h & ~(h << 1 & full | h >> n - 1)
+            if not starts or starts & starts - 1:
+                break
+            arcs.append((starts.bit_length() - 1, h.bit_count()))
+        else:
+            return s, arcs
+    return None
 
 
 def brute_reconstruction_degree(code, file_size):

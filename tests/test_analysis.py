@@ -43,8 +43,11 @@ from frcodes.analysis import (
     _SLICE_BITS,
     _arc_order,
     _most_missed,
+    _slice_constants,
     _smaller_unions,
     _subset_table,
+    _sum_bits,
+    _unranked,
 )
 from frcodes.core import FrCode
 from frcodes.sweep import default_theta_rule
@@ -54,6 +57,7 @@ from oracles import (
     brute_reconstruction_degree,
     brute_rotation_invariant,
     brute_structural_goodness,
+    every_unit_arc_order,
 )
 from strategies import small_codes
 
@@ -282,6 +286,58 @@ def test_arc_profile_matches_oracle_on_every_small_cycle():
                 assert_profile_matches_oracle(arc_code(n, chosen))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_arc_order_matches_the_scan_of_every_unit(data):
+    # Arc codes under a random unit, some with one more holder set that
+    # is seldom an arc, and small codes with no structure.
+    if data.draw(st.booleans(), label="arcs"):
+        n = data.draw(st.integers(1, 30), label="n")
+        arc = st.tuples(st.integers(0, n - 1), st.integers(1, n))
+        arcs = data.draw(st.lists(arc, min_size=1, max_size=12), label="arcs")
+        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        code = arc_code(n, arcs, data.draw(st.sampled_from(units), label="unit"))
+        extra = data.draw(st.sets(st.integers(0, n - 1)), label="extra holders")
+        if extra:  # one more packet, on the extra holders
+            storage = [set(code.packets(i)) for i in range(n)]
+            for i in extra:
+                storage[i].add(code.theta)
+            code = make_code(n, code.theta + 1, storage)
+    else:
+        code = data.draw(small_codes(), label="code")
+    assert _arc_order(code) == every_unit_arc_order(code)
+
+
+def test_arc_order_matches_the_scan_of_every_unit_on_t_codes():
+    # Most t codes are arcs only under a unit other than 1.
+    for n in range(2, 21):
+        for d in range(2, n + 1):
+            for t in range(n):
+                if n // math.gcd(t + 1, n) >= d:
+                    code = build_t_code(TSpec(n, d, t))
+                    assert _arc_order(code) == every_unit_arc_order(code), code
+
+
+def one_pair_code(n):
+    """n one-node packets and one packet on nodes 0 and n/2 - 1: only
+    the units s = n/2 - 1 and n/2 + 1 bring that pair next to each
+    other, so only they can make it an arc."""
+    return make_code(n, n + 1, [[i, n] if i in (0, n // 2 - 1) else [i] for i in range(n)])
+
+
+def test_arc_detection_fully_scans_only_the_units_that_can_work(monkeypatch):
+    # The scan of every unit tried the 255 units below 511 first, each
+    # over all n + 1 holder sets; now only 511 is scanned.
+    assert _arc_order(one_pair_code(64)) == every_unit_arc_order(one_pair_code(64))
+    scanned = []
+    arcs = analysis._arcs
+    monkeypatch.setattr(analysis, "_arcs", lambda code, s: scanned.append(s) or arcs(code, s))
+    assert _arc_order(one_pair_code(1024))[0] == 511
+    assert scanned == [511]
+    with pytest.raises(BudgetExceeded, match="^search at k=2 exceeds budget of 1 steps$"):
+        coverage_profile(one_pair_code(2048), budget=1)
+
+
 @pytest.mark.parametrize(
     "code",
     [
@@ -401,7 +457,7 @@ def test_subset_table_matches_oracle(data):
     # packets on every node; slices as narrow as one free node.
     code = data.draw(small_codes(), label="code")
     expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
-    bits = data.draw(st.sampled_from([1, 2, 3, _SLICE_BITS]), label="slice bits")
+    bits = data.draw(st.sampled_from([1, 2, 3, 4, 5, _SLICE_BITS]), label="slice bits")
     with mock.patch.object(analysis, "_SLICE_BITS", bits):
         assert _subset_table(code, DEFAULT_BUDGET) == expected
 
@@ -452,6 +508,62 @@ def test_subset_table_keeps_the_refusals_of_the_per_k_loop():
     per_k = [min_coverage(code, k) for k in range(1, code.n + 1)]
     prof = coverage_profile(code, budget=8192)
     assert list(zip(prof.values, prof.witnesses)) == per_k == _subset_table(code, 8192)
+
+
+def test_carry_save_sum_counts_every_position():
+    # An empty counter, no indicators, and carries past the top weight.
+    assert _sum_bits([], iter([])) == []
+    assert _sum_bits([5, 3], iter([])) == [5, 3]
+    assert _sum_bits([1], iter([1, 1, 1])) == [0, 0, 1]
+    assert _sum_bits([], iter([7] * 9)) == [7, 0, 0, 7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_carry_save_sum_matches_each_positions_integer_count(data):
+    width = data.draw(st.integers(1, 80), label="positions")
+    word = st.integers(0, (1 << width) - 1)
+    counter = data.draw(st.lists(word, max_size=5), label="counter")
+    indicators = data.draw(st.lists(word, max_size=40), label="indicators")
+    kept = list(counter)
+    total = _sum_bits(counter, iter(indicators))
+    assert counter == kept  # the base counter is shared by every slice
+
+    def count(planes, p):
+        return sum((bit >> p & 1) << b for b, bit in enumerate(planes))
+
+    for p in range(width):
+        assert count(total, p) == count(counter, p) + sum(x >> p & 1 for x in indicators)
+
+
+@pytest.mark.parametrize("f", [*range(9), 16])
+def test_slice_layout_groups_positions_by_popcount_class(f):
+    columns, classes = _slice_constants(f)
+    size = 1 << f
+    # The classes partition the positions, the smallest classes lowest.
+    assert sum(members.bit_count() for members in classes) == size
+    assert reduce(or_, classes) == (1 << size) - 1
+    lowest = sorted(range(f + 1), key=lambda j: classes[j] & -classes[j])
+    sizes = [math.comb(f, j) for j in lowest]
+    assert sizes == sorted(sizes)
+    # p at each position, read off the columns.
+    bits = [format(column, f"0{size}b")[::-1] for column in columns]
+    p_at = [sum(1 << b for b in range(f) if bits[b][q] == "1") for q in range(size)]
+    for j, members in enumerate(classes):
+        positions = [q for q, bit in enumerate(format(members, f"0{size}b")[::-1]) if bit == "1"]
+        ps = [p_at[q] for q in positions]
+        assert len(ps) == math.comb(f, j)
+        assert ps == sorted(ps) and all(p.bit_count() == j for p in ps)
+        # _unranked gives the member with `above` members above it.
+        assert ps == [_unranked(f, j, len(ps) - 1 - i) for i in range(len(ps))]
+
+
+def test_slice_scan_spans_a_fifth_of_the_full_width():
+    # An AND of a class with a counter bit runs over the class's highest
+    # position, so a scan of all 17 classes at f = 16 touches 245,123
+    # bits, against 17 * 2^16 = 1,114,112 with each class spread out.
+    _, classes = _slice_constants(16)
+    assert sum(members.bit_length() for members in classes) == 245123
 
 
 def test_subset_table_memory_stays_under_one_mib():
@@ -1048,14 +1160,17 @@ def test_goodness_structural_is_unchanged_by_relabeling(code):
         TSpec(22, 4, 2),
         TSpec(25, 4, 1),
         TSpec(26, 4, 2),
+        PrgSpec(19, 7),
+        PrgSpec(21, 5),
     ],
     ids=str,
 )
 def test_coverage_is_unchanged_by_relabeling_above_the_oracles_reach(spec):
     # A node relabeling moves a ring or t code off the arc DP and the
     # symmetric walk onto the subset table, so each kernel checks the
-    # other where the brute-force oracles cannot run.
-    code = {RingSpec: build_ring, TSpec: build_t_code}[type(spec)](spec)
+    # other where the brute-force oracles cannot run. A prg code stays
+    # on the table, whose slices then fix and free other nodes.
+    code = {RingSpec: build_ring, TSpec: build_t_code, PrgSpec: build_prg}[type(spec)](spec)
     prof = coverage_profile(code)
     rng = random.Random(12)
     nodes = rng.sample(range(code.n), code.n)
@@ -1072,6 +1187,8 @@ def test_coverage_is_unchanged_by_relabeling_above_the_oracles_reach(spec):
         code.n, code.theta, [[packets[p] for p in code.packets(i)] for i in range(code.n)]
     )
     assert coverage_profile(shuffled) == prof
+    if type(spec) is PrgSpec:  # no arc order, and degrees past the walks' reach
+        return
     # A unit relabeling i -> s*i mod n, s != 1 or -1, keeps an arc order
     # and the rotation symmetry or its absence, so the arc DP answers
     # again, with other node weights. On both codes each witness is the

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 
 import pytest
@@ -228,6 +229,35 @@ def test_t_opposite_steps_relabel_nodes():
 
 
 # --- code files ------------------------------------------------------------
+
+
+def decided_symmetry(code):
+    """rotation_invariant as an unseeded code of the same masks decides it."""
+    return FrCode(n=code.n, theta=code.theta, masks=code.masks).rotation_invariant
+
+
+def test_builders_seed_the_rotation_symmetry_they_prove():
+    # build_ring seeds theta % n == 0 and build_t_code True, so a
+    # search on a built code skips the symmetry check's sort.
+    rings = 0
+    for n in range(3, 30):
+        for theta in range(1, 3 * n + 1):
+            for rho in range(2, n):
+                code = build_ring(RingSpec(n, theta, rho))
+                assert code.__dict__["rotation_invariant"] == decided_symmetry(code), code
+                rings += 1
+    assert rings == 23058
+    for n in range(2, 27):
+        for d in range(2, n + 1):
+            for t in range(n):
+                if n // math.gcd(t + 1, n) >= d:
+                    code = build_t_code(TSpec(n, d, t))
+                    assert code.__dict__["rotation_invariant"] is decided_symmetry(code), code
+    # The transpose is not seeded: the packet side of ring(7, 4, 6) is
+    # rotation invariant though its node side is not.
+    code = build_ring(RingSpec(7, 4, 6))
+    assert "rotation_invariant" not in code.transpose.__dict__
+    assert not code.rotation_invariant and code.transpose.rotation_invariant
 
 
 def test_json_round_trip(tmp_path):

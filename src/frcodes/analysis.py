@@ -38,9 +38,11 @@ walk.
 
 The reconstruction degree can also be read from the packets' side, as
 a coverage of the transpose (FrCode.transpose; see
-reconstruction_degree). It is read there once C(n, k) exceeds that
-walk's count, and the transpose's own rotation symmetry (the packet
-rotation j -> j+1) restricts that walk the same way.
+reconstruction_degree). Where t = theta - M + 1 packets share a holder
+set of the fewest holders any packet has, that set is the answer and
+no walk runs; otherwise the degree is read there once C(n, k) exceeds
+that walk's count, and the transpose's own rotation symmetry (the
+packet rotation j -> j+1) restricts that walk the same way.
 
 coverage_profile needs no walk on codes whose packets are each held by
 a cyclic arc of nodes, once the nodes are relabeled i -> s*i mod n for
@@ -102,6 +104,7 @@ itself. On those codes no k is walked: M(1) is the smallest alpha_i.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate
@@ -406,20 +409,27 @@ def _arc_order(code: FrCode) -> tuple[int, list[tuple[int, int]]] | None:
 
     A set is an arc exactly when its complement is, and two nodes a < b
     of an arc of r nodes lie within r - 1 of each other. So only units
-    with s*(b - a) mod n within r - 1 of 0 are scanned, for two nodes of
-    the holder set or complement with the fewest nodes r > 1.
+    with s*(b - a) mod n within r - 1 of 0 are tried, for two nodes of
+    the holder set or complement with the fewest nodes r > 1. That set
+    is an arc under s exactly when r - 1 of its nodes i also hold
+    i + 1/s mod n (one run of r), so a unit that passes the pair is
+    checked on the set alone before the other holder sets are scanned.
     """
     n = code.n
+    full = (1 << n) - 1
     fewest, pair = n, 3  # r = n, nodes 0 and 1: every unit passes
     for h in code.holders:
         r = h.bit_count()
         if n - r < r:
-            h, r = (1 << n) - 1 ^ h, n - r
+            h, r = full ^ h, n - r
         if 1 < r < fewest:
             fewest, pair = r, h
     a, b = packets_from_mask(pair)[:2]
     for s in range(1, n + 1):
         if math.gcd(s, n) == 1 and (s * (b - a) + fewest - 1) % n < 2 * fewest - 1:
+            d = pow(s, -1, n)  # i's successor under the relabeling is i + d
+            if fewest < n and (pair & (pair << d & full | pair >> n - d)).bit_count() != fewest - 1:
+                continue
             arcs = _arcs(code, s)
             if arcs is not None:
                 return s, arcs
@@ -535,10 +545,21 @@ def reconstruction_degree(
     transpose answers instead. The comparison only chooses the side;
     every walk, on either side, is charged the steps it takes, and the
     one that passes the budget raises BudgetExceeded.
+
+    Before either walk, the holder sets are counted once. Any t packets
+    hold every copy of one packet, so u is at least the fewest holders
+    of any packet, least; t packets on one holder set of least nodes
+    are held by exactly that set, so then u = least and the degree
+    n - least + 1 needs no walk, at any budget. This holds at every
+    file size and always answers at M = theta (t = 1).
     """
     _check_ints((("budget", budget),))
     file_size = _checked_file_size(code.theta, file_size)
     t = code.theta - file_size + 1
+    copies = Counter(code.holders)
+    least = min(map(int.bit_count, copies))
+    if t <= max(c for h, c in copies.items() if h.bit_count() == least):
+        return code.n - least + 1
     dual_cost = math.comb(code.theta, t)
     # All n nodes hold theta >= file_size packets, so k = n returns.
     for k in range(1, code.n + 1):
@@ -748,7 +769,8 @@ def predicted_k_ring(n: int, theta: int, rho: int) -> KPrediction:
     the degree is n - u + 1, with u the smallest union of two packets'
     holder windows (see reconstruction_degree), and every window has
     rho nodes. When theta > n, packets 0 and n share the window 0..rho-1,
-    so u = rho. When n > theta >= 2, the windows start at different
+    so u = rho: reconstruction_degree reads this off the shared window
+    without a walk. When n > theta >= 2, the windows start at different
     nodes, so any two differ and u >= rho + 1; packets 0 and 1 reach it.
     """
     RingSpec(n, theta, rho)  # reuse integer, size and rho-range validation

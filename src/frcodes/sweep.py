@@ -1,15 +1,16 @@
 """Parameter sweeps, table audits, and the heterogeneous-ring harness.
 
 sweep_ring regenerates universally good ring-code parameter rows from
-scratch: it builds each candidate code, brute-forces the reconstruction
-degree at file size theta - 1, and keeps the row only if the strict
-goodness bound holds there. audit_table re-checks rows arriving as data
-(for example the bundled reference tables) arithmetically, without
-trusting how they were produced. Rows that read_rows_csv reads, the
-bundled tables included, carry provenance "transcribed"; rows this
-package computes carry "generated".
+scratch: it builds each candidate code, computes its reconstruction
+degree exactly at file size theta - 1 (reconstruction_degree), and
+keeps the row only if the strict goodness bound holds there.
+audit_table re-checks rows arriving as data (for example the bundled
+reference tables) arithmetically, without trusting how they were
+produced. Rows that read_rows_csv reads, the bundled tables included,
+carry provenance "transcribed"; rows this package computes carry
+"generated".
 
-conjecture_harness compares brute-forced reconstruction degrees of
+conjecture_harness compares exact reconstruction degrees of
 heterogeneous ring codes against the conjectured closed form and
 reports agreement per instance. Agreement is never asserted here; the
 harness exists to collect evidence. Both sweeps walk their grid in
@@ -93,8 +94,9 @@ def sweep_ring(
 
     For each (n, rho, m) with 2 <= rho <= n - 1 and m >= 1 the code
     ring(n, m*n, rho) is built, d = alpha is read off (uniform by
-    construction), k is brute-forced at file size theta - 1, and the
-    row is emitted iff the strict goodness bound holds at that k. Rows
+    construction), k is computed exactly by reconstruction_degree at
+    file size theta - 1, and the row is emitted iff the strict goodness
+    bound holds at that k. Rows
     are sorted by descending rho, then (n, theta). The output may
     contain rows a published listing omitted; containment, not
     equality, is the meaningful comparison. A non-int grid value or
@@ -385,7 +387,7 @@ def load_bundled_table(name: str) -> list[TableRow]:
 
 @dataclass(frozen=True)
 class ConjectureFinding:
-    """Brute force versus conjectured reconstruction degree for one
+    """Exact (brute_k) versus conjectured reconstruction degree for one
     heterogeneous ring instance."""
 
     n: int
@@ -413,7 +415,7 @@ def conjecture_harness(
     rho_values: Iterable[int],
     budget: int = DEFAULT_BUDGET,
 ) -> list[ConjectureFinding]:
-    """Compare conjectured and brute-forced k over heterogeneous ring
+    """Compare conjectured and exact k over heterogeneous ring
     codes. Deterministic order: ascending (n, rho, theta). The result
     reports agreement; callers must not turn disagreement into an
     error, the conjecture is unproven either way. A non-int grid value

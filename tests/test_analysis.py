@@ -338,6 +338,21 @@ def test_arc_detection_fully_scans_only_the_units_that_can_work(monkeypatch):
         coverage_profile(one_pair_code(2048), budget=1)
 
 
+def test_arc_detection_checks_the_picked_set_before_a_full_scan(monkeypatch):
+    # n one-node packets and one packet on the even nodes: the pair
+    # filter passes nearly every odd unit, and each used to scan every
+    # holder set (512 scans at n = 1,024). Under any unit the even nodes
+    # are no run of n/2 nodes, so none is scanned.
+    code = make_code(1024, 1025, [[i, 1024] if i % 2 == 0 else [i] for i in range(1024)])
+    scanned = []
+    arcs = analysis._arcs
+    monkeypatch.setattr(analysis, "_arcs", lambda code, s: scanned.append(s) or arcs(code, s))
+    assert _arc_order(code) is None
+    assert scanned == []
+    with pytest.raises(BudgetExceeded, match="^search at k=2 exceeds budget of 1 steps$"):
+        coverage_profile(code, budget=1)
+
+
 @pytest.mark.parametrize(
     "code",
     [
@@ -631,6 +646,30 @@ def test_reconstruction_degree_answers_from_the_cheaper_side():
     assert reconstruction_degree(code, 3, budget=10**4) == 31
     assert reconstruction_degree(build_ring(RingSpec(30, 30, 3))) == 27
     assert reconstruction_degree(build_t_code(TSpec(26, 4, 2))) == 22
+
+
+def test_reconstruction_degree_reads_a_shared_least_holder_set_without_a_walk(monkeypatch):
+    # On ring(24, 24m, 4) packets j, j + 24, .. share one window of 4
+    # nodes, m of them, so at m >= 2 the t = 2 packets of M = theta - 1
+    # lie on 4 nodes: u = 4 with no walk, at any budget. ring(24, 24, 4)
+    # has no shared window and still walks.
+    walked = []
+    walk = analysis._smaller_unions
+
+    def counting(code, k, *args):
+        walked.append(k)
+        return walk(code, k, *args)
+
+    monkeypatch.setattr(analysis, "_smaller_unions", counting)
+    for theta in (48, 72):
+        shared = build_ring(RingSpec(24, theta, 4))
+        assert reconstruction_degree(shared, theta - 1, budget=1) == 24 - 4 + 1
+    assert walked == []
+    distinct = build_ring(RingSpec(24, 24, 4))
+    u, _ = min_coverage(distinct.transpose, 2)
+    walked.clear()
+    assert reconstruction_degree(distinct) == 24 - u + 1
+    assert walked
 
 
 @settings(max_examples=150, deadline=None)

@@ -113,12 +113,26 @@ def test_sweep_reads_each_grid_axis_once():
     assert sweep_ring(iter(range(5, 8)), iter([2, 3]), iter([1, 2])) == rows
 
 
-def test_sweep_is_refused_at_the_first_ring_of_its_walk():
-    # The walk visits n, then rho, then m, so ring(10, 30, 3) runs out
-    # of budget first; a walk by rho first would stop at ring(11, 33, 2)
-    # and name k = 10.
-    with pytest.raises(BudgetExceeded, match="^search at k=8 exceeds budget of 35 steps$"):
-        sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=35)
+def test_sweep_is_refused_at_the_first_ring_of_its_walk(monkeypatch):
+    # The walk visits n, then rho, then m. Rings with m >= 2 share holder
+    # windows and answer at any budget; ring(n, n, rho) walks about n / 2
+    # steps, so ring(12, 12, 2) is the first past 5. A walk by rho first
+    # would visit the rings in another order.
+    seen = []
+    degree = sweep.reconstruction_degree
+
+    def recording(code, *args, **kwargs):
+        seen.append((code.n, code.theta, code.holders[0].bit_count()))
+        return degree(code, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "reconstruction_degree", recording)
+    with pytest.raises(BudgetExceeded, match="^search at k=2 exceeds budget of 5 steps$"):
+        sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=5)
+    walk = [(n, m * n, rho) for n in range(3, 17) for rho in (2, 3, 4) if rho < n for m in (1, 2, 3)]
+    assert seen == walk[: walk.index((12, 12, 2)) + 1]
+    # Refused at ring(10, 30, 3) with k = 8 at 35 steps before every
+    # m >= 2 ring answered from its holder windows.
+    assert len(sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=35)) == 62
 
 
 def forbidden(*args, **kwargs):

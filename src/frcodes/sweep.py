@@ -96,12 +96,11 @@ def sweep_ring(
     ring(n, m*n, rho) is built, d = alpha is read off (uniform by
     construction), k is computed exactly by reconstruction_degree at
     file size theta - 1, and the row is emitted iff the strict goodness
-    bound holds at that k. Rows
-    are sorted by descending rho, then (n, theta). The output may
-    contain rows a published listing omitted; containment, not
-    equality, is the meaningful comparison. A non-int grid value or
-    budget, or a ring past the cap, is refused before any search
-    (_ring_degrees).
+    bound holds at that k. Rows are sorted by descending rho, then
+    (n, theta). The output may contain rows a published listing
+    omitted; containment, not equality, is the meaningful comparison.
+    A non-int grid value or budget, or a ring past the cap, is refused
+    before any search (_ring_degrees).
     """
     m_values = list(m_values)
     _check_ints(("m", m) for m in m_values)

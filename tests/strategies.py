@@ -24,7 +24,8 @@ def small_codes(draw, max_n=9, max_theta=12):
         placed |= m
     masks[draw(st.integers(0, n - 1), label="orphans")] |= full & ~placed
     if theta > 1 and draw(st.booleans(), label="twin"):  # packet b gets a's holders
-        a, b = draw(st.lists(st.integers(0, theta - 1), min_size=2, max_size=2, unique=True), label="twins")
+        packet = st.integers(0, theta - 1)
+        a, b = draw(st.lists(packet, min_size=2, max_size=2, unique=True), label="twins")
         masks = [m & ~(1 << b) | (m >> a & 1) << b for m in masks]
     if draw(st.booleans(), label="repeat"):
         masks.append(masks[draw(st.integers(0, n - 1), label="copied")])

@@ -130,8 +130,7 @@ def test_sweep_is_refused_at_the_first_ring_of_its_walk(monkeypatch):
         sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=5)
     walk = [(n, m * n, rho) for n in range(3, 17) for rho in (2, 3, 4) if rho < n for m in (1, 2, 3)]
     assert seen == walk[: walk.index((12, 12, 2)) + 1]
-    # Refused at ring(10, 30, 3) with k = 8 at 35 steps before every
-    # m >= 2 ring answered from its holder windows.
+    # At 35 steps every ring of the grid answers.
     assert len(sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=35)) == 62
 
 

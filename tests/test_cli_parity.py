@@ -196,6 +196,72 @@ def _invocations(directory: str):
             yield ("goodness", path, "--weak")
             for node in range(1, code.n + 1):
                 yield ("repair", path, "--fail", str(node))
+    yield from _argument_forms(directory)
+
+
+#: The command words of every command that reads arguments of its own.
+LEAVES = (
+    ("analyze",),
+    ("goodness",),
+    ("repair",),
+    ("audit-table",),
+    ("conjecture",),
+    ("generate", "prg"),
+    ("generate", "ring"),
+    ("generate", "t"),
+    ("sweep", "ring"),
+)
+
+
+def _argument_forms(directory: str):
+    """argv of the forms argparse reads beyond one option after another:
+    help, a word left over, "--", joined, abbreviated and repeated
+    options, options before a positional, and unknown or incomplete
+    commands. Each also runs with --json appended, so `analyze FILE --`
+    covers `analyze FILE -- --json`."""
+    code = os.path.join(directory, "ring-5-5-2.json")
+    ring = ("generate", "ring", "--n", "5", "--theta", "5", "--rho", "2")
+    sweep = ("sweep", "ring", "--n", "5", "--rho", "2", "--m", "1")
+    conjecture = ("conjecture", "--n", "3..4", "--rho", "2")
+    for words in LEAVES:
+        yield (*words, "-h")
+    for argv in (
+        ("analyze", code),
+        ("goodness", code),
+        ("repair", code, "--fail", "1"),
+        ("audit-table", "--bundled", "ring_rho2"),
+        conjecture,
+        ring,
+        sweep,
+    ):
+        yield (*argv, "extra")
+    yield ("analyze", code, "--")
+    yield (*conjecture, "--")
+    yield (*sweep, "--")
+    yield ("analyze", code, "-h")
+    yield ("analyze", code, "--he")
+    yield ("analyze", code, "--fil", "2")
+    yield ("analyze", code, "--file-size=2")
+    yield ("analyze", code, "--json=1")
+    yield ("analyze", code, "--bogus")
+    yield ("analyze", "--file-size", "3", code)
+    yield ("goodness", code, "--struct")
+    yield ("goodness", "--weak", code)
+    yield ("repair", code, "--fail=2")
+    yield ("repair", code, "--fa", "2")
+    yield ("repair", code, "--fa", "2", "--fail", "3")
+    yield ("repair", code, "--fail", "-1")
+    yield ("repair", code, "--fail")
+    yield ("repair", "--fail", "2", code)
+    yield ("conjecture", "--n", "3", "--n", "4", "--rho", "2")
+    yield ("conjecture", "--n", "3", "--rh", "2", "--js")
+    yield ("sweep", "ring", "--n=5", "--rho", "2", "--m", "1")
+    yield ("sweep", "bogus")
+    yield ("sweep", "bogus", "--n", "5")
+    yield ("generate", "bogus")
+    yield ("generate", "ring", "--n", "5", "--rho", "2")
+    yield (*ring, "--n", "6")
+    yield (*ring, "-o" + os.path.join(directory, "joined.json"))
 
 
 def run_matrix() -> dict[str, str]:

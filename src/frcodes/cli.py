@@ -14,7 +14,11 @@ search that passes it exits 1 with BudgetExceeded naming the search.
 
 The argument parser is built on the first main call and reused; each
 call parses into a fresh namespace, so main can be called repeatedly in
-one process.
+one process. Each command's arguments are parsed by that command's own
+parser: the levels above it (frc, and frc generate and frc sweep) only
+route, so main looks the command words up and skips them. An argv that
+names no command, or that leaves arguments over, takes the full parse
+instead, so argparse's own top-level messages are unchanged.
 """
 
 from __future__ import annotations
@@ -261,6 +265,11 @@ def _cmd_conjecture(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+#: Each command's own parser, by the command words that reach it. Only
+#: _build_parser writes it, so it holds the parsers of the cached build.
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -268,6 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build, analyze, repair, and audit fractional repetition codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_leaf(subparsers, words, **kwargs):
+        # The leaf's namespace also carries the dests of the words that
+        # reach it, as the full parse sets them.
+        leaf = _LEAVES[words] = subparsers.add_parser(words[-1], **kwargs)
+        leaf.set_defaults(**dict(zip(("command", "family"), words)))
+        return leaf
 
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -279,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("ring", constructions.RingSpec, "build_ring", "cyclic consecutive placement"),
         ("t", constructions.TSpec, "build_t_code", "shifted placement with step t+1"),
     ):
-        p = gen_sub.add_parser(family, help=about)
+        p = add_leaf(gen_sub, ("generate", family), help=about)
         for field in dataclasses.fields(spec):
             p.add_argument(f"--{field.name}", type=int, required=True)
         p.add_argument("-o", "--output", help="write the code to this path")
@@ -291,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         add_json(p)
         p.set_defaults(handler=_cmd_generate, spec=spec, builder=builder)
 
-    ana = sub.add_parser("analyze", help="profiles, coverage table, reconstruction degree")
+    ana = add_leaf(sub, ("analyze",), help="profiles, coverage table, reconstruction degree")
     ana.add_argument("code", help="code file (.json or .csv)")
     ana.add_argument(
         "--file-size", type=int, help="outer layer size M (default theta-1, at least 1)"
@@ -299,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(ana)
     ana.set_defaults(handler=_cmd_analyze)
 
-    good = sub.add_parser("goodness", help="universal-goodness check")
+    good = add_leaf(sub, ("goodness",), help="universal-goodness check")
     good.add_argument("code")
     good.add_argument("--weak", action="store_true", help="force the relaxed bound")
     # The structural check scans every k and takes no file size.
@@ -315,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(good)
     good.set_defaults(handler=_cmd_goodness)
 
-    rep = sub.add_parser("repair", help="minimum-helper repair plan for one node")
+    rep = add_leaf(sub, ("repair",), help="minimum-helper repair plan for one node")
     rep.add_argument("code")
     rep.add_argument("--fail", type=int, required=True, help="failed node, 1-based label")
     add_json(rep)
@@ -323,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="regenerate ring parameter tables")
     sw_sub = sw.add_subparsers(dest="family", required=True)
-    sw_ring = sw_sub.add_parser("ring")
+    sw_ring = add_leaf(sw_sub, ("sweep", "ring"))
     sw_ring.add_argument("--n", required=True, help="range A..B or single value")
     sw_ring.add_argument("--rho", required=True, help="range A..B or single value")
     sw_ring.add_argument("--m", required=True, help="rounds range A..B or single value")
@@ -331,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(sw_ring)
     sw_ring.set_defaults(handler=_cmd_sweep)
 
-    aud = sub.add_parser("audit-table", help="arithmetic re-check of a parameter table")
+    aud = add_leaf(sub, ("audit-table",), help="arithmetic re-check of a parameter table")
     aud.add_argument("table", nargs="?", help="CSV path (header n,k,d,rho,theta[,t])")
     aud.add_argument("--family", choices=[sweep.FAMILY_RING, sweep.FAMILY_T])
     aud.add_argument(
@@ -342,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(aud)
     aud.set_defaults(handler=_cmd_audit_table)
 
-    conj = sub.add_parser(
-        "conjecture", help="compare brute force against the heterogeneous-ring formula"
+    conj = add_leaf(
+        sub, ("conjecture",), help="compare brute force against the heterogeneous-ring formula"
     )
     conj.add_argument("--n", required=True, help="range A..B or single value")
     conj.add_argument("--rho", required=True, help="range A..B or single value")
@@ -355,7 +371,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)  # argparse exits 2 on usage errors
+    argv = sys.argv[1:] if argv is None else argv
+    words = tuple(argv[:1]) if tuple(argv[:1]) in _LEAVES else tuple(argv[:2])
+    args, left = None, []
+    if words in _LEAVES:
+        # The levels above a leaf would hand it these arguments
+        # unchanged, so its errors and help are the same as there.
+        args, left = _LEAVES[words].parse_known_args(argv[len(words):])
+    if args is None or left:
+        args = parser.parse_args(argv)  # argparse exits 2 on usage errors
     try:
         rc = args.handler(args)
         sys.stdout.flush()  # a reader that left early shows here, not at exit

@@ -706,6 +706,110 @@ def test_any_command_line_exits_0_1_or_2(argv_paths, data, budget):
     assert rc in (0, 1, 2), (argv, rc)
 
 
+@st.composite
+def mutated_argvs(draw, paths):
+    """A command line of the grammar with one or two forms argparse reads
+    beyond it: a word appended, "--" inserted, an option abbreviated, or
+    an option joined to the next word with "="."""
+    argv = draw(argvs(paths))
+    for _ in range(draw(st.integers(1, 2))):
+        form = draw(st.sampled_from(["word", "--", "abbreviate", "join"]))
+        options = [i for i, word in enumerate(argv) if word.startswith("--") and word != "--"]
+        if form == "word":
+            argv.append(draw(st.sampled_from(["extra", "2", "--json", "--bogus", "-h", "-x"])))
+        elif form == "--":
+            argv.insert(draw(st.integers(0, len(argv))), "--")
+        elif options:
+            i = draw(st.sampled_from(options))
+            if form == "abbreviate":
+                argv[i] = argv[i][: draw(st.integers(3, len(argv[i])))]
+            elif i + 1 < len(argv):
+                argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
+def full_parse_main(argv):
+    """main with the whole command line parsed by the frc parser, as
+    every level of it reads the arguments, then the handler."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except FrcError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+def outcome(function, argv):
+    """(rc, stdout, stderr) of function(argv), argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = function(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def outermost_parses():
+    """Record [parser, namespace, arguments left over] of every
+    parse_known_args call made while open, except the calls a parser
+    makes for its own commands; a call that exits leaves the last two
+    None."""
+    calls, depth = [], [0]
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, args=None, namespace=None):
+        call = [self, None, None]
+        if not depth[0]:
+            calls.append(call)
+        depth[0] += 1
+        try:
+            call[1:] = parse(self, args, namespace)
+        finally:
+            depth[0] -= 1
+        return call[1], call[2]
+
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", recording):
+        yield calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_routed_command_lines_match_the_full_parse(argv_paths, data):
+    argv = data.draw(mutated_argvs(argv_paths))
+    with mock.patch.dict(os.environ, {"FRC_BUDGET": "1000"}):
+        with outermost_parses() as calls:
+            routed = outcome(main, argv)
+        assert routed == outcome(full_parse_main, argv), argv
+    try:
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            full = _build_parser().parse_args(argv)
+    except SystemExit:
+        return
+    _, namespace, left = calls[-1]
+    assert left == []
+    assert vars(namespace) == vars(full), argv
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(ring_file):
+    ring = ("generate", "ring", "--n", "5", "--theta", "5", "--rho", "2")
+    for argv, progs in (
+        (("analyze", ring_file), ["frc analyze"]),
+        ((*ring, "--json"), ["frc generate ring"]),
+        (("sweep", "ring", "--n", "5", "--rho", "2", "--m", "1"), ["frc sweep ring"]),
+        # A word left over takes the full parse, for its top-level error.
+        (("analyze", ring_file, "extra"), ["frc analyze", "frc"]),
+        (("sweep", "bogus"), ["frc"]),
+    ):
+        with outermost_parses() as calls:
+            outcome(main, list(argv))
+        assert [parser.prog for parser, _, _ in calls] == progs, argv
+
+
 def test_missing_code_file(capsys, tmp_path):
     rc, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
     assert rc == 1
@@ -791,6 +895,7 @@ def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path, ring_fil
         ("repair", ring_file),  # --fail is required
         ("--help",),
         ("analyze", ring_file, "--file-size", "1"),
+        ("analyze", ring_file, "extra"),  # left over: the full parse refuses it
         ("analyze", ring_file),
         (*ring, "-o", written),
         ring,
@@ -814,10 +919,11 @@ def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path, ring_fil
         _build_parser.cache_clear()
         fresh.append(call(argv))
     assert shared == fresh
-    assert [rc for rc, _, _ in shared] == [2, 2, 0, 0, 0, 0, 0, 0, 0]
-    assert "reconstruction degree at M=4" in shared[4][1]
-    assert shared[6][1].startswith("n=5 theta=5")
-    assert not shared[8][1].startswith("{")
+    assert [rc for rc, _, _ in shared] == [2, 2, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert "frc: error: unrecognized arguments: extra" in shared[4][2]
+    assert "reconstruction degree at M=4" in shared[5][1]
+    assert shared[7][1].startswith("n=5 theta=5")
+    assert not shared[9][1].startswith("{")
 
 
 def test_generate_refuses_wide_code_at_once(capsys):
@@ -943,6 +1049,28 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "audit-table" in proc.stdout
+
+
+def test_entry_point_reads_the_command_line_from_sys_argv(capsys, ring_file):
+    # `python -m frcodes` and `frc` call main() with no argv, so it reads
+    # sys.argv; the answers match main(argv) in process.
+    for argv in (
+        ("sweep", "ring", "--n", "5", "--rho", "2", "--m", "1", "--json"),
+        ("analyze", ring_file, "--fil", "2"),
+    ):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        with mock.patch.object(sys, "argv", ["frc", *argv]):
+            rc = main()
+        assert (rc, *capsys.readouterr()) == expected
+        proc = subprocess.run(
+            [sys.executable, "-m", "frcodes", *argv],
+            capture_output=True,
+            text=True,
+            cwd=Path(frcodes.__file__).parent.parent,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == expected[:2]
 
 
 # --- JSON text ---------------------------------------------------------------

@@ -210,6 +210,30 @@ def test_repair_plans_are_built_only_by_finish_plan():
     assert not outside, outside
 
 
+def test_no_private_argparse_attribute_is_read():
+    # main routes each command to the parser add_parser returned for it;
+    # argparse's private names may change in any release.
+    private = {"_actions", "_SubParsersAction", "_name_parser_map"}
+    found = breaches(
+        lambda node: isinstance(node, ast.Attribute)
+        and (
+            node.attr in private
+            or (getattr(node.value, "id", None) == "argparse" and node.attr.startswith("_"))
+        )
+    )
+    assert not found, found
+
+
+def test_command_lines_are_parsed_only_in_main():
+    # main owns the choice between a command's own parser and the full
+    # parse, so no other code parses arguments past it.
+    owner = lines_of("cli.py", {"main"})
+    found = breaches(calls_to("parse_args", "parse_known_args"))
+    assert found
+    outside = [site for site in found if site not in owner]
+    assert not outside, outside
+
+
 def code_lines(path: Path) -> list[tuple[int, str]]:
     """(line number, stripped text) of every line of path that is code:
     not blank, not a comment and not part of a docstring."""

@@ -69,8 +69,9 @@ ANDs two non-negative ints over the shorter), and it sums the packets
 held there with carry-save adders, one full adder per packet. It is
 exhaustive, as any exact method must be for minimum k-union, which is
 NP-hard. Rotation-invariant codes with no arc order take the symmetric
-walk of min_coverage, though the table is faster there: t(28,3,1) 135
-against 235 ms, t(24,4,2) 11 against 13 ms.
+walk of min_coverage. The table beats that walk on some of them and
+loses on others (t(28,2,1) 116-144 against 795 ms, t(28,4,3) 158-178
+against 47-49 ms), so neither route wins the class.
 n alone fixes the cost of the arc program and of the table, so each
 charges itself up front, in steps, and declines a code whose charge
 passes the budget: the program its row entries (about m^3 / 6 for a
@@ -112,7 +113,15 @@ from operator import add, or_
 from typing import Iterator, NamedTuple
 
 from .constructions import PrgSpec, RingSpec
-from .core import FrCode, _check_ints, packets_from_mask, profile, single_deficit_shape
+from .core import (
+    FrCode,
+    _check_bool,
+    _check_ints,
+    _rotate,
+    packets_from_mask,
+    profile,
+    single_deficit_shape,
+)
 from .errors import BudgetExceeded, KOutOfRange, Unreachable, _shown
 
 #: Default work ceiling of one search, in steps: candidates tried after
@@ -428,7 +437,7 @@ def _arc_order(code: FrCode) -> tuple[int, list[tuple[int, int]]] | None:
     for s in range(1, n + 1):
         if math.gcd(s, n) == 1 and (s * (b - a) + fewest - 1) % n < 2 * fewest - 1:
             d = pow(s, -1, n)  # i's successor under the relabeling is i + d
-            if fewest < n and (pair & (pair << d & full | pair >> n - d)).bit_count() != fewest - 1:
+            if fewest < n and (pair & _rotate(pair, d, n)).bit_count() != fewest - 1:
                 continue
             arcs = _arcs(code, s)
             if arcs is not None:
@@ -448,7 +457,7 @@ def _arcs(code: FrCode, s: int) -> list[tuple[int, int]] | None:
         if h == full:
             continue
         # An arc has exactly one held node whose predecessor is not.
-        starts = h & ~(h << 1 & full | h >> n - 1)
+        starts = h & ~_rotate(h, 1, n)
         if not starts or starts & starts - 1:
             return None
         arcs.append((starts.bit_length() - 1, h.bit_count()))
@@ -599,8 +608,11 @@ class GoodnessReport:
 
 def goodness_rhs(k: int, alpha: int, weak: bool = False) -> int:
     """Right side of the goodness bound: k*alpha - C(k, 2), one less in
-    the weak form. C(k, 2) needs k >= 0."""
+    the weak form. C(k, 2) needs k >= 0. weak must be a bool; the two
+    goodness checks take their right sides from here, so this refuses
+    any other weak of theirs too."""
     _check_ints((("k", k), ("alpha", alpha)))
+    _check_bool("weak", weak)
     if k < 0:
         raise KOutOfRange(f"k must be >= 0, got {_shown(k)}")
     return k * alpha - math.comb(k, 2) - (1 if weak else 0)

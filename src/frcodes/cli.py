@@ -14,11 +14,12 @@ search that passes it exits 1 with BudgetExceeded naming the search.
 
 The argument parser is built on the first main call and reused; each
 call parses into a fresh namespace, so main can be called repeatedly in
-one process. Each command's arguments are parsed by that command's own
-parser: the levels above it (frc, and frc generate and frc sweep) only
-route, so main looks the command words up and skips them. An argv that
-names no command, or that leaves arguments over, takes the full parse
-instead, so argparse's own top-level messages are unchanged.
+one process. Each command is registered once, by the call that routes
+it and sets its handler, and its arguments are parsed by its own parser:
+the levels above it (frc, and frc generate and frc sweep) only route, so
+main looks the command words up and skips them. An argv that names no
+command, or that leaves arguments over, takes the full parse instead,
+so argparse's own top-level messages are unchanged.
 """
 
 from __future__ import annotations
@@ -278,15 +279,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_leaf(subparsers, words, **kwargs):
+    def add_leaf(subparsers, words, handler, **kwargs):
         # The leaf's namespace also carries the dests of the words that
         # reach it, as the full parse sets them.
         leaf = _LEAVES[words] = subparsers.add_parser(words[-1], **kwargs)
-        leaf.set_defaults(**dict(zip(("command", "family"), words)))
+        leaf.set_defaults(handler=handler, **dict(zip(("command", "family"), words)))
         return leaf
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     gen = sub.add_parser("generate", help="build a code and print or save it")
     gen_sub = gen.add_subparsers(dest="family", required=True)
@@ -295,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("ring", constructions.RingSpec, "build_ring", "cyclic consecutive placement"),
         ("t", constructions.TSpec, "build_t_code", "shifted placement with step t+1"),
     ):
-        p = add_leaf(gen_sub, ("generate", family), help=about)
+        p = add_leaf(gen_sub, ("generate", family), _cmd_generate, help=about)
         for field in dataclasses.fields(spec):
             p.add_argument(f"--{field.name}", type=int, required=True)
         p.add_argument("-o", "--output", help="write the code to this path")
@@ -304,18 +302,15 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=[constructions.FORMAT_JSON, constructions.FORMAT_CSV_MATRIX],
             help="file format (default: by extension)",
         )
-        add_json(p)
-        p.set_defaults(handler=_cmd_generate, spec=spec, builder=builder)
+        p.set_defaults(spec=spec, builder=builder)
 
-    ana = add_leaf(sub, ("analyze",), help="profiles, coverage table, reconstruction degree")
+    ana = add_leaf(sub, ("analyze",), _cmd_analyze, help="profiles, coverage table, reconstruction degree")
     ana.add_argument("code", help="code file (.json or .csv)")
     ana.add_argument(
         "--file-size", type=int, help="outer layer size M (default theta-1, at least 1)"
     )
-    add_json(ana)
-    ana.set_defaults(handler=_cmd_analyze)
 
-    good = add_leaf(sub, ("goodness",), help="universal-goodness check")
+    good = add_leaf(sub, ("goodness",), _cmd_goodness, help="universal-goodness check")
     good.add_argument("code")
     good.add_argument("--weak", action="store_true", help="force the relaxed bound")
     # The structural check scans every k and takes no file size.
@@ -328,26 +323,20 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument(
         "--file-size", type=int, help="point-check file size (default theta-1, at least 1)"
     )
-    add_json(good)
-    good.set_defaults(handler=_cmd_goodness)
 
-    rep = add_leaf(sub, ("repair",), help="minimum-helper repair plan for one node")
+    rep = add_leaf(sub, ("repair",), _cmd_repair, help="minimum-helper repair plan for one node")
     rep.add_argument("code")
     rep.add_argument("--fail", type=int, required=True, help="failed node, 1-based label")
-    add_json(rep)
-    rep.set_defaults(handler=_cmd_repair)
 
     sw = sub.add_parser("sweep", help="regenerate ring parameter tables")
     sw_sub = sw.add_subparsers(dest="family", required=True)
-    sw_ring = add_leaf(sw_sub, ("sweep", "ring"))
+    sw_ring = add_leaf(sw_sub, ("sweep", "ring"), _cmd_sweep)
     sw_ring.add_argument("--n", required=True, help="range A..B or single value")
     sw_ring.add_argument("--rho", required=True, help="range A..B or single value")
     sw_ring.add_argument("--m", required=True, help="rounds range A..B or single value")
     sw_ring.add_argument("-o", "--output", help="write rows as CSV")
-    add_json(sw_ring)
-    sw_ring.set_defaults(handler=_cmd_sweep)
 
-    aud = add_leaf(sub, ("audit-table",), help="arithmetic re-check of a parameter table")
+    aud = add_leaf(sub, ("audit-table",), _cmd_audit_table, help="arithmetic re-check of a parameter table")
     aud.add_argument("table", nargs="?", help="CSV path (header n,k,d,rho,theta[,t])")
     aud.add_argument("--family", choices=[sweep.FAMILY_RING, sweep.FAMILY_T])
     aud.add_argument(
@@ -355,17 +344,16 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(sweep.BUNDLED_TABLES),
         help="audit a bundled reference table instead of a file",
     )
-    add_json(aud)
-    aud.set_defaults(handler=_cmd_audit_table)
 
     conj = add_leaf(
-        sub, ("conjecture",), help="compare brute force against the heterogeneous-ring formula"
+        sub, ("conjecture",), _cmd_conjecture,
+        help="compare brute force against the heterogeneous-ring formula",
     )
     conj.add_argument("--n", required=True, help="range A..B or single value")
     conj.add_argument("--rho", required=True, help="range A..B or single value")
-    add_json(conj)
-    conj.set_defaults(handler=_cmd_conjecture)
 
+    for leaf in _LEAVES.values():  # last, so each help lists it after the leaf's own
+        leaf.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

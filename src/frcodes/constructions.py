@@ -33,6 +33,7 @@ from .core import (
     _check_ints,
     _check_sizes,
     _freeze,
+    _rotate,
     incidence_matrix,
     make_code,
 )
@@ -45,11 +46,6 @@ from .errors import (
     RhoRange,
     _shown,
 )
-
-
-def _rotate(mask: int, r: int, n: int) -> int:
-    """mask rotated left by r (0 <= r < n) within n bits."""
-    return (mask << r | mask >> (n - r)) & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,11 @@ from .errors import (
 DEFAULT_THETA_CAP = 4096
 
 
+def _rotate(mask: int, r: int, n: int) -> int:
+    """mask rotated left by r (0 <= r < n) within n bits."""
+    return (mask << r | mask >> (n - r)) & ((1 << n) - 1)
+
+
 def packets_from_mask(mask: int) -> tuple[int, ...]:
     """Sorted packet indices of a bitmask."""
     out = []
@@ -107,6 +112,13 @@ def _check_ints(fields: Iterable[tuple[str, Any]], error=InvariantViolation) -> 
     for name, value in fields:
         if type(value) is not int:
             raise error(f"{name}={_shown(value)!r} is not an integer")
+
+
+def _check_bool(name: str, value: Any) -> None:
+    """Raise InvariantViolation unless value is a bool: a flag read by
+    truth would take 0, "no" or [0] as some answer, silently."""
+    if type(value) is not bool:
+        raise InvariantViolation(f"{_shown(name)}={_shown(value)!r} is not a bool")
 
 
 def _check_sizes(n: int, theta: int) -> None:

@@ -33,7 +33,7 @@ from .analysis import (
     reconstruction_degree,
 )
 from .constructions import RingSpec, _write_file, build_ring, read_csv_records
-from .core import DEFAULT_THETA_CAP, FrCode, _check_cap, _check_ints, profile
+from .core import DEFAULT_THETA_CAP, FrCode, _check_bool, _check_cap, _check_ints, profile
 from .errors import MalformedRow, ParseError, RhoRange, _shown
 
 PROVENANCE_GENERATED = "generated"
@@ -224,6 +224,7 @@ def audit_table(rows: Iterable[TableRow], family: str) -> list[AuditFinding]:
 def filter_rhs(rows: Iterable[TableRow], strict: bool = True) -> list[TableRow]:
     """Rows whose goodness right side at the listed k is positive
     (strict) or nonnegative."""
+    _check_bool("strict", strict)
     out = []
     for row in rows:
         rhs = goodness_rhs(row.k, row.d)

@@ -798,9 +798,16 @@ def test_routed_command_lines_match_the_full_parse(argv_paths, data):
 def test_a_command_is_parsed_by_its_own_parser_alone(ring_file):
     ring = ("generate", "ring", "--n", "5", "--theta", "5", "--rho", "2")
     for argv, progs in (
-        (("analyze", ring_file), ["frc analyze"]),
+        # One command line for each of the nine commands.
+        (("generate", "prg", "--n", "7", "--d", "3"), ["frc generate prg"]),
         ((*ring, "--json"), ["frc generate ring"]),
+        (("generate", "t", "--n", "7", "--d", "3", "--t", "1"), ["frc generate t"]),
+        (("analyze", ring_file), ["frc analyze"]),
+        (("goodness", ring_file, "--structural"), ["frc goodness"]),
+        (("repair", ring_file, "--fail", "1"), ["frc repair"]),
         (("sweep", "ring", "--n", "5", "--rho", "2", "--m", "1"), ["frc sweep ring"]),
+        (("audit-table", "--bundled", "ring_rho2"), ["frc audit-table"]),
+        (("conjecture", "--n", "4", "--rho", "2"), ["frc conjecture"]),
         # A word left over takes the full parse, for its top-level error.
         (("analyze", ring_file, "extra"), ["frc analyze", "frc"]),
         (("sweep", "bogus"), ["frc"]),

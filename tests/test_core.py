@@ -304,6 +304,43 @@ def test_every_budget_that_is_not_an_int_is_refused(name, budget):
         getattr(frcodes, name)(**kwargs)
 
 
+#: (name, flag, annotation) of every bool parameter of the public functions.
+FLAGS = [
+    (name, param, arg.annotation)
+    for name in sorted(vars(frcodes))
+    if not name.startswith("_") and inspect.isfunction(getattr(frcodes, name))
+    for param, arg in inspect.signature(getattr(frcodes, name)).parameters.items()
+    if arg.annotation in ("bool", "bool | None")
+]
+#: Valid arguments of every public function with a flag.
+FLAG_CALLS = {
+    "filter_rhs": dict(rows=[frcodes.TableRow(5, 3, 2, 2, 5)]),
+    "goodness_arithmetic": CALLS["goodness_arithmetic"],
+    "goodness_rhs": CALLS["goodness_rhs"],
+    "goodness_structural": CALLS["goodness_structural"],
+}
+
+
+def test_every_flag_has_valid_arguments():
+    assert {name for name, _, _ in FLAGS} == set(FLAG_CALLS)
+
+
+@pytest.mark.parametrize("name, flag, annotation", FLAGS)
+@pytest.mark.parametrize("value", [0, 1, "no", 2.0, None])
+def test_every_flag_that_is_not_a_bool_is_refused(name, flag, annotation, value):
+    # Read by truth, weak="no" once picked the weak form and weak=0 the
+    # strict one, each reported as given.
+    function = getattr(frcodes, name)
+    for answered in (True, False):
+        function(**FLAG_CALLS[name], **{flag: answered})
+    if value is None and annotation == "bool | None":
+        function(**FLAG_CALLS[name], **{flag: value})  # the default: a form from the code
+        return
+    message = f"^{flag}={re.escape(repr(value))} is not a bool$"
+    with pytest.raises(InvariantViolation, match=message):
+        function(**FLAG_CALLS[name], **{flag: value})
+
+
 
 #: field; specs are built as well.
 INSTANCES = [

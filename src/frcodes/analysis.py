@@ -42,7 +42,9 @@ reconstruction_degree). Where t = theta - M + 1 packets share a holder
 set of the fewest holders any packet has, that set is the answer and
 no walk runs; otherwise the degree is read there once C(n, k) exceeds
 that walk's count, and the transpose's own rotation symmetry (the
-packet rotation j -> j+1) restricts that walk the same way.
+packet rotation j -> j+1) restricts that walk the same way. That walk
+stops at its first union of one node more than the fewest holders, a
+floor the count has then proven, rather than minimising past it.
 
 coverage_profile needs no walk on codes whose packets are each held by
 a cyclic arc of nodes, once the nodes are relabeled i -> s*i mod n for
@@ -561,6 +563,14 @@ def reconstruction_degree(
     are held by exactly that set, so then u = least and the degree
     n - least + 1 needs no walk, at any budget. This holds at every
     file size and always answers at M = theta (t = 1).
+
+    Otherwise no t packets share such a set. t packets whose holders
+    fit in least nodes would all have exactly those holders, so
+    u >= least + 1, and the walk on the transpose stops at its first
+    union of least + 1 nodes instead of trying every other t packets.
+    On a ring with n > theta >= 2 at M = theta - 1 that is the first
+    pair, packets 0 and 1. The walk only loses steps, so every budget
+    that answered before answers the same degree.
     """
     _check_ints((("budget", budget),))
     file_size = _checked_file_size(code.theta, file_size)
@@ -572,11 +582,22 @@ def reconstruction_degree(
     dual_cost = math.comb(code.theta, t)
     # All n nodes hold theta >= file_size packets, so k = n returns.
     for k in range(1, code.n + 1):
-        if math.comb(code.n, k) > dual_cost:
-            # Every packet has a holder, so 1 <= u <= n.
-            u, _ = min_coverage(code.transpose, t, budget)
-            return code.n - u + 1
-        if next(_smaller_unions(code, k, file_size, budget), None) is None:
+        dual = math.comb(code.n, k) > dual_cost
+        # The node side stops at its first union below file_size; the
+        # dual minimises u (at most n, as every packet has a holder), but
+        # stops at least + 1, below which no t packets' holders fall here.
+        side, size, bound, floor = (
+            (code.transpose, t, code.n + 1, least + 1)
+            if dual
+            else (code, k, file_size, file_size - 1)
+        )
+        found = None
+        for found, _ in _smaller_unions(side, size, bound, budget):
+            if found <= floor:
+                break
+        if dual:
+            return code.n - found + 1
+        if found is None:
             return k
 
 

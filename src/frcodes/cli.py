@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on failing verdicts or domain errors (the
 error class name goes to stderr) or when the reader of stdout closed it
 before the output was written (nothing goes to stderr), 2 on usage
-errors. Human-facing output labels nodes U_1..U_n and packets
+errors, and 130 when interrupted (Ctrl-C, SIGINT): "interrupted" goes
+to stderr in place of a KeyboardInterrupt traceback, a behaviour change
+from earlier releases. Human-facing output labels nodes U_1..U_n and packets
 P_1..P_theta (1-based); code files and --json output keep the 0-based
 indices used in memory. --json output is the text json.dumps(result,
 indent=2) gives, byte for byte, written by constructions._json_text;
@@ -385,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except FrcError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C; 130 is the shell's code for SIGINT
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -229,6 +229,34 @@ def _infer_format(path: str) -> str:
     )
 
 
+#: The exact types a flat record's values may have.
+_SCALARS = {int, str, bool, type(None)}
+
+
+def _flat_records(items: list | tuple) -> list[dict] | None:
+    """Each item as a dict when every one is a non-empty flat record: a
+    dict, or an object that is no JSON type and whose vars is a dict,
+    with str keys and values of exact type int, str, bool or None. None
+    otherwise."""
+    records = []
+    for item in items:
+        if type(item) is dict:
+            record = item
+        elif isinstance(item, (int, float, str, list, tuple, dict)):
+            return None
+        else:
+            record = getattr(item, "__dict__", None)  # vars(item), or None
+        # An empty record has no str key, so it is refused too.
+        if (
+            type(record) is not dict
+            or {*map(type, record)} != {str}
+            or not {*map(type, record.values())} <= _SCALARS
+        ):
+            return None
+        records.append(record)
+    return records
+
+
 def _json_text(obj: Any, pad: str = "\n") -> str:
     """Exactly json.dumps(obj, indent=2, default=vars) on what frc
     writes: dicts with str keys, lists, tuples, str, int, bool, None,
@@ -240,6 +268,18 @@ def _json_text(obj: Any, pad: str = "\n") -> str:
     them, in C. pad is a newline and the enclosing indent. A float, a
     non-str key or a subclass of a JSON type raises TypeError, so
     nothing outside that set is written unnoticed.
+
+    A list of two or more flat records (_flat_records), such as
+    conjecture findings, is written by one call of the C encoder, whose
+    item separator is a comma, a newline and the records' field indent.
+    That writes each record's fields as json.dumps does, and separates
+    the records by a close brace, that separator and an open brace,
+    which one replace turns into the list layout. The replace is exact:
+    an encoded string holds no raw newline, and a flat record holds no
+    brace outside its strings, so that sequence occurs only between
+    records. A single record, such as the row of a one-ring sweep, has
+    no separator to save and takes the per-field path, where setting up
+    the encoder would cost more than it saves.
     """
     kind = type(obj)
     if kind is int:
@@ -258,6 +298,15 @@ def _json_text(obj: Any, pad: str = "\n") -> str:
             sep = "," + deeper
             items = [f"[{deeper}{sep.join(map(int.__repr__, item))}{inner}]" for item in obj]
         else:
+            records = _flat_records(obj) if len(obj) > 1 else None
+            if records is not None:
+                deeper = inner + "  "
+                text = json.JSONEncoder(
+                    separators=("," + deeper, ": "), check_circular=False
+                ).encode(records)
+                opening = inner + "{" + deeper
+                between = text[2:-2].replace("}," + deeper + "{", inner + "}," + opening)
+                return "[" + opening + between + inner + "}" + pad + "]"
             items = [_json_text(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict:

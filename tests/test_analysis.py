@@ -50,7 +50,7 @@ from frcodes.analysis import (
     _unranked,
 )
 from frcodes.core import FrCode
-from frcodes.sweep import default_theta_rule
+from frcodes.sweep import conjecture_harness, default_theta_rule
 from oracles import (
     brute_holders,
     brute_min_coverage,
@@ -890,6 +890,22 @@ def test_symmetric_search_engages_on_invariant_codes_only():
         assert public_reads >= reads
 
 
+def test_the_dual_walk_stops_at_its_proven_floor():
+    # ring(12, 7, 3) at M = 6: no two packets share a window of 3 nodes,
+    # so u >= 4, and the first pair, packets 0 and 1, spans 4 nodes. The
+    # dual walk reads their two holder sets and stops there; minimising
+    # it tries the other pairs.
+    ring = build_ring(RingSpec(12, 7, 3))
+    code = FrCode(n=ring.n, theta=ring.theta, masks=ring.masks)
+    dual = FrCode(n=ring.theta, theta=ring.n, masks=CountingMasks(ring.holders))
+    # What cached_property stores, read off the real transpose.
+    dual.__dict__.update(holders=ring.masks, rotation_invariant=ring.transpose.rotation_invariant)
+    code.__dict__["transpose"] = dual
+    assert reconstruction_degree(code) == 12 - 4 + 1 == predicted_k_ring(12, 7, 3).k
+    assert dual.masks.reads == 2
+    assert min_coverage(dual, 2) == (4, (0, 1)) and dual.masks.reads > 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_circulant_search_paths_agree_with_oracles(data):
@@ -1246,10 +1262,12 @@ def test_coverage_is_unchanged_by_relabeling_above_the_oracles_reach(spec):
         for k, best in enumerate(zip(dp.values, dp.witnesses), start=1):
             assert best == next(_smaller_unions(c, k, best[0] + 1, 10**8)), k
     # Each degree is read off the profile and off the transpose, on the
-    # code and on its node relabeling, whose walks have no symmetry.
+    # code, on its node relabeling, whose walks have no symmetry, and on
+    # its packet relabeling, whose dual walk meets its floor at other
+    # packets.
     for file_size in range(1, code.theta + 1):
         least = next(k for k, value in enumerate(prof.values, start=1) if value >= file_size)
-        for c in (code, other):
+        for c in (code, other, shuffled):
             u, _ = min_coverage(c.transpose, c.theta - file_size + 1)
             assert reconstruction_degree(c, file_size) == least == c.n - u + 1, file_size
 
@@ -1331,6 +1349,15 @@ def test_transpose_settles_the_conjectured_ring_branches():
                 assert n - u + 1 == predicted_k_ring(n, theta, rho).k
                 checked += 1
     assert checked == 11886
+
+
+def test_the_conjecture_harness_agrees_with_both_proven_branches():
+    # predicted_k_ring's docstring proves the conjectured branches at
+    # theta - 1, so every instance agrees; the harness reads each degree
+    # off the shared window, or off the dual walk stopped at its floor.
+    findings = conjecture_harness(range(4, 41), range(2, 5))
+    assert len(findings) == 6874
+    assert all(f.brute_k == predicted_k_ring(f.n, f.theta, f.rho).k for f in findings)
 
 
 def test_predicted_k_matches_brute_force_on_homogeneous_rings():

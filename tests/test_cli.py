@@ -7,9 +7,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
@@ -1045,6 +1047,38 @@ def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
     assert "Exception ignored" not in proc.stderr
 
 
+def test_ctrl_c_exits_130_with_one_line_and_no_traceback(capsys, monkeypatch, ring_file):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analysis, "reconstruction_degree", interrupted)
+    assert run(capsys, "goodness", ring_file) == (130, "", "interrupted\n")
+
+
+def test_sigint_during_a_search_exits_130_without_a_traceback(tmp_path):
+    # goodness on ring(60,90,3) at M = 45 scans k past 30 and runs away;
+    # at this budget it would search for minutes, so the signal sent
+    # after the import lands inside the search.
+    path = tmp_path / "ring60.json"
+    export_code(build_ring(RingSpec(60, 90, 3)), str(path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frcodes", "goodness", str(path), "--file-size", "45"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=Path(frcodes.__file__).parent.parent,
+        env={**os.environ, "FRC_BUDGET": str(10**9)},
+    )
+    try:
+        time.sleep(2)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+
+
 def test_module_entry_point():
     # Run from the directory holding the package, so that the child finds
     # it whether or not PYTHONPATH names src/.
@@ -1089,6 +1123,13 @@ class Pair:
     second: object
 
 
+class Flagged(int):
+    """An int whose vars is a flat record, {"flag": True}."""
+
+    def __init__(self, value):
+        self.flag = True
+
+
 # Any code point, lone surrogates too, with the characters json escapes
 # drawn often.
 JSON_TEXT = st.text(
@@ -1098,6 +1139,14 @@ JSON_TEXT = st.text(
     )
 )
 JSON_INTS = st.one_of(st.integers(-300, 300), st.integers(-(10**80), 10**80))
+# Flat records, which the writer encodes a list of at once: the keys and
+# strings draw often what its one replace looks for between records.
+RECORD_TEXT = st.one_of(JSON_TEXT, st.sampled_from(["},", "},\n      {", '"', "\n", "é", "\U0001f600"]))
+RECORD_SCALARS = st.one_of(st.none(), st.booleans(), JSON_INTS, RECORD_TEXT)
+FLAT_RECORDS = st.one_of(
+    st.dictionaries(RECORD_TEXT, RECORD_SCALARS, max_size=4),
+    st.builds(Pair, RECORD_SCALARS, RECORD_SCALARS),
+)
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), JSON_INTS, JSON_TEXT),
     lambda inner: st.one_of(
@@ -1108,6 +1157,8 @@ JSON_VALUES = st.recursive(
         # The writer's shortcuts: plain ints, and non-empty lists of them.
         st.lists(st.one_of(JSON_INTS, st.booleans()), max_size=4),
         st.lists(st.lists(JSON_INTS, max_size=3).map(tuple), max_size=4),
+        st.lists(FLAT_RECORDS, max_size=4),
+        st.lists(FLAT_RECORDS, max_size=4).map(tuple),
     ),
     max_leaves=24,
 )
@@ -1120,7 +1171,19 @@ def test_json_text_is_json_dumps_byte_for_byte(value):
 
 
 @pytest.mark.parametrize(
-    "value", [1.5, [0, 2.0], {"a": float("nan")}, {1: 2}, {"a": {None: 0}}, Pair(1, {True: 0})]
+    "value",
+    [
+        1.5,
+        [0, 2.0],
+        {"a": float("nan")},
+        {1: 2},
+        {"a": {None: 0}},
+        Pair(1, {True: 0}),
+        [{"a": 1}, {"b": 2.5}],
+        (Pair(1, "x"), Pair(0.5, None)),
+        [{"a": 1}, {None: 0}],
+        [Flagged(1), Flagged(2)],
+    ],
 )
 def test_json_text_refuses_floats_and_keys_that_are_not_str(value):
     with pytest.raises(TypeError):

@@ -49,14 +49,15 @@ floor the count has then proven, rather than minimising past it.
 coverage_profile needs no walk on codes whose packets are each held by
 a cyclic arc of nodes, once the nodes are relabeled i -> s*i mod n for
 some unit s (every ring code, and every shifted-placement code whose
-step t + 1 is prime to n). The packets that k chosen nodes miss are
-exactly the arcs that fit in the gaps between them, so M(k) is theta
-less the most arcs that k gaps can hold, and one dynamic program over
-gap endpoints gives that for every k at once: O(n^3) from one cut of
-the cycle on a rotation-invariant code, O(n^4) over all n cuts
-otherwise. Its key, the arcs missed times 2^n plus 2^(n - 1 - i) for
-each chosen node i, is largest at k for M(k)'s lex-least witness, so
-each witness comes with its value.
+step t + 1 is prime to n); _arc_order tests a holder set under a unit
+with one rotation in node labels, and relabels none. The packets that
+k chosen nodes miss are exactly the arcs that fit in the gaps between
+them, so M(k) is theta less the most arcs that k gaps can hold, and one
+dynamic program over gap endpoints gives that for every k at once:
+O(n^3) from one cut of the cycle on a rotation-invariant code, O(n^4)
+over all n cuts otherwise. Its key, the arcs missed times 2^n plus
+2^(n - 1 - i) for each chosen node i, is largest at k for M(k)'s
+lex-least witness, so each witness comes with its value.
 
 coverage_profile reads codes with no arc order and no rotation symmetry
 (prg codes, seeded random codes) off a table of the union sizes of all
@@ -418,52 +419,41 @@ def _arc_order(code: FrCode) -> tuple[int, list[tuple[int, int]]] | None:
     (start, length) of each arc but those round the whole cycle, which
     no choice of nodes misses. None when no unit does.
 
-    A set is an arc exactly when its complement is, and two nodes a < b
-    of an arc of r nodes lie within r - 1 of each other. So only units
-    with s*(b - a) mod n within r - 1 of 0 are tried, for two nodes of
-    the holder set or complement with the fewest nodes r > 1. That set
-    is an arc under s exactly when r - 1 of its nodes i also hold
-    i + 1/s mod n (one run of r), so a unit that passes the pair is
-    checked on the set alone before the other holder sets are scanned.
+    Under s, node i + d follows node i, d = 1/s mod n, so a set of r
+    nodes is an arc exactly when r - 1 of them follow one of its nodes,
+    and the one that does not starts it, at s*i mod n. A set is an arc
+    exactly when its complement is, and two nodes a < b of an arc of r
+    nodes lie within r - 1 of each other, so only units with
+    s*(b - a) mod n within r - 1 of 0 are tried, for the holder set or
+    complement with the fewest nodes r > 1; each tests that set first.
     """
     n = code.n
     full = (1 << n) - 1
-    fewest, pair = n, 3  # r = n, nodes 0 and 1: every unit passes
+    fewest, pair = n, full  # every unit passes the filter and the test
     for h in code.holders:
         r = h.bit_count()
         if n - r < r:
             h, r = full ^ h, n - r
         if 1 < r < fewest:
             fewest, pair = r, h
-    a, b = packets_from_mask(pair)[:2]
+    rest = pair >> (pair & -pair).bit_length()  # pair past its first node a
+    gap = (rest & -rest).bit_length()  # b - a, for its next node b
     for s in range(1, n + 1):
-        if math.gcd(s, n) == 1 and (s * (b - a) + fewest - 1) % n < 2 * fewest - 1:
-            d = pow(s, -1, n)  # i's successor under the relabeling is i + d
-            if fewest < n and (pair & _rotate(pair, d, n)).bit_count() != fewest - 1:
+        if math.gcd(s, n) == 1 and (s * gap + fewest - 1) % n < 2 * fewest - 1:
+            d = pow(s, -1, n)
+            if (pair & _rotate(pair, d, n)).bit_count() < fewest - 1:
                 continue
-            arcs = _arcs(code, s)
-            if arcs is not None:
+            arcs = []
+            for h in code.holders:
+                if h != full:
+                    r = h.bit_count()
+                    follow = h & _rotate(h, d, n)  # held nodes after a held node
+                    if follow.bit_count() < r - 1:  # r less one per run
+                        break
+                    arcs.append((s * ((h ^ follow).bit_length() - 1) % n, r))
+            else:
                 return s, arcs
     return None
-
-
-def _arcs(code: FrCode, s: int) -> list[tuple[int, int]] | None:
-    """The (start, length) of each holder set but the full one under the
-    relabeling i -> s*i mod n; None once one is not a cyclic arc."""
-    n = code.n
-    full = (1 << n) - 1
-    arcs = []
-    for h in code.holders:
-        if s > 1:  # relabel lazily: most codes fail on a few packets
-            h = sum(1 << s * i % n for i in packets_from_mask(h))
-        if h == full:
-            continue
-        # An arc has exactly one held node whose predecessor is not.
-        starts = h & ~_rotate(h, 1, n)
-        if not starts or starts & starts - 1:
-            return None
-        arcs.append((starts.bit_length() - 1, h.bit_count()))
-    return arcs
 
 
 def _most_missed(

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from operator import or_
 from unittest import mock
@@ -325,15 +326,28 @@ def one_pair_code(n):
     return make_code(n, n + 1, [[i, n] if i in (0, n // 2 - 1) else [i] for i in range(n)])
 
 
+def set_tests_by_unit(monkeypatch, n):
+    """Count the holder-set tests of _arc_order by unit: each test
+    rotates one set by d = 1/s mod n."""
+    tests = Counter()
+    rotate = analysis._rotate
+
+    def counted(mask, r, width):
+        tests[pow(r, -1, n)] += 1
+        return rotate(mask, r, width)
+
+    monkeypatch.setattr(analysis, "_rotate", counted)
+    return tests
+
+
 def test_arc_detection_fully_scans_only_the_units_that_can_work(monkeypatch):
     # The scan of every unit tried the 255 units below 511 first, each
-    # over all n + 1 holder sets; now only 511 is scanned.
+    # over all n + 1 holder sets; now only 511 tests more than its
+    # picked set.
     assert _arc_order(one_pair_code(64)) == every_unit_arc_order(one_pair_code(64))
-    scanned = []
-    arcs = analysis._arcs
-    monkeypatch.setattr(analysis, "_arcs", lambda code, s: scanned.append(s) or arcs(code, s))
+    tests = set_tests_by_unit(monkeypatch, 1024)
     assert _arc_order(one_pair_code(1024))[0] == 511
-    assert scanned == [511]
+    assert [s for s, count in tests.items() if count > 1] == [511]
     with pytest.raises(BudgetExceeded, match="^search at k=2 exceeds budget of 1 steps$"):
         coverage_profile(one_pair_code(2048), budget=1)
 
@@ -342,15 +356,24 @@ def test_arc_detection_checks_the_picked_set_before_a_full_scan(monkeypatch):
     # n one-node packets and one packet on the even nodes: the pair
     # filter passes nearly every odd unit, and each used to scan every
     # holder set (512 scans at n = 1,024). Under any unit the even nodes
-    # are no run of n/2 nodes, so none is scanned.
+    # are no run of n/2 nodes, so each unit tests that set alone.
     code = make_code(1024, 1025, [[i, 1024] if i % 2 == 0 else [i] for i in range(1024)])
-    scanned = []
-    arcs = analysis._arcs
-    monkeypatch.setattr(analysis, "_arcs", lambda code, s: scanned.append(s) or arcs(code, s))
+    tests = set_tests_by_unit(monkeypatch, 1024)
     assert _arc_order(code) is None
-    assert scanned == []
+    assert tests and set(tests.values()) == {1}
     with pytest.raises(BudgetExceeded, match="^search at k=2 exceeds budget of 1 steps$"):
         coverage_profile(code, budget=1)
+
+
+def test_arc_detection_refuses_a_picked_set_of_two_runs(monkeypatch):
+    # One packet on nodes 0, 1, n/2 and n/2 + 1: the pair filter passes
+    # the units 1, 3, n - 3 and n - 1, and under each the set is two
+    # runs of two nodes, so no unit tests more than that set.
+    n = 1024
+    code = make_code(n, n + 1, [[i, n] if i % (n // 2) < 2 else [i] for i in range(n)])
+    tests = set_tests_by_unit(monkeypatch, n)
+    assert _arc_order(code) is None
+    assert tests == {1: 1, 3: 1, n - 3: 1, n - 1: 1}
 
 
 @pytest.mark.parametrize(

@@ -110,14 +110,14 @@ def _cmd_analyze(args) -> int:
                 "n": code.n,
                 "theta": code.theta,
                 "alpha": prof.alpha,
-                "alpha_per_node": list(prof.alpha_per_node),
+                "alpha_per_node": prof.alpha_per_node,
                 "rho": prof.rho,
-                "rho_per_packet": list(prof.rho_per_packet),
+                "rho_per_packet": prof.rho_per_packet,
                 "uniform_storage": prof.is_uniform_storage,
                 "regular_replication": prof.is_regular_replication,
                 "classification": classification,
-                "min_coverage": list(cov.values),
-                "witnesses": [list(w) for w in cov.witnesses],
+                "min_coverage": cov.values,
+                "witnesses": cov.witnesses,
                 "file_size": file_size,
                 "reconstruction_degree": k,
             }
@@ -147,7 +147,7 @@ def _cmd_goodness(args) -> int:
             weak=args.weak or single_deficit_shape(prof), file_size=args.file_size,
         )
     if args.json:
-        print(constructions._json_text(report))
+        print(constructions._json_text(vars(report)))
     else:
         form = "weak" if report.weak else "strict"
         mode = "structural" if args.structural else "arithmetic"
@@ -170,7 +170,7 @@ def _cmd_repair(args) -> int:
     plan = repair.plan_repair(code, failed, budget=_budget())
     greedy = repair.plan_repair_greedy(code, failed)
     if args.json:
-        print(constructions._json_text({"plan": plan, "greedy": greedy}))
+        print(constructions._json_text({"plan": vars(plan), "greedy": vars(greedy)}))
         return 0
     print(f"failed node: {_node_label(failed)}")
     print(f"lost packets: {_packet_labels(code.packets(failed))}")
@@ -249,7 +249,7 @@ def _cmd_conjecture(args) -> int:
     if args.json:
         print(constructions._json_text(
             {
-                "instances": findings,
+                "instances": [vars(f) for f in findings],
                 "agree": agree,
                 "disagree": len(findings) - agree,
             }

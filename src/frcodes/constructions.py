@@ -233,41 +233,29 @@ def _infer_format(path: str) -> str:
 _SCALARS = {int, str, bool, type(None)}
 
 
-def _flat_records(items: list | tuple) -> list[dict] | None:
-    """Each item as a dict when every one is a non-empty flat record: a
-    dict, or an object that is no JSON type and whose vars is a dict,
-    with str keys and values of exact type int, str, bool or None. None
-    otherwise."""
-    records = []
-    for item in items:
-        if type(item) is dict:
-            record = item
-        elif isinstance(item, (int, float, str, list, tuple, dict)):
-            return None
-        else:
-            record = getattr(item, "__dict__", None)  # vars(item), or None
-        # An empty record has no str key, so it is refused too.
-        if (
-            type(record) is not dict
-            or {*map(type, record)} != {str}
-            or not {*map(type, record.values())} <= _SCALARS
-        ):
-            return None
-        records.append(record)
-    return records
+def _flat_records(items: list | tuple) -> bool:
+    """Whether every item is a non-empty flat record: a dict with str
+    keys and values of exact type int, str, bool or None."""
+    # An empty record has no str key, so it is refused too.
+    return all(
+        type(item) is dict
+        and {*map(type, item)} == {str}
+        and {*map(type, item.values())} <= _SCALARS
+        for item in items
+    )
 
 
 def _json_text(obj: Any, pad: str = "\n") -> str:
-    """Exactly json.dumps(obj, indent=2, default=vars) on what frc
-    writes: dicts with str keys, lists, tuples, str, int, bool, None,
-    and other objects as vars(obj).
+    """Exactly json.dumps(obj, indent=2) on JSON data: dicts with str
+    keys, lists, tuples, str, int, bool and None.
 
     json's C encoder takes no indent, so json.dumps walks indented
     output in pure Python. This builds each container as one joined
     string, and joins a list of plain ints, or of non-empty lists of
-    them, in C. pad is a newline and the enclosing indent. A float, a
-    non-str key or a subclass of a JSON type raises TypeError, so
-    nothing outside that set is written unnoticed.
+    them, in C. pad is a newline and the enclosing indent. Anything
+    else raises TypeError: a float, a non-str key, a subclass of a JSON
+    type or any other object, a dataclass too, so nothing outside that
+    set is written unnoticed.
 
     A list of two or more flat records (_flat_records), such as
     conjecture findings, is written by one call of the C encoder, whose
@@ -297,16 +285,15 @@ def _json_text(obj: Any, pad: str = "\n") -> str:
             deeper = inner + "  "
             sep = "," + deeper
             items = [f"[{deeper}{sep.join(map(int.__repr__, item))}{inner}]" for item in obj]
+        elif len(obj) > 1 and _flat_records(obj):
+            deeper = inner + "  "
+            text = json.JSONEncoder(
+                separators=("," + deeper, ": "), check_circular=False
+            ).encode(obj)
+            opening = inner + "{" + deeper
+            between = text[2:-2].replace("}," + deeper + "{", inner + "}," + opening)
+            return "[" + opening + between + inner + "}" + pad + "]"
         else:
-            records = _flat_records(obj) if len(obj) > 1 else None
-            if records is not None:
-                deeper = inner + "  "
-                text = json.JSONEncoder(
-                    separators=("," + deeper, ": "), check_circular=False
-                ).encode(records)
-                opening = inner + "{" + deeper
-                between = text[2:-2].replace("}," + deeper + "{", inner + "}," + opening)
-                return "[" + opening + between + inner + "}" + pad + "]"
             items = [_json_text(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict:
@@ -325,9 +312,7 @@ def _json_text(obj: Any, pad: str = "\n") -> str:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, (int, float, str, list, tuple, dict)):
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
-    return _json_text(vars(obj), pad)
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 def code_to_dict(code: FrCode) -> dict:

@@ -797,6 +797,11 @@ def predicted_k_ring(n: int, theta: int, rho: int) -> KPrediction:
     nodes, so any two differ and u >= rho + 1; packets 0 and 1 reach it.
     """
     RingSpec(n, theta, rho)  # reuse integer, size and rho-range validation
+    return _predicted_k(n, theta, rho)
+
+
+def _predicted_k(n: int, theta: int, rho: int) -> KPrediction:
+    """predicted_k_ring with no check: the caller has made RingSpec's."""
     if theta == n:
         return KPrediction(n - rho, "theorem")
     if theta % n == 0:

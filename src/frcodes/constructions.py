@@ -141,12 +141,27 @@ def build_ring(spec: RingSpec) -> FrCode:
     more than the rest, and node i holds the rho residues up to i. Equal
     sizes at every i would make that proper arc of residues invariant
     under a shift by rho, which 0 < rho < n rules out.
+
+    The checks are the spec's and the two size checks here; the
+    placement is _ring, which checks nothing itself. The ring sweeps
+    (sweep._ring_degrees) check their whole grid once, build each
+    (n, rho)'s arcs once and call _ring for every theta.
     """
     n, theta, rho = spec.n, spec.theta, spec.rho
     _check_sizes(n, theta)
     _check_cap("n", n)
-    # arcs[r]: the nodes holding a packet j = r (mod n).
-    arcs = [_rotate((1 << rho) - 1, r, n) for r in range(n)]
+    return _ring(n, theta, rho, _ring_arcs(n, rho))
+
+
+def _ring_arcs(n: int, rho: int) -> list[int]:
+    """arcs[r]: the nodes holding a packet j = r (mod n) of any ring
+    code on n nodes with replication rho."""
+    return [_rotate((1 << rho) - 1, r, n) for r in range(n)]
+
+
+def _ring(n: int, theta: int, rho: int, arcs: list[int]) -> FrCode:
+    """ring(n, theta, rho) from _ring_arcs(n, rho), with no check of
+    the sizes: every caller has made build_ring's checks first."""
     rounds = theta // n + 1
     # Bit k*n set for every round k: multiplying an n-bit window by it
     # copies the window into each round, with no carries.

@@ -14,7 +14,9 @@ conjecture_harness compares exact reconstruction degrees of
 heterogeneous ring codes against the conjectured closed form and
 reports agreement per instance. Agreement is never asserted here; the
 harness exists to collect evidence. Both sweeps walk their grid in
-_ring_degrees, which builds and searches every ring.
+_ring_degrees. It checks the axes and the cap once, before any search,
+builds each (n, rho)'s holder arcs once, and builds and searches the
+ring of every theta from those arcs.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from typing import Callable, Iterable, Iterator
 
 from .analysis import (
     DEFAULT_BUDGET,
+    _predicted_k,
     goodness_arithmetic,
     goodness_rhs,
     predicted_k_ring,
     reconstruction_degree,
 )
-from .constructions import RingSpec, _write_file, build_ring, read_csv_records
+from .constructions import _ring, _ring_arcs, _write_file, read_csv_records
 from .core import DEFAULT_THETA_CAP, FrCode, _check_bool, _check_cap, _check_ints, profile
 from .errors import MalformedRow, ParseError, RhoRange, _shown
 
@@ -122,10 +125,15 @@ def _ring_degrees(
     """(n, rho, theta, ring(n, theta, rho), k) for every rho in 2..n-1 and
     theta in thetas(n), by ascending n, then rho, then theta, where k is
     the ring's reconstruction degree at file size theta - 1. thetas(n)
-    ascends and stays at most rounds * n. A non-int n, rho or budget is
-    refused first, then the grid's first ring past the cap, both before any
-    search; the least rho >= 2 fits every n that any rho fits, so only
-    those n are checked."""
+    ascends from at least 2, stays at most rounds * n, and refuses an n
+    past the cap unless each of its thetas is at least n. A non-int n,
+    rho or budget is refused first, then the grid's first ring past the
+    cap, both before any search; the least rho >= 2 fits every n that any
+    rho fits, so only those n are checked.
+
+    Those are the grid's only checks: every ring it then visits passes
+    build_ring's checks, so each (n, rho)'s arcs are built once and every
+    theta's ring is placed from them by _ring, with no RingSpec."""
     n_values, rho_values = list(n_values), list(rho_values)
     _check_ints([("n", n) for n in n_values] + [("rho", rho) for rho in rho_values]
                 + [("budget", budget)])
@@ -138,8 +146,9 @@ def _ring_degrees(
     for n in n_values:
         for rho in rho_values:
             if 2 <= rho <= n - 1:
+                arcs = _ring_arcs(n, rho)
                 for theta in thetas(n):
-                    code = build_ring(RingSpec(n=n, theta=theta, rho=rho))
+                    code = _ring(n, theta, rho, arcs)
                     k = reconstruction_degree(code, theta - 1, budget=budget)
                     yield n, rho, theta, code, k
 
@@ -423,7 +432,7 @@ def conjecture_harness(
     findings = []
     grid = _ring_degrees(n_values, rho_values, 3, default_theta_rule, budget)
     for n, rho, theta, _, brute in grid:
-        predicted = predicted_k_ring(n, theta, rho).k
+        predicted = _predicted_k(n, theta, rho).k
         findings.append(
             ConjectureFinding(
                 n=n,

@@ -189,10 +189,11 @@ def test_goodness_reports_are_built_only_by_their_builder():
 def test_sweeps_build_and_search_rings_only_in_their_grid_walk():
     # sweep._ring_degrees refuses a bad grid before any search and then
     # builds and searches each ring, so neither sweep walks a grid itself.
+    # _ring checks nothing, so it is reached only from a checked grid.
     owner = lines_of("sweep.py", {"_ring_degrees"})
     found = [
         site
-        for site in breaches(calls_to("build_ring", "reconstruction_degree"))
+        for site in breaches(calls_to("_ring", "reconstruction_degree"))
         if site.startswith("sweep.py:")
     ]
     assert len(found) == 2

@@ -27,6 +27,7 @@ from frcodes import (
     default_theta_rule,
     filter_rhs,
     load_bundled_table,
+    predicted_k_ring,
     read_rows_csv,
     restrict_rho,
     sweep_ring,
@@ -486,6 +487,56 @@ def test_conjecture_harness_fields_and_example():
 
 def test_conjecture_harness_skips_invalid_rho():
     assert conjecture_harness([3], [5]) == []
+
+
+def test_the_grid_builds_the_builders_rings(monkeypatch):
+    # _ring_degrees checks the grid once and places every ring from its
+    # (n, rho)'s shared arcs, so each must be the ring build_ring gives,
+    # with the same cached transpose and symmetry.
+    visited = []
+    place = sweep._ring
+
+    def recording(n, theta, rho, arcs):
+        code = place(n, theta, rho, arcs)
+        visited.append((n, theta, rho, code))
+        return code
+
+    monkeypatch.setattr(sweep, "_ring", recording)
+    sweep_ring(range(3, 13), [2, 3, 4], [1, 2, 3])
+    swept = len(visited)
+    assert [(n, theta, rho) for n, theta, rho, _ in visited] == [
+        (n, m * n, rho) for n in range(3, 13) for rho in (2, 3, 4) if rho < n for m in (1, 2, 3)
+    ]
+    findings = conjecture_harness(range(3, 13), [2, 3, 4])
+    assert [(n, theta, rho) for n, theta, rho, _ in visited[swept:]] == [
+        (f.n, f.theta, f.rho) for f in findings
+    ]
+    for n, theta, rho, code in visited:
+        built = build_ring(RingSpec(n=n, theta=theta, rho=rho))
+        assert code == built, (n, theta, rho)
+        cached = ("holders", "rotation_invariant")
+        assert {key: vars(code)[key] for key in cached} == {
+            key: vars(built)[key] for key in cached
+        }, (n, theta, rho)
+    for f in findings:
+        assert sweep._predicted_k(f.n, f.theta, f.rho) == predicted_k_ring(f.n, f.theta, f.rho)
+
+
+def test_the_grid_builds_each_n_and_rhos_arcs_once(monkeypatch):
+    # One _ring_arcs call per (n, rho) pair: n 4..14 fit 2 + 10 * 3 = 32
+    # pairs, for 751 rings.
+    calls = []
+    arcs = sweep._ring_arcs
+
+    def counting(n, rho):
+        calls.append((n, rho))
+        return arcs(n, rho)
+
+    monkeypatch.setattr(sweep, "_ring_arcs", counting)
+    findings = conjecture_harness(range(4, 15), [2, 3, 4])
+    assert len(findings) == 751
+    assert len(calls) == 32
+    assert calls == sorted(set(calls))
 
 
 def test_bundled_tables_registry_matches_data_files():

@@ -40,11 +40,14 @@ The reconstruction degree can also be read from the packets' side, as
 a coverage of the transpose (FrCode.transpose; see
 reconstruction_degree). Where t = theta - M + 1 packets share a holder
 set of the fewest holders any packet has, that set is the answer and
-no walk runs; otherwise the degree is read there once C(n, k) exceeds
-that walk's count, and the transpose's own rotation symmetry (the
-packet rotation j -> j+1) restricts that walk the same way. That walk
-stops at its first union of one node more than the fewest holders, a
-floor the count has then proven, rather than minimising past it.
+no walk runs. Otherwise the fewest nodes holding some t packets are
+at least one more, a floor the count has proven, and at most the nodes
+holding the first t packets, the transpose walk's first leaf; where the
+two meet, as on every ring at M = theta - 1, no walk runs either.
+Otherwise the degree is read there once C(n, k) exceeds that walk's
+count, and the transpose's own rotation symmetry (the packet rotation
+j -> j+1) restricts that walk the same way. That walk stops at its
+first union on the floor rather than minimising past it.
 
 coverage_profile needs no walk on codes whose packets are each held by
 a cyclic arc of nodes, once the nodes are relabeled i -> s*i mod n for
@@ -556,11 +559,18 @@ def reconstruction_degree(
 
     Otherwise no t packets share such a set. t packets whose holders
     fit in least nodes would all have exactly those holders, so
-    u >= least + 1, and the walk on the transpose stops at its first
-    union of least + 1 nodes instead of trying every other t packets.
-    On a ring with n > theta >= 2 at M = theta - 1 that is the first
-    pair, packets 0 and 1. The walk only loses steps, so every budget
-    that answered before answers the same degree.
+    u >= least + 1. The first t packets' holders, the dual walk's first
+    leaf, bound u from above: when they span least + 1 nodes, u is
+    least + 1 and the degree n - least needs no walk either, at any
+    budget. On a ring with n >= theta >= 2 at M = theta - 1 these are
+    packets 0 and 1, on adjacent windows of rho + 1 nodes; with the
+    shared windows of theta > n, every ring at that file size answers
+    without a walk.
+
+    Where the first leaf spans more, the walk on the transpose stops at
+    its first union of least + 1 nodes instead of trying every other t
+    packets. Neither shortcut changes a degree; each only skips steps,
+    so every budget that answered before answers the same degree.
     """
     _check_ints((("budget", budget),))
     file_size = _checked_file_size(code.theta, file_size)
@@ -569,6 +579,8 @@ def reconstruction_degree(
     least = min(map(int.bit_count, copies))
     if t <= max(c for h, c in copies.items() if h.bit_count() == least):
         return code.n - least + 1
+    if reduce(or_, code.holders[:t]).bit_count() == least + 1:
+        return code.n - least
     dual_cost = math.comb(code.theta, t)
     # All n nodes hold theta >= file_size packets, so k = n returns.
     for k in range(1, code.n + 1):
@@ -794,7 +806,8 @@ def predicted_k_ring(n: int, theta: int, rho: int) -> KPrediction:
     rho nodes. When theta > n, packets 0 and n share the window 0..rho-1,
     so u = rho: reconstruction_degree reads this off the shared window
     without a walk. When n > theta >= 2, the windows start at different
-    nodes, so any two differ and u >= rho + 1; packets 0 and 1 reach it.
+    nodes, so any two differ and u >= rho + 1; packets 0 and 1 reach it,
+    and reconstruction_degree reads that off them without a walk.
     """
     RingSpec(n, theta, rho)  # reuse integer, size and rho-range validation
     return _predicted_k(n, theta, rho)

@@ -103,7 +103,8 @@ def sweep_ring(
     (n, theta). The output may contain rows a published listing
     omitted; containment, not equality, is the meaningful comparison.
     A non-int grid value or budget, or a ring past the cap, is refused
-    before any search (_ring_degrees).
+    before any search (_ring_degrees). Every ring of the grid answers
+    without a walk, so the budget refuses none of them.
     """
     m_values = list(m_values)
     _check_ints(("m", m) for m in m_values)
@@ -133,7 +134,10 @@ def _ring_degrees(
 
     Those are the grid's only checks: every ring it then visits passes
     build_ring's checks, so each (n, rho)'s arcs are built once and every
-    theta's ring is placed from them by _ring, with no RingSpec."""
+    theta's ring is placed from them by _ring, with no RingSpec. Every
+    ring's degree is then read with no walk, off a shared window when
+    theta > n and off packets 0 and 1 otherwise (reconstruction_degree),
+    so only the cap, never the budget, refuses a grid."""
     n_values, rho_values = list(n_values), list(rho_values)
     _check_ints([("n", n) for n in n_values] + [("rho", rho) for rho in rho_values]
                 + [("budget", budget)])
@@ -379,8 +383,9 @@ BUNDLED_TABLES: dict[str, str] = {
 
 def load_bundled_table(name: str) -> list[TableRow]:
     """Load one bundled reference table by name; see BUNDLED_TABLES. It
-    is read by read_rows_csv, as a user's table is."""
-    if name not in BUNDLED_TABLES:
+    is read by read_rows_csv, as a user's table is. A name that is not
+    a str is unknown too."""
+    if not isinstance(name, str) or name not in BUNDLED_TABLES:
         raise ParseError(
             f"unknown bundled table {_shown(name)!r}; choose from {sorted(BUNDLED_TABLES)}"
         )
@@ -428,7 +433,9 @@ def conjecture_harness(
     codes. Deterministic order: ascending (n, rho, theta). The result
     reports agreement; callers must not turn disagreement into an
     error, the conjecture is unproven either way. A non-int grid value
-    or budget, or a ring past the cap, is refused before any search."""
+    or budget, or a ring past the cap, is refused before any search.
+    Every ring of the grid answers without a walk, so the budget
+    refuses none of them (_ring_degrees)."""
     findings = []
     grid = _ring_degrees(n_values, rho_values, 3, default_theta_rule, budget)
     for n, rho, theta, _, brute in grid:

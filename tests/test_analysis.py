@@ -51,7 +51,7 @@ from frcodes.analysis import (
     _unranked,
 )
 from frcodes.core import FrCode
-from frcodes.sweep import conjecture_harness, default_theta_rule
+from frcodes.sweep import conjecture_harness, default_theta_rule, sweep_ring
 from oracles import (
     brute_holders,
     brute_min_coverage,
@@ -671,11 +671,8 @@ def test_reconstruction_degree_answers_from_the_cheaper_side():
     assert reconstruction_degree(build_t_code(TSpec(26, 4, 2))) == 22
 
 
-def test_reconstruction_degree_reads_a_shared_least_holder_set_without_a_walk(monkeypatch):
-    # On ring(24, 24m, 4) packets j, j + 24, .. share one window of 4
-    # nodes, m of them, so at m >= 2 the t = 2 packets of M = theta - 1
-    # lie on 4 nodes: u = 4 with no walk, at any budget. ring(24, 24, 4)
-    # has no shared window and still walks.
+def counted_walks(monkeypatch):
+    """The k of every _smaller_unions call from here on, in order."""
     walked = []
     walk = analysis._smaller_unions
 
@@ -684,6 +681,17 @@ def test_reconstruction_degree_reads_a_shared_least_holder_set_without_a_walk(mo
         return walk(code, k, *args)
 
     monkeypatch.setattr(analysis, "_smaller_unions", counting)
+    return walked
+
+
+def test_reconstruction_degree_reads_a_shared_least_holder_set_without_a_walk(monkeypatch):
+    # On ring(24, 24m, 4) packets j, j + 24, .. share one window of 4
+    # nodes, m of them, so at m >= 2 the t = 2 packets of M = theta - 1
+    # lie on 4 nodes: u = 4 with no walk, at any budget. ring(24, 24, 4)
+    # has no shared window. Its first pair spans 5 nodes, which brackets
+    # u = 5 with no walk either; with packets relabeled j -> 5j mod 24
+    # the first pair is old packets 0 and 5, on 8 nodes, and it walks.
+    walked = counted_walks(monkeypatch)
     for theta in (48, 72):
         shared = build_ring(RingSpec(24, theta, 4))
         assert reconstruction_degree(shared, theta - 1, budget=1) == 24 - 4 + 1
@@ -691,8 +699,55 @@ def test_reconstruction_degree_reads_a_shared_least_holder_set_without_a_walk(mo
     distinct = build_ring(RingSpec(24, 24, 4))
     u, _ = min_coverage(distinct.transpose, 2)
     walked.clear()
-    assert reconstruction_degree(distinct) == 24 - u + 1
+    assert reconstruction_degree(distinct, budget=1) == 24 - u + 1 == 20
+    assert walked == []
+    spread = make_code(24, 24, [[5 * j % 24 for j in distinct.packets(i)] for i in range(24)])
+    assert reduce(or_, spread.holders[:2]).bit_count() == 8
+    assert reconstruction_degree(spread) == 20
     assert walked
+
+
+def test_every_grid_ring_answers_without_a_walk(monkeypatch):
+    # At M = theta - 1 a ring with theta > n has packets on a shared
+    # window, and one with theta <= n has packets 0 and 1 on adjacent
+    # windows, rho + 1 nodes: the holder count or the first leaf settles
+    # every ring of both grids. So do prg codes, whose first two packets
+    # are edges at one node: three nodes, one more than any edge.
+    walked = counted_walks(monkeypatch)
+    sweep_ring(range(10, 25), range(2, 5), range(1, 4))
+    assert walked == []
+    conjecture_harness(range(4, 15), range(2, 5))
+    assert walked == []
+    assert reconstruction_degree(build_prg(PrgSpec(21, 17)), budget=1) == 19
+    assert reconstruction_degree(build_prg(PrgSpec(19, 15)), budget=1) == 17
+    assert walked == []
+
+
+def test_the_first_leaf_bracket_agrees_with_the_walk_and_brute_force(monkeypatch):
+    # Every ring the sweep and conjecture grids visit with n in 4..12
+    # (and the sweep's m = 1..3 below n = 10 too), against the same ring
+    # with its packets shuffled. Where theta <= n and the shuffled first
+    # pair spans more than rho + 1 nodes, the walk answers the shuffled
+    # ring, and only there.
+    rings = {(n, theta, rho) for n in range(4, 13) for rho in range(2, min(n, 5))
+             for theta in default_theta_rule(n) + [n, 2 * n, 3 * n]}
+    walked = counted_walks(monkeypatch)
+    rng = random.Random(2016)
+    answered_by_walk = 0
+    for n, theta, rho in sorted(rings):
+        ring = build_ring(RingSpec(n, theta, rho))
+        degree = reconstruction_degree(ring, theta - 1, budget=1)
+        assert walked == []
+        order = rng.sample(range(theta), theta)
+        shuffled = make_code(n, theta, [[order[j] for j in ring.packets(i)] for i in range(n)])
+        assert reconstruction_degree(shuffled, theta - 1) == degree, (n, theta, rho)
+        first_leaf = reduce(or_, shuffled.holders[:2]).bit_count()
+        assert bool(walked) == (theta <= n and first_leaf > rho + 1), (n, theta, rho)
+        answered_by_walk += bool(walked)
+        walked.clear()
+        if n <= 9:
+            assert degree == brute_reconstruction_degree(ring, theta - 1), (n, theta, rho)
+    assert answered_by_walk == 90
 
 
 @settings(max_examples=150, deadline=None)
@@ -915,18 +970,22 @@ def test_symmetric_search_engages_on_invariant_codes_only():
 
 def test_the_dual_walk_stops_at_its_proven_floor():
     # ring(12, 7, 3) at M = 6: no two packets share a window of 3 nodes,
-    # so u >= 4, and the first pair, packets 0 and 1, spans 4 nodes. The
-    # dual walk reads their two holder sets and stops there; minimising
-    # it tries the other pairs.
+    # so u >= 4. With packets relabeled j -> 3j mod 7 the first pair is
+    # old packets 0 and 5, on 6 nodes, so the first leaf does not settle
+    # u and the dual walk runs. Its pairs (0, 1) and (0, 2) span 6 nodes
+    # and (0, 3), old packets 0 and 1, spans 4: the walk reads four
+    # holder sets and stops there; minimising it tries the other pairs.
     ring = build_ring(RingSpec(12, 7, 3))
-    code = FrCode(n=ring.n, theta=ring.theta, masks=ring.masks)
-    dual = FrCode(n=ring.theta, theta=ring.n, masks=CountingMasks(ring.holders))
+    code = make_code(12, 7, [[3 * j % 7 for j in ring.packets(i)] for i in range(12)])
+    dual = FrCode(n=code.theta, theta=code.n, masks=CountingMasks(code.holders))
     # What cached_property stores, read off the real transpose.
-    dual.__dict__.update(holders=ring.masks, rotation_invariant=ring.transpose.rotation_invariant)
+    dual.__dict__.update(holders=code.masks, rotation_invariant=code.transpose.rotation_invariant)
     code.__dict__["transpose"] = dual
+    assert reduce(or_, code.holders[:2]).bit_count() == 6
     assert reconstruction_degree(code) == 12 - 4 + 1 == predicted_k_ring(12, 7, 3).k
-    assert dual.masks.reads == 2
-    assert min_coverage(dual, 2) == (4, (0, 1)) and dual.masks.reads > 4
+    assert dual.masks.reads == 4
+    dual.masks.reads = 0
+    assert min_coverage(dual, 2) == (4, (0, 3)) and dual.masks.reads > 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -114,11 +114,12 @@ def test_sweep_reads_each_grid_axis_once():
     assert sweep_ring(iter(range(5, 8)), iter([2, 3]), iter([1, 2])) == rows
 
 
-def test_sweep_is_refused_at_the_first_ring_of_its_walk(monkeypatch):
+def test_sweep_visits_n_then_rho_then_m_and_answers_at_any_budget(monkeypatch):
     # The walk visits n, then rho, then m. Rings with m >= 2 share holder
-    # windows and answer at any budget; ring(n, n, rho) walks about n / 2
-    # steps, so ring(12, 12, 2) is the first past 5. A walk by rho first
-    # would visit the rings in another order.
+    # windows, and on ring(n, n, rho) packets 0 and 1 span rho + 1 nodes,
+    # the proven floor: every ring answers with no search, so no budget
+    # refuses the grid. A walk by rho first would visit the rings in
+    # another order.
     seen = []
     degree = sweep.reconstruction_degree
 
@@ -127,12 +128,11 @@ def test_sweep_is_refused_at_the_first_ring_of_its_walk(monkeypatch):
         return degree(code, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "reconstruction_degree", recording)
-    with pytest.raises(BudgetExceeded, match="^search at k=2 exceeds budget of 5 steps$"):
-        sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=5)
+    rows = sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=1)
     walk = [(n, m * n, rho) for n in range(3, 17) for rho in (2, 3, 4) if rho < n for m in (1, 2, 3)]
-    assert seen == walk[: walk.index((12, 12, 2)) + 1]
-    # At 35 steps every ring of the grid answers.
-    assert len(sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=35)) == 62
+    assert seen == walk
+    assert len(rows) == 62
+    assert rows == sweep_ring(range(3, 17), [2, 3, 4], [1, 2, 3], budget=35)
 
 
 def forbidden(*args, **kwargs):
@@ -452,6 +452,9 @@ def test_read_rows_csv_accepts_byte_order_mark(tmp_path):
 def test_load_bundled_table_errors_and_family():
     with pytest.raises(ParseError):
         load_bundled_table("nope")
+    # An unhashable name is refused as unknown, not with a TypeError.
+    with pytest.raises(ParseError, match=r"^unknown bundled table \['ring_rho3'\]; choose from \["):
+        load_bundled_table(["ring_rho3"])
     assert "nope" not in BUNDLED_TABLES
     assert BUNDLED_TABLES["ring_rho3"] == FAMILY_RING
     assert BUNDLED_TABLES["t_dedup"] == FAMILY_T

@@ -62,14 +62,14 @@ over all n cuts otherwise. Its key, the arcs missed times 2^n plus
 2^(n - 1 - i) for each chosen node i, is largest at k for M(k)'s
 lex-least witness, so each witness comes with its value.
 
-coverage_profile reads codes with no arc order and no rotation symmetry
-(prg codes, seeded random codes) off a table of the union sizes of all
-2^n node subsets (_subset_table). Subset s holds node i when its bit
-n - 1 - i is set, so of two subsets of one size the lexicographically
-smaller is the larger number: the lex-least witness of M(k) is the
-highest s at the minimum. The table is bit-sliced over slices of 2^16
-subsets, so each AND or XOR of CPython's big ints handles 64 subsets
-per machine word. Each slice groups its subsets by how many free nodes
+coverage_profile can read any code with no rotation symmetry (prg
+codes, seeded random codes, and arc codes such as ring(20,30,3)) off a
+table of the union sizes of all 2^n node subsets (_subset_table).
+Subset s holds node i when its bit n - 1 - i is set, so of two subsets
+of one size the lexicographically smaller is the larger number: the
+lex-least witness of M(k) is the highest s at the minimum. The table
+is bit-sliced over slices of 2^16 subsets, so each AND or XOR of
+CPython's big ints handles 64 subsets per machine word. Each slice groups its subsets by how many free nodes
 they choose, so the scan at one k ANDs only that class's span (CPython
 ANDs two non-negative ints over the shorter), and it sums the packets
 held there with carry-save adders, one full adder per packet. It is
@@ -78,13 +78,19 @@ NP-hard. Rotation-invariant codes with no arc order take the symmetric
 walk of min_coverage. The table beats that walk on some of them and
 loses on others (t(28,2,1) 116-144 against 795 ms, t(28,4,3) 158-178
 against 47-49 ms), so neither route wins the class.
-n alone fixes the cost of the arc program and of the table, so each
-charges itself up front, in steps, and declines a code whose charge
-passes the budget: the program its row entries (about m^3 / 6 for a
-cut of m offsets, over its 1 or n cuts), the table 2^n / 64, which
-keeps it to n <= 29 at the default budget. A declined code, and every
-code with neither structure, goes through min_coverage one k at a
-time, and each of those walks counts its steps as it goes.
+Each kernel's charge, in steps, is fixed before it runs: the program's
+row entries (about m^3 / 6 for a cut of m offsets, over its 1 or n
+cuts), the table's 2^n / 64, which keeps it to n <= 29 at the default
+budget. coverage_profile runs, among the kernels whose structure the
+code has and whose charge fits the budget, the one whose charge weighs
+least in time: about 0.27 us per row entry of the program, and 2.6 ns
+per packet-word of the table, its charge times theta. An arc code with
+no rotation symmetry, which both kernels take, goes to the table where
+that is cheaper (ring(20,30,3)) and stays on the program where it is
+not (ring(22,33,3), ring(24,40,4)). A code that no kernel takes within
+the budget, and every code with neither structure, goes through
+min_coverage one k at a time, and each of those walks counts its steps
+as it goes.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -113,10 +119,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import accumulate
-from operator import add, or_
-from typing import Iterator, NamedTuple
+from operator import add, itemgetter, or_
+from typing import Callable, Iterator, NamedTuple
 
 from .constructions import PrgSpec, RingSpec
 from .core import (
@@ -235,31 +241,53 @@ class CoverageProfile:
 def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProfile:
     """M(k) and its lexicographically least witness for every k in 1..n.
 
-    Three paths, chosen from the code's structure, give the same answer:
+    Three paths give the same answer:
 
-    - A code whose holder sets are arcs (_arc_order) takes its values
-      and witnesses from the arc DP (_most_missed), whose key ranks the
-      sets of one value by their lexicographic order.
-    - A code with no arc order and no rotation symmetry is read off the
-      subset table (_subset_table).
-    - Every other code, and every code whose kernel's charge passes the
-      budget, runs min_coverage at each k, counting steps as it goes.
+    - the arc DP (_most_missed), for a code whose holder sets are arcs
+      (_arc_order); its key ranks the sets of one value by their
+      lexicographic order;
+    - the subset table (_subset_table), for a code with no rotation
+      symmetry;
+    - min_coverage at each k, counting steps as it goes.
 
-    Every walk is one search with the whole budget; BudgetExceeded
-    names the k whose walk passed it.
+    Of the first two, those the code's structure allows and whose charge
+    fits the budget compete on their weighted charge (_profile_kernel);
+    the walks run when neither fits. Every walk is one search with the
+    whole budget; BudgetExceeded names the k whose walk passed it.
     """
     _check_ints((("budget", budget),))
     n = code.n
-    order = _arc_order(code)
-    best = None
-    if order is not None:
-        best = _most_missed(code, *order, budget)
-    elif not code.rotation_invariant:
-        best = _subset_table(code, budget)
-    if best is None:
-        best = [min_coverage(code, k, budget=budget) for k in range(1, n + 1)]
+    kernel = _profile_kernel(code, budget)
+    best = kernel() if kernel else [min_coverage(code, k, budget=budget) for k in range(1, n + 1)]
     values, witnesses = zip(*best)
     return CoverageProfile(values=values, witnesses=witnesses)
+
+
+#: Time per unit of each kernel's charge, in ns, which ranks the kernels
+#: that fit a budget. Medians of in-process runs, best of 15, on a 2-CPU
+#: Xeon VM under Python 3.11: the arc DP per row entry over 14 ring and t
+#: codes with n 16..40 (215-443 ns); the table per packet-word, 2^n / 64
+#: times theta, over 13 prg, ring and random codes with n 19..24
+#: (1.5-3.7 ns; fixed costs dominate below n = 19, 14 ns on ring(16,24,3)).
+_ARC_DP_NS = 270
+_TABLE_NS = 2.6
+
+
+def _profile_kernel(
+    code: FrCode, budget: int
+) -> Callable[[], list[tuple[int, tuple[int, ...]]]] | None:
+    """The profile kernel, bound to code, whose charge times its time per
+    unit is least among those whose charge is not None and at most
+    budget; None when none fits. A tie goes to the arc DP."""
+    order = _arc_order(code)
+    kernels = (
+        (_arc_dp_charge(code, order), _ARC_DP_NS, partial(_most_missed, code, order)),
+        (_table_charge(code), _TABLE_NS * code.theta, partial(_subset_table, code)),
+    )
+    fits = [
+        (charge * ns, run) for charge, ns, run in kernels if charge is not None and charge <= budget
+    ]
+    return min(fits, key=itemgetter(0))[1] if fits else None
 
 
 #: Free nodes per slice of the subset table. A slice is a 2**16-bit int
@@ -268,11 +296,15 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
 _SLICE_BITS = 16
 
 
-def _subset_table(code: FrCode, budget: int) -> list[tuple[int, tuple[int, ...]]] | None:
+def _table_charge(code: FrCode) -> int | None:
+    """_subset_table's charge, 2^n / 64 steps; None on a rotation-invariant
+    code, which keeps the symmetric walk."""
+    return None if code.rotation_invariant else 2**code.n // 64
+
+
+def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
     """(M(k), lex-least witness) for every k in 1..n, read off a
-    bit-sliced table of the union sizes of all 2^n node subsets; None
-    when 2^n / 64 steps pass budget (a subset costs 1-2 ns here, a step
-    of the walk about 0.3 us).
+    bit-sliced table of the union sizes of all 2^n node subsets.
 
     Subset s holds node i when its bit n - 1 - i is set, so of two
     subsets of one size the lexicographically smaller is the larger
@@ -292,8 +324,6 @@ def _subset_table(code: FrCode, budget: int) -> list[tuple[int, tuple[int, ...]]
     keep the highest subset.
     """
     n = code.n
-    if 2**n // 64 > budget:
-        return None
     f = min(n, _SLICE_BITS)
     fixed = n - f
     full = (1 << (1 << f)) - 1
@@ -459,12 +489,21 @@ def _arc_order(code: FrCode) -> tuple[int, list[tuple[int, int]]] | None:
     return None
 
 
+def _arc_dp_charge(code: FrCode, order: tuple[int, list[tuple[int, int]]] | None) -> int | None:
+    """_most_missed's charge, its row entries: C(n + 1, 3) for the one
+    cut of a rotation-invariant code, C(n + 2, 4) over all n cuts
+    otherwise; None when code has no arc order."""
+    if order is None:
+        return None
+    return math.comb(code.n + 1, 3) if code.rotation_invariant else math.comb(code.n + 2, 4)
+
+
 def _most_missed(
-    code: FrCode, unit: int, arcs: list[tuple[int, int]], budget: int
-) -> list[tuple[int, tuple[int, ...]]] | None:
+    code: FrCode, order: tuple[int, list[tuple[int, int]]]
+) -> list[tuple[int, tuple[int, ...]]]:
     """(M(k), lex-least witness) for every k in 1..n of a code whose
-    holder sets are arcs under i -> unit*i mod n (_arc_order); None
-    when its charge passes budget.
+    holder sets are arcs under i -> unit*i mod n, order = (unit, arcs)
+    from _arc_order.
 
     An arc is missed exactly when it fits in a gap between chosen nodes.
     Cut the cycle at the first chosen node c and let the chosen nodes
@@ -477,12 +516,10 @@ def _most_missed(
     rotation-invariant code (code.rotation_invariant) the cut at node 0,
     which the relabeling keeps in place, is exact alone: rotating a set
     to start at node 0 keeps its union and makes it lex-smaller. Other
-    codes take the best over every cut. The charge is the row entries:
-    C(n + 1, 3) for the one cut, C(n + 2, 4) over all n.
+    codes take the best over every cut (_arc_dp_charge).
     """
     n = code.n
-    if (math.comb(n + 1, 3) if code.rotation_invariant else math.comb(n + 2, 4)) > budget:
-        return None
+    unit, arcs = order
     scale = 1 << n  # one more arc missed outweighs any set's weights
     inverse = pow(unit, -1, n)
     weights = [1 << n - 1 - inverse * x % n for x in range(n)]  # by position

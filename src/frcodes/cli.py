@@ -31,11 +31,12 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 
 from . import analysis, constructions, repair, sweep
 from .core import DEFAULT_THETA_CAP, check_identities, profile, single_deficit_shape
-from .errors import FrcError, _shown
+from .errors import FrcError, _int_phrase, _shown
 
 
 def _budget() -> int:
@@ -45,6 +46,15 @@ def _budget() -> int:
     try:
         budget = int(raw)
     except ValueError:
+        # int() also refuses a well-formed integer with more digits than
+        # the interpreter converts; name its size rather than echo it.
+        literal = re.fullmatch(r"\s*([+-]?)\d+(?:_\d+)*\s*", raw)
+        if literal:
+            size = _int_phrase(literal[1] == "-", sum(map(str.isdecimal, raw)))
+            raise FrcError(
+                "FRC_BUDGET must be a positive integer of at most"
+                f" {sys.get_int_max_str_digits():,} digits, got {size}"
+            ) from None
         budget = 0
     if budget < 1:
         raise FrcError(f"FRC_BUDGET must be a positive integer, got {raw!r}")

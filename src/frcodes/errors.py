@@ -33,9 +33,13 @@ def _shown(value: object) -> object:
         if size < 10 ** (digits - 1):
             digits -= 1
         if digits > limit:
-            sign = "a negative" if value < 0 else "an"
-            return _Phrase(f"{sign} int of {digits:,} digits")
+            return _int_phrase(value < 0, digits)
     return value
+
+
+def _int_phrase(negative: bool, digits: int) -> _Phrase:
+    """How _shown names an int of that sign and digit count."""
+    return _Phrase(f"{'a negative' if negative else 'an'} int of {digits:,} digits")
 
 
 class FrcError(Exception):

@@ -42,12 +42,15 @@ from frcodes import (
 from frcodes import analysis
 from frcodes.analysis import (
     _SLICE_BITS,
+    _arc_dp_charge,
     _arc_order,
     _most_missed,
+    _profile_kernel,
     _slice_constants,
     _smaller_unions,
     _subset_table,
     _sum_bits,
+    _table_charge,
     _unranked,
 )
 from frcodes.core import FrCode
@@ -258,9 +261,12 @@ def arc_code(n, arcs, unit=1):
 
 
 def assert_profile_matches_oracle(code):
+    # The chooser sends most small arc codes with no rotation symmetry to
+    # the subset table, so the arc DP is checked on its own as well.
     prof = coverage_profile(code)
-    for k in range(1, code.n + 1):
-        assert (prof.values[k - 1], prof.witnesses[k - 1]) == brute_min_coverage(code, k), k
+    expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
+    assert list(zip(prof.values, prof.witnesses)) == expected
+    assert _most_missed(code, _arc_order(code)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -428,8 +434,8 @@ def test_arc_dp_single_cut_matches_every_cut_on_invariant_codes():
     for code in codes:
         order = _arc_order(code)
         assert code.rotation_invariant and order is not None
-        one_cut = _most_missed(code, *order, DEFAULT_BUDGET)
-        assert one_cut == _most_missed(seeded(code, False), *order, DEFAULT_BUDGET), code
+        one_cut = _most_missed(code, order)
+        assert one_cut == _most_missed(seeded(code, False), order), code
 
 
 def test_coverage_profile_refuses_as_the_per_k_loop_does():
@@ -446,13 +452,16 @@ def test_coverage_profile_refuses_as_the_per_k_loop_does():
             [min_coverage(code, k, budget=charge - 1) for k in range(1, code.n + 1)]
         with pytest.raises(BudgetExceeded, match=message):
             coverage_profile(code, budget=charge - 1)
-        # The DP itself declines one step below its charge.
+        # No kernel fits one step below the DP's charge; at it, only the
+        # DP does (the table's 2^20 / 64 = 16,384 does not).
         order = _arc_order(code)
-        assert _most_missed(code, *order, charge - 1) is None
+        assert _arc_dp_charge(code, order) == charge
+        assert _profile_kernel(code, charge - 1) is None
+        assert _profile_kernel(code, charge).func is _most_missed
         prof = coverage_profile(code, budget=charge)
         assert prof.values == tuple(range(2, 39, 2)) + (code.theta,)
         assert prof.witnesses == tuple(tuple(range(k)) for k in range(1, 21))
-        assert list(zip(prof.values, prof.witnesses)) == _most_missed(code, *order, charge)
+        assert list(zip(prof.values, prof.witnesses)) == _most_missed(code, order)
 
 
 def test_the_arc_dp_answers_every_witness_at_its_charge():
@@ -467,9 +476,150 @@ def test_the_arc_dp_answers_every_witness_at_its_charge():
     assert prof.witnesses == tuple(tuple(range(1, k + 1)) for k in range(1, 20)) + (
         tuple(range(20)),
     )
-    assert _most_missed(code, *_arc_order(code), 7314) is None
+    assert _arc_dp_charge(code, _arc_order(code)) == 7315
+    assert _profile_kernel(code, 7314) is None
     with pytest.raises(BudgetExceeded, match="^search at k=5 exceeds budget of 7314 steps$"):
         coverage_profile(code, budget=7314)
+
+
+def test_the_arc_dp_memory_stays_under_one_mib():
+    """ring(40,60,4) has no rotation symmetry, so the DP runs all 40
+    cuts; its traced peak is about 74 KiB. Its memory is still not
+    charged: gaps keeps about m^2 keys of about n bits, so at n = 4,096
+    one cut would hold some 16.8M keys, though only a budget of at least
+    C(4097, 3) lets it start."""
+    code = build_ring(RingSpec(40, 60, 4))
+    order = _arc_order(code)
+    assert order is not None and not code.rotation_invariant
+    tracemalloc.start()
+    try:
+        _most_missed(code, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# --- the profile kernel chooser ----------------------------------------------
+
+#: The kernel coverage_profile runs at the default budget: on an arc code
+#: with no rotation symmetry, the table where its charge times theta at
+#: 2.6 ns weighs less than the DP's at 270 ns per row entry, else the DP;
+#: the table on every other code with no symmetry. The DP's row entries
+#: against the table's packet-words, (2^n / 64) * theta, are 3,060 against
+#: 24,576 at ring(16,24,3), 7,315 against 491,520 at ring(20,30,3), 10,626
+#: against 2,162,688 at ring(22,33,3) and 14,950 against 10,485,760 at
+#: ring(24,40,4).
+PROFILE_ROUTES = {
+    RingSpec(16, 24, 3): _subset_table,
+    RingSpec(20, 30, 3): _subset_table,
+    RingSpec(22, 33, 3): _most_missed,
+    RingSpec(24, 40, 4): _most_missed,
+    RingSpec(24, 36, 3): _most_missed,
+    RingSpec(20, 20, 3): _most_missed,
+    RingSpec(22, 22, 3): _most_missed,
+    RingSpec(23, 23, 2): _most_missed,
+    RingSpec(26, 26, 4): _most_missed,
+    TSpec(22, 4, 2): _most_missed,
+    TSpec(25, 4, 1): _most_missed,
+    TSpec(26, 4, 2): _most_missed,
+    PrgSpec(19, 7): _subset_table,
+    PrgSpec(21, 5): _subset_table,
+    PrgSpec(25, 7): _subset_table,
+}
+
+
+def built(spec):
+    return {RingSpec: build_ring, TSpec: build_t_code, PrgSpec: build_prg}[type(spec)](spec)
+
+
+def ran_kernels(monkeypatch):
+    """The kernel of every _most_missed and _subset_table call from here
+    on, in order."""
+    ran = []
+    for kernel in (_most_missed, _subset_table):
+        monkeypatch.setattr(
+            analysis, kernel.__name__, lambda *args, kernel=kernel: ran.append(kernel) or kernel(*args)
+        )
+    return ran
+
+
+@pytest.mark.parametrize("spec", list(PROFILE_ROUTES), ids=str)
+def test_the_chooser_runs_the_kernel_of_least_weighted_charge(spec, monkeypatch):
+    # Among them the seven fixed codes of perfbench's deep_coverage.
+    code = built(spec)
+    assert _profile_kernel(code, DEFAULT_BUDGET).func is PROFILE_ROUTES[spec]
+    if code.n <= 20:
+        ran = ran_kernels(monkeypatch)
+        monkeypatch.setattr(analysis, "_smaller_unions", forbidden)
+        coverage_profile(code)
+        assert ran == [PROFILE_ROUTES[spec]]
+
+
+def test_the_chooser_keeps_the_walks_of_the_random_n30_code():
+    # The table's charge, 2^30 / 64 = 16,777,216, passes the default
+    # budget: fit is each charge against the budget, unweighted, so the
+    # code keeps its per-k walks (pinned as a choice, not run).
+    code = spread_code(5, 30, 90, 3)  # perfbench's random_code, seeded 5
+    assert _arc_order(code) is None and not code.rotation_invariant
+    assert _table_charge(code) == 16777216 > DEFAULT_BUDGET
+    assert _profile_kernel(code, DEFAULT_BUDGET) is None
+
+
+def test_an_arc_code_the_dp_declines_tries_the_table_before_the_walks(monkeypatch):
+    # Between the table's charge, 2^18 / 64 = 4,096, and the DP's,
+    # C(20, 4) = 4,845, only the table fits. The per-k walks refused
+    # these budgets at k = 5; now the table answers with the DP's values
+    # and witnesses.
+    code = disjoint_pairs(18, extra=[17])
+    order = _arc_order(code)
+    assert (_table_charge(code), _arc_dp_charge(code, order)) == (4096, 4845)
+    with pytest.raises(BudgetExceeded, match="^search at k=5 exceeds budget of 4095 steps$"):
+        coverage_profile(code, budget=4095)
+    ran = ran_kernels(monkeypatch)
+    for budget in (4096, 4844):
+        prof = coverage_profile(code, budget=budget)
+        assert list(zip(prof.values, prof.witnesses)) == _most_missed(code, order)
+    assert ran == [_subset_table] * 2
+
+
+def unit_relabeled(code, unit):
+    """code with each node i relabeled unit * i mod n."""
+    storage = [()] * code.n
+    for i in range(code.n):
+        storage[unit * i % code.n] = code.packets(i)
+    return make_code(code.n, code.theta, storage)
+
+
+@st.composite
+def small_arc_codes(draw):
+    """Arc codes with n <= 14 under a random unit relabeling: ring codes, t
+    codes, arc placements drawn at random, and circulant ones (every
+    length at every start), which rotation maps onto themselves."""
+    n = draw(st.integers(3, 14), label="n")
+    kind = draw(st.sampled_from(["ring", "t", "arcs", "circulant"]), label="kind")
+    if kind == "ring":
+        code = build_ring(RingSpec(n, draw(st.integers(1, 3 * n)), draw(st.integers(2, n - 1))))
+    elif kind == "t":
+        t = draw(st.sampled_from([t for t in range(n) if math.gcd(t + 1, n) == 1]), label="t")
+        code = build_t_code(TSpec(n, draw(st.integers(2, n), label="d"), t))
+    elif kind == "arcs":
+        arc = st.tuples(st.integers(0, n - 1), st.integers(1, n))
+        code = arc_code(n, draw(st.lists(arc, min_size=1, max_size=3 * n), label="arcs"))
+    else:
+        lengths = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3), label="lengths")
+        code = arc_code(n, [(start, length) for length in lengths for start in range(n)])
+        assert code.rotation_invariant
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    return unit_relabeled(code, draw(st.sampled_from(units), label="unit"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_arc_codes())
+def test_the_arc_dp_matches_the_subset_table(code):
+    order = _arc_order(code)
+    assert order is not None
+    assert _most_missed(code, order) == _subset_table(code)
 
 
 # --- coverage profile from the subset table --------------------------------
@@ -497,14 +647,14 @@ def test_subset_table_matches_oracle(data):
     expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
     bits = data.draw(st.sampled_from([1, 2, 3, 4, 5, _SLICE_BITS]), label="slice bits")
     with mock.patch.object(analysis, "_SLICE_BITS", bits):
-        assert _subset_table(code, DEFAULT_BUDGET) == expected
+        assert _subset_table(code) == expected
 
 
 @pytest.mark.parametrize("n", [_SLICE_BITS - 1, _SLICE_BITS, _SLICE_BITS + 1, _SLICE_BITS + 3])
 def test_subset_table_matches_the_per_k_walk_across_slices(n):
     for code in (spread_code(n, n, 2 * n, 3), spread_code(n, n, n + 3, 2)):
         per_k = [min_coverage(code, k) for k in range(1, n + 1)]
-        assert _subset_table(code, DEFAULT_BUDGET) == per_k
+        assert _subset_table(code) == per_k
 
 
 def forbidden(*args, **kwargs):
@@ -541,11 +691,13 @@ def test_subset_table_keeps_the_refusals_of_the_per_k_loop():
         [min_coverage(code, k, budget=8191) for k in range(1, code.n + 1)]
     with pytest.raises(BudgetExceeded, match=message):
         coverage_profile(code, budget=8191)
-    # The table itself declines one step below its charge.
-    assert _subset_table(code, 8191) is None
+    # No kernel fits one step below the table's charge; at it, the table.
+    assert _table_charge(code) == 8192
+    assert _profile_kernel(code, 8191) is None
+    assert _profile_kernel(code, 8192).func is _subset_table
     per_k = [min_coverage(code, k) for k in range(1, code.n + 1)]
     prof = coverage_profile(code, budget=8192)
-    assert list(zip(prof.values, prof.witnesses)) == per_k == _subset_table(code, 8192)
+    assert list(zip(prof.values, prof.witnesses)) == per_k == _subset_table(code)
 
 
 def test_carry_save_sum_counts_every_position():
@@ -1277,11 +1429,15 @@ def test_goodness_structural_answers_prg_41_11_at_the_default_budget():
 )
 def test_goodness_structural_is_unchanged_by_relabeling(code):
     # Node relabeling takes ring and t codes off the arc DP and the
-    # symmetric walk, and prg codes to other node orders; both keep the
-    # report, which must equal the one read off the coverage profile.
+    # symmetric walk onto the subset table, and prg codes to other node
+    # orders; both keep the report, which must equal the one read off
+    # the coverage profile.
+    route = next(kernel for spec, kernel in PROFILE_ROUTES.items() if built(spec) == code)
+    assert _profile_kernel(code, DEFAULT_BUDGET).func is route
     report = goodness_structural(code)
     for seed in (1, 2):
         other = relabeled(code, random.Random(seed))
+        assert _profile_kernel(other, DEFAULT_BUDGET).func is _subset_table
         values = coverage_profile(other).values
         assert goodness_structural(other) == report
         assert per_k_goodness(other, None, lambda k: values[k - 1]) == report
@@ -1307,12 +1463,15 @@ def test_coverage_is_unchanged_by_relabeling_above_the_oracles_reach(spec):
     # symmetric walk onto the subset table, so each kernel checks the
     # other where the brute-force oracles cannot run. A prg code stays
     # on the table, whose slices then fix and free other nodes.
-    code = {RingSpec: build_ring, TSpec: build_t_code, PrgSpec: build_prg}[type(spec)](spec)
+    code = built(spec)
+    route = PROFILE_ROUTES[spec]
+    assert _profile_kernel(code, DEFAULT_BUDGET).func is route
     prof = coverage_profile(code)
     rng = random.Random(12)
     nodes = rng.sample(range(code.n), code.n)
     other = make_code(code.n, code.theta, [code.packets(i) for i in nodes])
     assert _arc_order(other) is None and not other.rotation_invariant
+    assert _profile_kernel(other, DEFAULT_BUDGET).func is _subset_table
     moved = coverage_profile(other)
     assert moved.values == prof.values
     for k, (value, witness) in enumerate(zip(moved.values, moved.witnesses), start=1):
@@ -1323,13 +1482,16 @@ def test_coverage_is_unchanged_by_relabeling_above_the_oracles_reach(spec):
     shuffled = make_code(
         code.n, code.theta, [[packets[p] for p in code.packets(i)] for i in range(code.n)]
     )
+    assert _profile_kernel(shuffled, DEFAULT_BUDGET).func is route
     assert coverage_profile(shuffled) == prof
     if type(spec) is PrgSpec:  # no arc order, and degrees past the walks' reach
         return
     # A unit relabeling i -> s*i mod n, s != 1 or -1, keeps an arc order
-    # and the rotation symmetry or its absence, so the arc DP answers
-    # again, with other node weights. On both codes each witness is the
-    # first subset the walk finds at its value.
+    # and the rotation symmetry or its absence, so the chooser takes the
+    # same kernel again, the arc DP with other node weights. On both
+    # codes each witness is the first subset the walk finds at its value.
+    # Where the code has no symmetry both kernels run, so the DP stays
+    # checked where the chooser takes the table.
     n = code.n
     unit = next(s for s in range(2, n - 1) if math.gcd(s, n) == 1)
     storage = [()] * n
@@ -1338,6 +1500,11 @@ def test_coverage_is_unchanged_by_relabeling_above_the_oracles_reach(spec):
     scaled = make_code(n, code.theta, storage)
     assert _arc_order(scaled)[0] != 1
     assert scaled.rotation_invariant == code.rotation_invariant
+    assert _profile_kernel(scaled, DEFAULT_BUDGET).func is route
+    if not scaled.rotation_invariant:
+        routed = coverage_profile(scaled)
+        best = list(zip(routed.values, routed.witnesses))
+        assert _most_missed(scaled, _arc_order(scaled)) == _subset_table(scaled) == best
     for c in (code, scaled):
         dp = coverage_profile(c)
         assert dp.values == prof.values

@@ -609,6 +609,29 @@ def test_budget_env_must_be_integer(capsys, ring_file, monkeypatch):
             assert err.startswith("FrcError: FRC_BUDGET")
 
 
+def test_budget_env_past_the_digit_limit_names_its_size(capsys, ring_file, monkeypatch):
+    # int() refuses a well-formed integer past the interpreter's digit
+    # limit with ValueError. The budget was then reported as no positive
+    # integer, with every digit echoed; the message now gives its size.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for raw, size in (
+            ("9" * 5000, "an int of 5,000 digits"),
+            (f" -{'9' * 5000}\n", "a negative int of 5,000 digits"),
+            ("1_" * 4400 + "0", "an int of 4,401 digits"),
+        ):
+            monkeypatch.setenv("FRC_BUDGET", raw)
+            rc, out, err = run(capsys, "analyze", ring_file)
+            assert (rc, out) == (1, "")
+            assert err == (
+                f"FrcError: FRC_BUDGET must be a positive integer of at most 4,300 digits,"
+                f" got {size}\n"
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_budget_env_of_one_is_accepted(capsys, ring_file, monkeypatch):
     # Every lost packet of a rho = 2 ring has one other holder, so the
     # repair takes no walk and answers within one step.

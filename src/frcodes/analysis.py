@@ -69,28 +69,35 @@ Subset s holds node i when its bit n - 1 - i is set, so of two subsets
 of one size the lexicographically smaller is the larger number: the
 lex-least witness of M(k) is the highest s at the minimum. The table
 is bit-sliced over slices of 2^16 subsets, so each AND or XOR of
-CPython's big ints handles 64 subsets per machine word. Each slice groups its subsets by how many free nodes
-they choose, so the scan at one k ANDs only that class's span (CPython
-ANDs two non-negative ints over the shorter), and it sums the packets
-held there with carry-save adders, one full adder per packet. It is
-exhaustive, as any exact method must be for minimum k-union, which is
-NP-hard. Rotation-invariant codes with no arc order take the symmetric
-walk of min_coverage. The table beats that walk on some of them and
-loses on others (t(28,2,1) 116-144 against 795 ms, t(28,4,3) 158-178
-against 47-49 ms), so neither route wins the class.
+CPython's big ints handles 64 subsets per machine word. Each slice
+groups its subsets by how many free nodes they choose, so the scan at
+one k ANDs only that class's span (CPython ANDs two non-negative ints
+over the shorter), and it sums the packets held there with carry-save
+adders, one full adder per packet. Two sums are built once per code:
+one of the packets that no fixed node holds, and one of every packet
+as if no fixed node held it. A slice adds to the first the ORs of the
+tied packets its fixed nodes miss, or to the second the complements of
+those they hit, whichever are fewer. No class of a slice has a smaller
+minimum than the one before it, so a k whose floor already reaches its
+best so far is not scanned. It is exhaustive, as any exact method must
+be for minimum k-union, which is NP-hard. Rotation-invariant codes with
+no arc order take the symmetric walk of min_coverage. The table beats
+that walk on some of them and loses on others (t(28,2,1) 116-144
+against 795 ms, t(28,4,3) 158-178 against 47-49 ms), so neither route
+wins the class.
 Each kernel's charge, in steps, is fixed before it runs: the program's
 row entries (about m^3 / 6 for a cut of m offsets, over its 1 or n
 cuts), the table's 2^n / 64, which keeps it to n <= 29 at the default
 budget. coverage_profile runs, among the kernels whose structure the
 code has and whose charge fits the budget, the one whose charge weighs
-least in time: about 0.27 us per row entry of the program, and 2.6 ns
+least in time: about 0.27 us per row entry of the program, and 1.2 ns
 per packet-word of the table, its charge times theta. An arc code with
 no rotation symmetry, which both kernels take, goes to the table where
-that is cheaper (ring(20,30,3)) and stays on the program where it is
-not (ring(22,33,3), ring(24,40,4)). A code that no kernel takes within
-the budget, and every code with neither structure, goes through
-min_coverage one k at a time, and each of those walks counts its steps
-as it goes.
+that is cheaper (ring(20,30,3), ring(22,33,3)) and stays on the
+program where it is not (ring(24,36,3), ring(24,40,4)). A code that no
+kernel takes within the budget, and every code with neither structure,
+goes through min_coverage one k at a time, and each of those walks
+counts its steps as it goes.
 
 A code is universally good when every k <= alpha satisfies
 
@@ -120,7 +127,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add, itemgetter, or_
 from typing import Callable, Iterator, NamedTuple
 
@@ -267,10 +274,13 @@ def coverage_profile(code: FrCode, budget: int = DEFAULT_BUDGET) -> CoverageProf
 #: that fit a budget. Medians of in-process runs, best of 15, on a 2-CPU
 #: Xeon VM under Python 3.11: the arc DP per row entry over 14 ring and t
 #: codes with n 16..40 (215-443 ns); the table per packet-word, 2^n / 64
-#: times theta, over 13 prg, ring and random codes with n 19..24
-#: (1.5-3.7 ns; fixed costs dominate below n = 19, 14 ns on ring(16,24,3)).
+#: times theta, over 13 codes with n 19..24, prg(19,5), (19,7), (21,5)
+#: and (23,5), ring(20,30,3), (21,28,3), (22,33,3), (24,36,3) and
+#: (24,40,4), and seeded random (19,38,3), (20,40,3), (22,44,3) and
+#: (24,48,3) codes (0.52-1.78 ns; fixed costs dominate below n = 19,
+#: 7.3 ns on ring(16,24,3)).
 _ARC_DP_NS = 270
-_TABLE_NS = 2.6
+_TABLE_NS = 1.2
 
 
 def _profile_kernel(
@@ -291,7 +301,7 @@ def _profile_kernel(
 
 
 #: Free nodes per slice of the subset table. A slice is a 2**16-bit int
-#: (8 KiB); the table keeps about two dozen live, a traced peak of 220 KiB
+#: (8 KiB); the table keeps about three dozen live, a traced peak of 300 KiB
 #: on prg(21,5), and the f + 1 classes and f columns of each f stay cached.
 _SLICE_BITS = 16
 
@@ -312,41 +322,67 @@ def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
     the leading n - f nodes are fixed per slice, highest assignment
     first, and the last f nodes of each subset are the bits of a p in
     [0, 2^f), laid out by popcount class (_slice_constants). A packet
-    with a chosen fixed holder adds one to every union of the slice
-    (offset). Any other packet is held at the positions in the OR of
-    its free holders' columns, and these indicators are summed into a
+    with a chosen fixed holder is hit: it adds one to every union of the
+    slice. Any other packet is held at the positions in the OR of its
+    free holders' columns. These 0/1 indicators are summed into a
     bit-sliced counter (counter[b] holds bit b of every position's
-    count) by carry-save adders (_sum_bits). Per k, a scan from the top
-    counter bit down keeps the positions of class k - c (c fixed nodes
-    chosen) that avoid each bit while some do, leaving the slice's
-    minimum and, as the highest position, the largest p: its witness.
-    A slice replaces the answer only when strictly smaller, so ties
-    keep the highest subset.
+    count) by carry-save adders (_sum_bits), from one of two sums built
+    once: base, of the packets with no fixed holder, and whole, which
+    adds every tied packet (one with fixed and free holders) as if no
+    fixed node held it. A slice adds the fewer of its tied packets: the
+    unhit ones' ORs onto base, each hit one counted in the offset, or
+    the hit ones' complements onto whole, since OR plus complement is
+    one everywhere. Per k, a scan from the top counter bit down keeps
+    the positions of class k - c (c fixed nodes chosen) that avoid each
+    bit while some do, leaving the slice's minimum and, as the highest
+    position, the largest p: its witness. Every (j + 1)-subset holds a
+    j-subset, so within a slice no class's minimum is below the one
+    before it; the last scan's minimum, or the size at which it stopped,
+    is a floor, and a k whose floor reaches its best so far is not
+    scanned. A slice replaces the answer only when strictly smaller, so
+    ties keep the highest subset.
     """
     n = code.n
     f = min(n, _SLICE_BITS)
     fixed = n - f
     full = (1 << (1 << f)) - 1
     columns, classes = _slice_constants(f)
-    packets = []  # (fixed holders, free holders' columns) of each packet
+    low = (1 << fixed) - 1  # the fixed nodes, node i at bit i of a mask
+    # Free node fixed + x is chosen at the positions of p's bit f - 1 - x.
+    node_columns = columns[::-1]
+    untied = []  # free holders' columns of each packet with no fixed holder
+    tied = []  # (fixed holders, free holders' columns) of each packet with both
+    bare = []  # fixed holders of each packet with no free holder
     for h in code.holders:
-        r = int(f"{h:0{n}b}"[::-1], 2)  # node i -> bit n - 1 - i
-        packets.append((r >> f, [columns[b] for b in packets_from_mask(r & (1 << f) - 1)]))
-    # The counter of the packets with no fixed holder, and the others.
-    base = _sum_bits([], (reduce(or_, held) for holders, held in packets if not holders and held))
-    tied = [(holders, held) for holders, held in packets if holders]
+        held = [node_columns[x] for x in packets_from_mask(h >> fixed)]
+        if not held:
+            bare.append(h & low)
+        elif h & low:
+            tied.append((h & low, held))
+        else:
+            untied.append(held)
+    base = _sum_bits([], (reduce(or_, held) for held in untied))
+    whole = _sum_bits(base, (reduce(or_, held) for _, held in tied))
     # (union size, fixed assignment, p's class, members above p in it) per k.
     best = [(code.theta + 1, 0, 0, 0)] * (n + 1)
-    for a in range((1 << fixed) - 1, -1, -1):
+    for a in range(low, -1, -1):
         c = a.bit_count()
-        offset = sum(1 for holders, _ in tied if holders & a)
-        indicators = (reduce(or_, held) for holders, held in tied if held and not holders & a)
+        chosen = int(f"{a:0{fixed}b}"[::-1], 2)  # a holds node i at bit fixed - 1 - i
+        offset = sum(1 for holders in bare if holders & chosen)
+        hit = [held for holders, held in tied if holders & chosen]
+        if 2 * len(hit) < len(tied):
+            counter = _sum_bits(whole, (full ^ reduce(or_, held) for held in hit))
+        else:
+            offset += len(hit)
+            unhit = (reduce(or_, held) for holders, held in tied if not holders & chosen)
+            counter = _sum_bits(base, unhit)
         # Complemented once per slice, top bit first: cand & ~bit would
         # complement a 2^f-bit int at every step of every scan.
-        inverted = [full ^ bit for bit in reversed(_sum_bits(base, indicators))]
+        inverted = [full ^ bit for bit in reversed(counter)]
+        floor = offset  # at most the minimum of each class left to scan
         for k in range(max(c, 1), c + f + 1):
             limit = best[k][0]
-            if offset >= limit:
+            if floor >= limit:
                 continue
             j = k - c
             cand = classes[j]
@@ -363,13 +399,26 @@ def _subset_table(code: FrCode) -> list[tuple[int, tuple[int, ...]]]:
                         break
             else:
                 best[k] = size, a, j, classes[j].bit_length() - cand.bit_length()
-    return _decoded(n, [(v, a << f | _unranked(f, j, up)) for v, a, j, up in best[1:]])
+            floor = size
+    return [
+        (size, tuple([*_nodes(fixed, a), *_unranked(f, j, above, fixed)]))
+        for size, a, j, above in best[1:]
+    ]
+
+
+#: bytes.translate table taking the digits "0" and "1" to the bytes 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _nodes(n: int, s: int) -> list[int]:
+    """The nodes i < n of subset s, ascending: those whose bit n - 1 - i
+    is set, read off one binary format of s."""
+    return [*compress(range(n), format(s, f"0{n}b").encode().translate(_BITS))]
 
 
 def _decoded(n: int, best: list[tuple[int, int]]) -> list[tuple[int, tuple[int, ...]]]:
-    """(value, witness) of each (value, subset s), where s holds node i
-    when its bit n - 1 - i is set."""
-    return [(size, tuple([i for i in range(n) if s >> n - 1 - i & 1])) for size, s in best]
+    """(value, witness) of each (value, subset s) of n nodes (_nodes)."""
+    return [(size, tuple(_nodes(n, s))) for size, s in best]
 
 
 @cache
@@ -398,18 +447,22 @@ def _slice_constants(f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(columns), tuple(classes)
 
 
-def _unranked(f: int, j: int, above: int) -> int:
-    """The f-bit int of popcount j with `above` larger ones, decoded from
-    its rank i from below: C(b, j) of them lie below bit b."""
+def _unranked(f: int, j: int, above: int, first: int) -> list[int]:
+    """The nodes first + f - 1 - b, ascending, of the bits b of the f-bit
+    int of popcount j with `above` larger ones, decoded from its rank i
+    from below: C(b, j) of them lie below bit b."""
     i = math.comb(f, j) - 1 - above
-    p = 0
-    for b in range(f - 1, -1, -1):
+    last = first + f - 1
+    nodes = []
+    b = f
+    while j:
+        b -= 1
         below = math.comb(b, j)
         if i >= below:
-            p |= 1 << b
+            nodes.append(last - b)
             i -= below
             j -= 1
-    return p
+    return nodes
 
 
 def _sum_bits(counter: list[int], indicators: Iterator[int]) -> list[int]:

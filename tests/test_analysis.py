@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from functools import reduce
 from operator import or_
 from unittest import mock
@@ -44,7 +47,9 @@ from frcodes.analysis import (
     _SLICE_BITS,
     _arc_dp_charge,
     _arc_order,
+    _decoded,
     _most_missed,
+    _nodes,
     _profile_kernel,
     _slice_constants,
     _smaller_unions,
@@ -504,16 +509,17 @@ def test_the_arc_dp_memory_stays_under_one_mib():
 
 #: The kernel coverage_profile runs at the default budget: on an arc code
 #: with no rotation symmetry, the table where its charge times theta at
-#: 2.6 ns weighs less than the DP's at 270 ns per row entry, else the DP;
+#: 1.2 ns weighs less than the DP's at 270 ns per row entry, else the DP;
 #: the table on every other code with no symmetry. The DP's row entries
 #: against the table's packet-words, (2^n / 64) * theta, are 3,060 against
 #: 24,576 at ring(16,24,3), 7,315 against 491,520 at ring(20,30,3), 10,626
-#: against 2,162,688 at ring(22,33,3) and 14,950 against 10,485,760 at
+#: against 2,162,688 at ring(22,33,3) (2.87 against 2.60 ms weighted) and
+#: 14,950 against 9,437,184 and 10,485,760 at ring(24,36,3) and
 #: ring(24,40,4).
 PROFILE_ROUTES = {
     RingSpec(16, 24, 3): _subset_table,
     RingSpec(20, 30, 3): _subset_table,
-    RingSpec(22, 33, 3): _most_missed,
+    RingSpec(22, 33, 3): _subset_table,
     RingSpec(24, 40, 4): _most_missed,
     RingSpec(24, 36, 3): _most_missed,
     RingSpec(20, 20, 3): _most_missed,
@@ -638,23 +644,72 @@ def spread_code(seed, n, theta, rho):
             return make_code(n, theta, storage)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_subset_table_matches_oracle(data):
+#: A line of _subset_table that runs only on each path named: a slice
+#: adding its hit tied packets' complements onto whole, one adding its
+#: unhit ones onto base, and a k whose floor skips its scan.
+TABLE_PATHS = {
+    "hit form": "counter = _sum_bits(whole,",
+    "unhit form": "offset += len(hit)",
+    "floor skip": "continue",
+}
+
+
+@contextmanager
+def lines_run(function, counts, markers):
+    """Count in counts[name], while the block runs, each run of the one
+    line of function's source that holds markers[name]."""
+    lines, first = inspect.getsourcelines(function)
+    at = {}
+    for name, marker in markers.items():
+        (number,) = [first + i for i, line in enumerate(lines) if marker in line]
+        at[number] = name
+    code = function.__code__
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in at:
+            counts[at[frame.f_lineno]] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
+def test_subset_table_matches_oracle():
     # Empty nodes, a repeated node set, n > theta, one-packet codes and
     # packets on every node; slices as narrow as one free node.
-    code = data.draw(small_codes(), label="code")
-    expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
-    bits = data.draw(st.sampled_from([1, 2, 3, 4, 5, _SLICE_BITS]), label="slice bits")
-    with mock.patch.object(analysis, "_SLICE_BITS", bits):
-        assert _subset_table(code) == expected
+    ran = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def matches(data):
+        code = data.draw(small_codes(), label="code")
+        expected = [brute_min_coverage(code, k) for k in range(1, code.n + 1)]
+        bits = data.draw(st.sampled_from([1, 2, 3, 4, 5, _SLICE_BITS]), label="slice bits")
+        with mock.patch.object(analysis, "_SLICE_BITS", bits), lines_run(
+            _subset_table, ran, TABLE_PATHS
+        ):
+            assert _subset_table(code) == expected
+
+    matches()
+    # The oracle checks every path of the table.
+    assert set(ran) == set(TABLE_PATHS), ran
 
 
 @pytest.mark.parametrize("n", [_SLICE_BITS - 1, _SLICE_BITS, _SLICE_BITS + 1, _SLICE_BITS + 3])
 def test_subset_table_matches_the_per_k_walk_across_slices(n):
+    ran = Counter()
     for code in (spread_code(n, n, 2 * n, 3), spread_code(n, n, n + 3, 2)):
         per_k = [min_coverage(code, k) for k in range(1, n + 1)]
-        assert _subset_table(code) == per_k
+        with lines_run(_subset_table, ran, TABLE_PATHS):
+            assert _subset_table(code) == per_k
+    # One slice fixes no node, so no packet is hit and base takes them
+    # all; and it scans each k first, below no best to skip at.
+    paths = set(TABLE_PATHS) if n > _SLICE_BITS else {"unhit form"}
+    assert set(ran) == paths, ran
 
 
 def forbidden(*args, **kwargs):
@@ -744,8 +799,12 @@ def test_slice_layout_groups_positions_by_popcount_class(f):
         ps = [p_at[q] for q in positions]
         assert len(ps) == math.comb(f, j)
         assert ps == sorted(ps) and all(p.bit_count() == j for p in ps)
-        # _unranked gives the member with `above` members above it.
-        assert ps == [_unranked(f, j, len(ps) - 1 - i) for i in range(len(ps))]
+        # _unranked gives the nodes of the member with `above` members
+        # above it, node f - 1 - b for each bit b of its p.
+        nodes = [_unranked(f, j, len(ps) - 1 - i, 0) for i in range(len(ps))]
+        assert ps == [sum(1 << f - 1 - node for node in each) for each in nodes]
+        # Past `first` fixed nodes, each node moves up by first.
+        assert _unranked(f, j, 0, 5) == [5 + node for node in nodes[-1]]
 
 
 def test_slice_scan_spans_a_fifth_of_the_full_width():
@@ -765,6 +824,35 @@ def test_subset_table_memory_stays_under_one_mib():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_subset_table_memory_stays_under_one_mib_at_wide_theta():
+    # 1,024 packets over four slices: an 8 KiB indicator kept per packet
+    # from one slice to the next would hold 8 MiB. The table keeps its
+    # two base sums, one slice's sum and its complement.
+    code = spread_code(3, 18, 1024, 2)
+    assert not code.rotation_invariant and code.n - _SLICE_BITS == 2
+    _slice_constants(_SLICE_BITS)  # built once per width, outside the peak
+    tracemalloc.start()
+    try:
+        _subset_table(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nodes_match_the_per_node_loop(data):
+    n = data.draw(st.integers(1, 300), label="n")
+    s = data.draw(st.integers(0, (1 << n) - 1), label="s")
+    subsets = [0, s, (1 << n) - 1]
+    for subset in subsets:
+        assert _nodes(n, subset) == [i for i in range(n) if subset >> n - 1 - i & 1]
+    assert _decoded(n, [(7, subset) for subset in subsets]) == [
+        (7, tuple(_nodes(n, subset))) for subset in subsets
+    ]
 
 
 # --- reconstruction degree -------------------------------------------------

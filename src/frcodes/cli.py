@@ -17,11 +17,13 @@ search that passes it exits 1 with BudgetExceeded naming the search.
 The argument parser is built on the first main call and reused; each
 call parses into a fresh namespace, so main can be called repeatedly in
 one process. Each command is registered once, by the call that routes
-it and sets its handler, and its arguments are parsed by its own parser:
-the levels above it (frc, and frc generate and frc sweep) only route, so
-main looks the command words up and skips them. An argv that names no
-command, or that leaves arguments over, takes the full parse instead,
-so argparse's own top-level messages are unchanged.
+it and sets its handler, and the build keeps a table of the command's
+arguments: the actions add_argument returned and the set_defaults
+values. main looks the command words up and reads the rest of the line
+in one pass over that table (_one_pass). A line that names no command,
+or that holds any form the pass does not copy exactly (help and usage
+errors among them), takes the full argparse parse, so help, errors and
+exit codes are argparse's own.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ from .core import DEFAULT_THETA_CAP, check_identities, profile, single_deficit_s
 from .errors import FrcError, _int_phrase, _shown
 
 
+def _literal_size(text: str) -> str | None:
+    """How _shown names the int that text spells, if text is an int
+    literal; None otherwise. int() refuses a literal with more digits
+    than the interpreter converts, and its message would echo them."""
+    literal = re.fullmatch(r"\s*([+-]?)\d+(?:_\d+)*\s*", text)
+    return literal and _int_phrase(literal[1] == "-", sum(map(str.isdecimal, text)))
+
+
 def _budget() -> int:
     raw = os.environ.get("FRC_BUDGET")
     if raw is None:
@@ -46,11 +56,8 @@ def _budget() -> int:
     try:
         budget = int(raw)
     except ValueError:
-        # int() also refuses a well-formed integer with more digits than
-        # the interpreter converts; name its size rather than echo it.
-        literal = re.fullmatch(r"\s*([+-]?)\d+(?:_\d+)*\s*", raw)
-        if literal:
-            size = _int_phrase(literal[1] == "-", sum(map(str.isdecimal, raw)))
+        size = _literal_size(raw)
+        if size:
             raise FrcError(
                 "FRC_BUDGET must be a positive integer of at most"
                 f" {sys.get_int_max_str_digits():,} digits, got {size}"
@@ -61,18 +68,31 @@ def _budget() -> int:
     return budget
 
 
+def _bound(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        size = _literal_size(text)
+        if not size:
+            raise
+        raise ValueError(
+            f"range bounds must be integers of at most {sys.get_int_max_str_digits():,}"
+            f" digits, got {size}"
+        ) from None
+
+
 def _parse_range(text: str) -> list[int]:
     """Accept 'A..B' (inclusive, at most DEFAULT_THETA_CAP values) or a
     single integer."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _bound(lo_text), _bound(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {_shown(text)!r}")
         if hi - lo >= DEFAULT_THETA_CAP:
             raise ValueError(f"range {_shown(text)!r} spans more than {DEFAULT_THETA_CAP} values")
         return list(range(lo, hi + 1))
-    return [int(text)]
+    return [_bound(text)]
 
 
 def _node_label(i: int) -> str:
@@ -278,9 +298,42 @@ def _cmd_conjecture(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-#: Each command's own parser, by the command words that reach it. Only
-#: _build_parser writes it, so it holds the parsers of the cached build.
-_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+class _Leaf:
+    """One command's parser and the table the one-pass parse reads: its
+    arguments as add_argument returned them, and the namespace of a line
+    that gives none of them (their defaults and the set_defaults values).
+    The table holds store and store_true arguments, and each command
+    takes at most one positional."""
+
+    def __init__(self, parser: argparse.ArgumentParser):
+        self.parser = parser
+        self.options: dict[str, argparse.Action] = {}  # by option string
+        self.positionals: list[argparse.Action] = []
+        self.required: set[argparse.Action] = set()
+        self.exclusive: set[argparse.Action] = set()  # at most one may be given
+        self.defaults: dict[str, object] = {}
+
+    def add(self, *names, group=None, **kwargs) -> None:
+        """add_argument on the parser, or on group, its mutually exclusive
+        group; the table records the argument."""
+        action = (group or self.parser).add_argument(*names, **kwargs)
+        self.options.update(dict.fromkeys(action.option_strings, action))
+        if not action.option_strings:
+            self.positionals.append(action)
+        if action.required:
+            self.required.add(action)
+        if group is not None:
+            self.exclusive.add(action)
+        self.defaults[action.dest] = action.default
+
+    def set_defaults(self, **values) -> None:
+        self.parser.set_defaults(**values)
+        self.defaults.update(values)
+
+
+#: Each command's table, by the command words that reach it. Only
+#: _build_parser writes it, so it holds the tables of the cached build.
+_LEAVES: dict[tuple[str, ...], _Leaf] = {}
 
 
 @functools.cache
@@ -292,9 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_leaf(subparsers, words, handler, **kwargs):
-        # The leaf's namespace also carries the dests of the words that
-        # reach it, as the full parse sets them.
-        leaf = _LEAVES[words] = subparsers.add_parser(words[-1], **kwargs)
+        # The namespace also carries the dests of the words that reach the
+        # command, as the full parse sets them.
+        leaf = _LEAVES[words] = _Leaf(subparsers.add_parser(words[-1], **kwargs))
         leaf.set_defaults(handler=handler, **dict(zip(("command", "family"), words)))
         return leaf
 
@@ -307,9 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = add_leaf(gen_sub, ("generate", family), _cmd_generate, help=about)
         for field in dataclasses.fields(spec):
-            p.add_argument(f"--{field.name}", type=int, required=True)
-        p.add_argument("-o", "--output", help="write the code to this path")
-        p.add_argument(
+            p.add(f"--{field.name}", type=int, required=True)
+        p.add("-o", "--output", help="write the code to this path")
+        p.add(
             "--format",
             choices=[constructions.FORMAT_JSON, constructions.FORMAT_CSV_MATRIX],
             help="file format (default: by extension)",
@@ -317,41 +370,41 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(spec=spec, builder=builder)
 
     ana = add_leaf(sub, ("analyze",), _cmd_analyze, help="profiles, coverage table, reconstruction degree")
-    ana.add_argument("code", help="code file (.json or .csv)")
-    ana.add_argument(
-        "--file-size", type=int, help="outer layer size M (default theta-1, at least 1)"
-    )
+    ana.add("code", help="code file (.json or .csv)")
+    ana.add("--file-size", type=int, help="outer layer size M (default theta-1, at least 1)")
 
     good = add_leaf(sub, ("goodness",), _cmd_goodness, help="universal-goodness check")
-    good.add_argument("code")
-    good.add_argument("--weak", action="store_true", help="force the relaxed bound")
+    good.add("code")
+    good.add("--weak", action="store_true", help="force the relaxed bound")
     # The structural check scans every k and takes no file size.
-    point = good.add_mutually_exclusive_group()
-    point.add_argument(
+    point = good.parser.add_mutually_exclusive_group()
+    good.add(
         "--structural",
+        group=point,
         action="store_true",
         help="brute-force every k <= alpha instead of the point check",
     )
-    point.add_argument(
-        "--file-size", type=int, help="point-check file size (default theta-1, at least 1)"
+    good.add(
+        "--file-size", group=point, type=int,
+        help="point-check file size (default theta-1, at least 1)",
     )
 
     rep = add_leaf(sub, ("repair",), _cmd_repair, help="minimum-helper repair plan for one node")
-    rep.add_argument("code")
-    rep.add_argument("--fail", type=int, required=True, help="failed node, 1-based label")
+    rep.add("code")
+    rep.add("--fail", type=int, required=True, help="failed node, 1-based label")
 
     sw = sub.add_parser("sweep", help="regenerate ring parameter tables")
     sw_sub = sw.add_subparsers(dest="family", required=True)
     sw_ring = add_leaf(sw_sub, ("sweep", "ring"), _cmd_sweep)
-    sw_ring.add_argument("--n", required=True, help="range A..B or single value")
-    sw_ring.add_argument("--rho", required=True, help="range A..B or single value")
-    sw_ring.add_argument("--m", required=True, help="rounds range A..B or single value")
-    sw_ring.add_argument("-o", "--output", help="write rows as CSV")
+    sw_ring.add("--n", required=True, help="range A..B or single value")
+    sw_ring.add("--rho", required=True, help="range A..B or single value")
+    sw_ring.add("--m", required=True, help="rounds range A..B or single value")
+    sw_ring.add("-o", "--output", help="write rows as CSV")
 
     aud = add_leaf(sub, ("audit-table",), _cmd_audit_table, help="arithmetic re-check of a parameter table")
-    aud.add_argument("table", nargs="?", help="CSV path (header n,k,d,rho,theta[,t])")
-    aud.add_argument("--family", choices=[sweep.FAMILY_RING, sweep.FAMILY_T])
-    aud.add_argument(
+    aud.add("table", nargs="?", help="CSV path (header n,k,d,rho,theta[,t])")
+    aud.add("--family", choices=[sweep.FAMILY_RING, sweep.FAMILY_T])
+    aud.add(
         "--bundled",
         choices=sorted(sweep.BUNDLED_TABLES),
         help="audit a bundled reference table instead of a file",
@@ -361,24 +414,63 @@ def _build_parser() -> argparse.ArgumentParser:
         sub, ("conjecture",), _cmd_conjecture,
         help="compare brute force against the heterogeneous-ring formula",
     )
-    conj.add_argument("--n", required=True, help="range A..B or single value")
-    conj.add_argument("--rho", required=True, help="range A..B or single value")
+    conj.add("--n", required=True, help="range A..B or single value")
+    conj.add("--rho", required=True, help="range A..B or single value")
 
     for leaf in _LEAVES.values():  # last, so each help lists it after the leaf's own
-        leaf.add_argument("--json", action="store_true", help="machine-readable output")
+        leaf.add("--json", action="store_true", help="machine-readable output")
     return parser
+
+
+def _one_pass(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parse gives argv, read in one pass over the
+    table of the command it names; None for a line that names no command
+    or has any form the pass does not copy exactly.
+
+    The pass reads exact option strings, one value after each option that
+    takes one, switches, positionals in order, choices and type
+    conversions; a repeated option keeps its last value, as in argparse.
+    It declines any other word that starts with "-" (help, "--", "="
+    joins, abbreviations, and values or positionals that start with "-"),
+    a word past the positionals, a missing required argument, both
+    arguments of the exclusive group and a failed conversion."""
+    words = tuple(argv[:1]) if tuple(argv[:1]) in _LEAVES else tuple(argv[:2])
+    leaf = _LEAVES.get(words)
+    if leaf is None:
+        return None
+    values = dict(leaf.defaults)
+    given = set()
+    positionals = iter(leaf.positionals)
+    rest = iter(argv[len(words):])
+    for word in rest:
+        action = leaf.options.get(word) if word.startswith("-") else next(positionals, None)
+        if action is None:
+            return None
+        given.add(action)
+        if action.nargs == 0:  # a switch
+            values[action.dest] = action.const
+            continue
+        if action.option_strings:
+            word = next(rest, "-")  # no value declines as a "-" one does
+            if word.startswith("-"):
+                return None
+        try:
+            value = word if action.type is None else action.type(word)
+        except ValueError:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not leaf.required <= given or len(leaf.exclusive & given) > 1:
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    words = tuple(argv[:1]) if tuple(argv[:1]) in _LEAVES else tuple(argv[:2])
-    args, left = None, []
-    if words in _LEAVES:
-        # The levels above a leaf would hand it these arguments
-        # unchanged, so its errors and help are the same as there.
-        args, left = _LEAVES[words].parse_known_args(argv[len(words):])
-    if args is None or left:
+    args = _one_pass(argv)
+    if args is None:  # help, errors and unusual forms: argparse's own
         args = parser.parse_args(argv)  # argparse exits 2 on usage errors
     try:
         rc = args.handler(args)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -556,6 +557,30 @@ def test_parse_range_of_one_value():
         _parse_range("5..4")
 
 
+def test_range_bounds_past_the_digit_limit_name_their_size(capsys):
+    # int() refuses a bound past the interpreter's digit limit with a
+    # ValueError whose message names the limit's setter; the usage error
+    # now gives the bound's size instead.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    nines = "9" * 5000
+    try:
+        for argv, size in (
+            (("sweep", "ring", "--n", nines, "--rho", "2", "--m", "1"), "an int of 5,000 digits"),
+            (("conjecture", "--n", f"4..{nines}", "--rho", "2"), "an int of 5,000 digits"),
+            (("conjecture", f"--n=-{nines}..4", "--rho", "2"), "a negative int of 5,000 digits"),
+            (("sweep", "ring", "--n", "5", "--rho", "1_" * 4400 + "0", "--m", "1"),
+             "an int of 4,401 digits"),
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, "")
+            assert err == (
+                f"usage error: range bounds must be integers of at most 4,300 digits, got {size}\n"
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- conjecture -------------------------------------------------------------
 
 
@@ -733,23 +758,35 @@ def test_any_command_line_exits_0_1_or_2(argv_paths, data, budget):
 
 @st.composite
 def mutated_argvs(draw, paths):
-    """A command line of the grammar with one or two forms argparse reads
-    beyond it: a word appended, "--" inserted, an option abbreviated, or
-    an option joined to the next word with "="."""
+    """A command line of the grammar with up to two forms argparse reads
+    beyond it: a word appended (an empty one and "-h" among them), "--"
+    inserted, an option abbreviated, repeated or joined to the next word
+    with "=", a value that starts with "-", or both of goodness's
+    exclusive --structural and --file-size."""
     argv = draw(argvs(paths))
-    for _ in range(draw(st.integers(1, 2))):
-        form = draw(st.sampled_from(["word", "--", "abbreviate", "join"]))
+    for _ in range(draw(st.integers(0, 2))):
+        form = draw(st.sampled_from(
+            ["word", "--", "abbreviate", "join", "repeat", "dash", "exclusive"]
+        ))
         options = [i for i, word in enumerate(argv) if word.startswith("--") and word != "--"]
+        values = [i + 1 for i in options if i + 1 < len(argv) and not argv[i + 1].startswith("-")]
         if form == "word":
-            argv.append(draw(st.sampled_from(["extra", "2", "--json", "--bogus", "-h", "-x"])))
+            argv.append(draw(st.sampled_from(["extra", "2", "--json", "--bogus", "-h", "-x", ""])))
         elif form == "--":
             argv.insert(draw(st.integers(0, len(argv))), "--")
+        elif form == "exclusive":
+            argv += ["--structural", "--file-size", "2"]
+        elif form == "dash" and values:
+            argv[draw(st.sampled_from(values))] = draw(st.sampled_from(["-1", "-", "-x", "--json"]))
+        elif form == "join" and values:
+            i = draw(st.sampled_from(values))
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
         elif options:
             i = draw(st.sampled_from(options))
             if form == "abbreviate":
                 argv[i] = argv[i][: draw(st.integers(3, len(argv[i])))]
-            elif i + 1 < len(argv):
-                argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+            elif form == "repeat":
+                argv += argv[i : i + 1 + (i + 1 in values)]
     return argv
 
 
@@ -780,66 +817,117 @@ def outcome(function, argv):
 
 @contextlib.contextmanager
 def outermost_parses():
-    """Record [parser, namespace, arguments left over] of every
-    parse_known_args call made while open, except the calls a parser
-    makes for its own commands; a call that exits leaves the last two
-    None."""
+    """Record the parser of every parse_known_args call made while open,
+    except the calls a parser makes for its own commands."""
     calls, depth = [], [0]
     parse = argparse.ArgumentParser.parse_known_args
 
     def recording(self, args=None, namespace=None):
-        call = [self, None, None]
         if not depth[0]:
-            calls.append(call)
+            calls.append(self)
         depth[0] += 1
         try:
-            call[1:] = parse(self, args, namespace)
+            return parse(self, args, namespace)
         finally:
             depth[0] -= 1
-        return call[1], call[2]
 
     with mock.patch.object(argparse.ArgumentParser, "parse_known_args", recording):
         yield calls
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_routed_command_lines_match_the_full_parse(argv_paths, data):
-    argv = data.draw(mutated_argvs(argv_paths))
-    with mock.patch.dict(os.environ, {"FRC_BUDGET": "1000"}):
-        with outermost_parses() as calls:
-            routed = outcome(main, argv)
-        assert routed == outcome(full_parse_main, argv), argv
+@contextlib.contextmanager
+def received_namespaces():
+    """Record the namespace of every command handler call made while open.
+    The parser is built again around recording handlers, and cleared on
+    exit so the next call builds it with the real ones."""
+    received = []
+
+    def recording(handler):
+        def record(args):
+            received.append(args)
+            return handler(args)
+        return record
+
+    handlers = {name: recording(value) for name, value in vars(cli).items() if name.startswith("_cmd_")}
+    _build_parser.cache_clear()
     try:
-        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
-            full = _build_parser().parse_args(argv)
-    except SystemExit:
-        return
-    _, namespace, left = calls[-1]
-    assert left == []
-    assert vars(namespace) == vars(full), argv
+        with mock.patch.multiple(cli, **handlers):
+            _build_parser()
+        yield received
+    finally:
+        _build_parser.cache_clear()
 
 
-def test_a_command_is_parsed_by_its_own_parser_alone(ring_file):
+def test_each_handler_receives_the_full_parse_namespace(argv_paths):
+    @settings(max_examples=800, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        argv = data.draw(mutated_argvs(argv_paths))
+        with mock.patch.dict(os.environ, {"FRC_BUDGET": "1000"}):
+            received.clear()
+            routed = outcome(main, argv)
+            handled = received[:]
+            assert routed == outcome(full_parse_main, argv), argv
+        try:
+            with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+                full = _build_parser().parse_args(argv)
+        except SystemExit:
+            assert handled == [], argv
+            return
+        assert [vars(args) for args in handled] == [vars(full)], argv
+
+    with received_namespaces() as received:
+        check()
+
+
+def test_a_well_formed_command_line_takes_no_argparse_parse(ring_file):
     ring = ("generate", "ring", "--n", "5", "--theta", "5", "--rho", "2")
     for argv, progs in (
         # One command line for each of the nine commands.
-        (("generate", "prg", "--n", "7", "--d", "3"), ["frc generate prg"]),
-        ((*ring, "--json"), ["frc generate ring"]),
-        (("generate", "t", "--n", "7", "--d", "3", "--t", "1"), ["frc generate t"]),
-        (("analyze", ring_file), ["frc analyze"]),
-        (("goodness", ring_file, "--structural"), ["frc goodness"]),
-        (("repair", ring_file, "--fail", "1"), ["frc repair"]),
-        (("sweep", "ring", "--n", "5", "--rho", "2", "--m", "1"), ["frc sweep ring"]),
-        (("audit-table", "--bundled", "ring_rho2"), ["frc audit-table"]),
-        (("conjecture", "--n", "4", "--rho", "2"), ["frc conjecture"]),
+        (("generate", "prg", "--n", "7", "--d", "3"), []),
+        ((*ring, "--json"), []),
+        (("generate", "t", "--n", "7", "--d", "3", "--t", "1"), []),
+        (("analyze", ring_file), []),
+        (("goodness", ring_file, "--structural"), []),
+        (("repair", ring_file, "--fail", "1"), []),
+        (("sweep", "ring", "--n", "5", "--rho", "2", "--m", "1"), []),
+        (("audit-table", "--bundled", "ring_rho2"), []),
+        (("conjecture", "--n", "4", "--rho", "2"), []),
         # A word left over takes the full parse, for its top-level error.
-        (("analyze", ring_file, "extra"), ["frc analyze", "frc"]),
+        (("analyze", ring_file, "extra"), ["frc"]),
         (("sweep", "bogus"), ["frc"]),
     ):
         with outermost_parses() as calls:
             outcome(main, list(argv))
-        assert [parser.prog for parser, _, _ in calls] == progs, argv
+        assert [parser.prog for parser in calls] == progs, argv
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded by path."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are built.
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):
+        spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_benchmark_command_line_is_read_in_one_pass():
+    # The benchmark times these lines, so the pass must answer each one,
+    # and answer as the full parse does.
+    workloads = benchmark_workloads()
+    argvs = {
+        job.argv
+        for name, workload in workloads.WORKLOADS.items()
+        for job in (*workload(1).jobs, *workloads.all_fixed_jobs(name))
+    }
+    assert len(argvs) > 300
+    parser = _build_parser()
+    for argv in argvs:
+        answer = cli._one_pass(list(argv))
+        assert answer is not None, argv
+        assert vars(answer) == vars(parser.parse_args(list(argv))), argv
 
 
 def test_missing_code_file(capsys, tmp_path):
